@@ -7,14 +7,22 @@ contains each ``(i, s)`` independently with probability ``x[i, s-1]``.
 Two exact evaluators are provided and cross-validate each other:
 
 * :func:`exact_H_bruteforce` enumerates all ``2^(I*S)`` pair subsets;
-* :func:`exact_H_factored` exploits that the value depends only on each
+* :class:`FactoredExtension` exploits that the value depends only on each
   item's maximum included state, whose law factorizes across items:
 
       q_i(s) = x_is * prod_{s' > s} (1 - x_is'),   q_i(0) = prod_s (1 - x_is)
 
-  so ``H(x) = sum_u f(u) * prod_i q_i(u_i)`` over ``u in {0..S}^I``.
+  so ``H(x) = sum_u f(u) * prod_i q_i(u_i)`` over ``u in {0..S}^I``. The
+  objective is tabulated once as the ``(S+1)^I`` value tensor, and ``H`` is
+  that tensor contracted with ``q_0, ..., q_{I-1}``, one item axis at a
+  time. Marginal weights need, for every item ``i``, the tensor contracted
+  with every law but ``q_i``; one divide-and-conquer pass (variable
+  elimination) yields all ``I`` of these leave-one-out vectors.
 
-The factored form is the production path; the brute force is its oracle.
+Every contraction sums ``S+1`` terms in a fixed order with elementwise
+numpy operations, never a long dot product, so results do not depend on
+how a threaded BLAS would split a sum. The factored form is the production
+path; the brute force is its oracle.
 """
 
 from __future__ import annotations
@@ -37,7 +45,9 @@ def check_fractional(x: np.ndarray, objective: LatticeObjective) -> np.ndarray:
         raise ValidationError(
             "x", f"expected shape {(objective.item_count, objective.state_count)}, got {x.shape}"
         )
-    if np.any(x < -1e-12) or np.any(x > 1 + 1e-12):
+    if not np.all((x >= -1e-12) & (x <= 1 + 1e-12)):  # false for NaN too
+        if not np.all(np.isfinite(x)):
+            raise ValidationError("x", "entries must be finite")
         raise ValidationError("x", "entries must lie in [0, 1]")
     return np.clip(x, 0.0, 1.0)
 
@@ -67,70 +77,101 @@ def exact_H_bruteforce(x: np.ndarray, objective: LatticeObjective) -> float:
     return total
 
 
-def _suffix_products(x: np.ndarray) -> np.ndarray:
-    """suffix[i, s] = prod over states s' > s of (1 - x_is')."""
-    I, S = x.shape
-    suffix = np.ones((I, S + 1))
-    for s in range(S - 1, -1, -1):
-        suffix[:, s] = suffix[:, s + 1] * (1.0 - x[:, s])
-    return suffix
+def _max_state_laws(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-item laws of the maximum included state, and their suffix products.
 
-
-def max_state_distribution(x: np.ndarray) -> np.ndarray:
-    """Per-item law of the maximum included state, shape ``(I, S+1)``.
-
-    Column ``s`` is the probability that the highest included state of
-    the item equals ``s`` (0 meaning no state included).
+    Both have shape ``(I, S+1)``. ``q[i, s]`` is the probability that the
+    highest included state of item ``i`` equals ``s`` (0 meaning none is
+    included); ``suffix[i, s] = prod_{s' > s} (1 - x_is')`` is the
+    probability that it is at most ``s``.
     """
-    x = np.asarray(x, dtype=float)
-    suffix = _suffix_products(x)
+    suffix = np.ones((x.shape[0], x.shape[1] + 1))
+    suffix[:, -2::-1] = np.cumprod(1.0 - x[:, ::-1], axis=1)
     q = np.empty_like(suffix)
     q[:, 0] = suffix[:, 0]
     q[:, 1:] = x * suffix[:, 1:]
-    return q
+    return q, suffix
+
+
+def _weighted_sum(slices: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``sum_k q[k] * slices[k]``, added in the order of ``k``."""
+    t = slices[0] * q[0]
+    for k in range(1, q.size):
+        t += slices[k] * q[k]
+    return t
+
+
+def _contract_leading(t: np.ndarray, laws: np.ndarray) -> np.ndarray:
+    """Contract the leading item axes of ``t``, one per row of ``laws``, in order.
+
+    ``t`` is a flat tensor in mixed-radix order (first item slowest). Each
+    step weighs the ``S+1`` slices of one item axis by that item's law, so
+    every sum has ``S+1`` terms in a fixed order.
+    """
+    for q in laws:
+        t = _weighted_sum(t.reshape(q.size, -1), q)
+    return t
+
+
+def _contract_trailing(t: np.ndarray, laws: np.ndarray) -> np.ndarray:
+    """Contract the trailing item axes of ``t``, last row of ``laws`` first."""
+    for q in laws[::-1]:
+        t = _weighted_sum(t.reshape(-1, q.size).T, q)
+    return t
+
+
+def _leave_one_out(t: np.ndarray, laws: np.ndarray, out: np.ndarray, first: int) -> None:
+    """Write ``t`` contracted with every law but item ``first + j``'s into ``out[first + j]``.
+
+    Divide and conquer: contract the right half away to recurse on the
+    left half and vice versa, so the whole pass costs a few sweeps of
+    ``t`` instead of one per item.
+    """
+    n = len(laws)
+    if n == 1:
+        out[first] = t
+        return
+    mid = n // 2
+    _leave_one_out(_contract_trailing(t, laws[mid:]), laws[:mid], out, first)
+    _leave_one_out(_contract_leading(t, laws[:mid]), laws[mid:], out, first + mid)
 
 
 class FactoredExtension:
     """Cached exact evaluator for one objective.
 
-    Precomputes the objective on the full state-vector grid once; every
-    subsequent ``H`` evaluation is a weighted sum over the grid, and
-    marginal weights reuse per-item partial products.
+    Tabulates the objective once as the ``(S+1)^I`` value tensor (stored
+    flat in mixed-radix order). ``H`` contracts it with the per-item laws
+    ``q_i`` one item at a time. ``marginals`` gets every item's
+    leave-one-out vector ``W_i`` (the tensor contracted with all laws but
+    ``q_i``) from one divide-and-conquer pass. Forcing pair ``(i, s)`` in
+    moves the item's maximum state to ``s`` exactly when it was below
+    ``s`` (probability ``suffix_i(s-1)``) and changes nothing otherwise, so
+
+        omega[i, s-1] = W_i[s] * suffix_i(s-1) - sum_{u < s} W_i[u] * q_i(u),
+
+    which equals ``H(x with x_is = 1) - H(x)`` without computing ``H``.
     """
 
     def __init__(self, objective: LatticeObjective):
         self.objective = objective
         I, S = objective.item_count, objective.state_count
-        self.grid = enumerate_state_vectors(I, S)  # raises CapacityError when too big
-        self.values = np.asarray(objective.value_many(self.grid), dtype=float)
-        self.I, self.S = I, S
+        # filled in chunks of rows; the first chunk raises CapacityError when too big
+        chunks = [objective.value_many(enumerate_state_vectors(I, S, start, start + _CHUNK))
+                  for start in range(0, (S + 1) ** I, _CHUNK)]
+        self.values = np.concatenate(chunks).astype(float, copy=False)
 
     def H(self, x: np.ndarray) -> float:
-        q = max_state_distribution(check_fractional(x, self.objective))
-        gathered = q[np.arange(self.I)[None, :], self.grid]  # (N, I)
-        return float(np.dot(self.values, gathered.prod(axis=1)))
+        q, _ = _max_state_laws(check_fractional(x, self.objective))
+        return float(_contract_leading(self.values, q)[0])
 
     def marginals(self, x: np.ndarray) -> np.ndarray:
         """omega[i, s-1] = H(x with pair (i,s) forced in) - H(x)."""
         x = check_fractional(x, self.objective)
-        suffix = _suffix_products(x)
-        q = np.empty_like(suffix)
-        q[:, 0] = suffix[:, 0]
-        q[:, 1:] = x * suffix[:, 1:]
-        gathered = q[np.arange(self.I)[None, :], self.grid]
-        base = float(np.dot(self.values, gathered.prod(axis=1)))
-        omega = np.empty((self.I, self.S))
-        for i in range(self.I):
-            partial = gathered.copy()
-            partial[:, i] = 1.0
-            without_i = self.values * partial.prod(axis=1)
-            for s in range(1, self.S + 1):
-                # forcing x_is = 1 zeroes the item's law below s and lifts level s
-                q_forced = np.zeros(self.S + 1)
-                q_forced[s] = suffix[i, s]
-                q_forced[s + 1:] = q[i, s + 1:]
-                omega[i, s - 1] = float(np.dot(without_i, q_forced[self.grid[:, i]])) - base
-        return omega
+        q, suffix = _max_state_laws(x)
+        W = np.empty_like(q)
+        _leave_one_out(self.values, q, W, 0)
+        below = np.cumsum(W * q, axis=1)  # below[:, u] = sum_{u' <= u} W_i[u'] * q_i(u')
+        return W[:, 1:] * suffix[:, :-1] - below[:, :-1]
 
 
 def exact_H_factored(x: np.ndarray, objective: LatticeObjective) -> float:

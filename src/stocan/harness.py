@@ -206,30 +206,41 @@ def _config_header(cfg: ExperimentConfig, **extra) -> dict:
     return head
 
 
-def _solution_block(inst, objective, y, samples, seed):
-    """y, its split, and (exact when possible, else estimated) H values."""
-    y_small, y_large = split_solution(y, inst)
-    block = {"y": _matrix(y), "y_small": _matrix(y_small), "y_large": _matrix(y_large)}
+def _solve(cfg, inst, objective, y=None):
+    """y (by continuous greedy unless given) and its solution block.
+
+    The block holds y, its split, and H values: exact when the value
+    tensor fits the enumeration guard, else estimated. One exact evaluator
+    serves the greedy and the H values; it is dropped on return, so the
+    campaigns that follow do not hold the value tensor.
+    """
     try:
         ext = extension.FactoredExtension(objective)
+    except CapacityError:
+        ext = None
+    if y is None:
+        y = continuous_greedy(inst, objective, cfg.greedy_config(), evaluator=ext)
+    y_small, y_large = split_solution(y, inst)
+    block = {"y": _matrix(y), "y_small": _matrix(y_small), "y_large": _matrix(y_large)}
+    if ext is not None:
         block["H"] = {
             "method": "exact",
             "y": ext.H(y),
             "y_small": ext.H(y_small),
             "y_large": ext.H(y_large),
         }
-    except CapacityError:
-        est, err = extension.estimate_H(y, objective, samples, seed)
-        est_s, err_s = extension.estimate_H(y_small, objective, samples, seed)
-        est_l, err_l = extension.estimate_H(y_large, objective, samples, seed)
+    else:
+        est, err = extension.estimate_H(y, objective, cfg.samples, cfg.seed)
+        est_s, err_s = extension.estimate_H(y_small, objective, cfg.samples, cfg.seed)
+        est_l, err_l = extension.estimate_H(y_large, objective, cfg.samples, cfg.seed)
         block["H"] = {
             "method": "estimate",
-            "samples": int(samples),
+            "samples": int(cfg.samples),
             "y": est, "y_stderr": err,
             "y_small": est_s, "y_small_stderr": err_s,
             "y_large": est_l, "y_large_stderr": err_l,
         }
-    return y_small, y_large, block
+    return y, block
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +249,7 @@ def _solution_block(inst, objective, y, samples, seed):
 
 def run_optimize(cfg: ExperimentConfig) -> dict:
     payload, inst, objective = _load(cfg)
-    y = continuous_greedy(inst, objective, cfg.greedy_config())
-    _, _, block = _solution_block(inst, objective, y, cfg.samples, cfg.seed)
+    _, block = _solve(cfg, inst, objective)
     return {
         "command": "optimize",
         "instance": _instance_header(cfg, payload, inst, objective),
@@ -248,25 +258,25 @@ def run_optimize(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _obtain_solution(cfg, inst, objective) -> np.ndarray:
-    if cfg.solution:
-        with open(cfg.solution, "r", encoding="utf-8") as fh:
-            prior = json.load(fh)
-        try:
-            y = np.asarray(prior["solution"]["y"], dtype=float)
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(str(cfg.solution), "no solution.y matrix in report") from exc
-        if y.shape != inst.prob.shape:
-            raise ValidationError(str(cfg.solution),
-                                  f"solution.y has shape {y.shape}, expected {inst.prob.shape}")
-        return y
-    return continuous_greedy(inst, objective, cfg.greedy_config())
+def _given_solution(cfg, inst) -> np.ndarray | None:
+    """y from the ``--solution`` report, or None without one."""
+    if not cfg.solution:
+        return None
+    with open(cfg.solution, "r", encoding="utf-8") as fh:
+        prior = json.load(fh)
+    try:
+        y = np.asarray(prior["solution"]["y"], dtype=float)
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(str(cfg.solution), "no solution.y matrix in report") from exc
+    if y.shape != inst.prob.shape:
+        raise ValidationError(str(cfg.solution),
+                              f"solution.y has shape {y.shape}, expected {inst.prob.shape}")
+    return y
 
 
 def run_simulate(cfg: ExperimentConfig) -> dict:
     payload, inst, objective = _load(cfg)
-    y = _obtain_solution(cfg, inst, objective)
-    _, _, block = _solution_block(inst, objective, y, cfg.samples, cfg.seed)
+    y, block = _solve(cfg, inst, objective, _given_solution(cfg, inst))
 
     sims = {}
     violations = 0
@@ -356,8 +366,7 @@ def run_verify(cfg: ExperimentConfig) -> dict:
     if cfg.runs < 2:
         raise ValidationError("runs", "verify needs at least 2 simulation runs")
     payload, inst, objective = _load(cfg)
-    y = continuous_greedy(inst, objective, cfg.greedy_config())
-    y_small, y_large, block = _solution_block(inst, objective, y, cfg.samples, cfg.seed)
+    y, block = _solve(cfg, inst, objective)
 
     checks = []
     exact_H = block["H"]["method"] == "exact"

@@ -429,19 +429,24 @@ class CheckResult:
         return self.ok
 
 
-def enumerate_state_vectors(item_count: int, state_count: int) -> np.ndarray:
-    """All vectors in ``{0..S}^I`` as an ``((S+1)^I, I)`` array.
+def enumerate_state_vectors(item_count: int, state_count: int, start: int = 0,
+                            stop: int | None = None) -> np.ndarray:
+    """The vectors in ``{0..S}^I`` of mixed-radix ranks ``start..stop-1``, one per row.
 
-    Row order is lexicographic with the last coordinate fastest, so the
-    row index is the mixed-radix rank of the vector.
+    Row order is lexicographic with the last coordinate fastest, so with
+    the default range (all ``(S+1)^I`` vectors) the row index is the
+    mixed-radix rank of the vector.
     """
     n = (state_count + 1) ** item_count
     if n > ENUM_GUARD:
         raise CapacityError(
             f"(S+1)^I = {n} exceeds the enumeration guard {ENUM_GUARD}; use sampled mode"
         )
-    grids = np.indices((state_count + 1,) * item_count).reshape(item_count, -1).T
-    return grids.astype(np.int64)
+    ranks = np.arange(start, n if stop is None else min(stop, n), dtype=np.int64)
+    digits = np.empty((item_count, ranks.size), dtype=np.int64)
+    for i in range(item_count - 1, -1, -1):
+        ranks, digits[i] = np.divmod(ranks, state_count + 1)
+    return digits.T
 
 
 def check_monotone(objective: LatticeObjective, item_count: int | None = None,

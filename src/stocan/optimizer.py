@@ -139,7 +139,7 @@ def grid_search_lp_value(omega: np.ndarray, caps: np.ndarray, costs: np.ndarray,
 
 def continuous_greedy(inst: Instance, objective: LatticeObjective,
                       config: GreedyConfig = GreedyConfig(), *,
-                      trace: bool = False):
+                      trace: bool = False, evaluator: FactoredExtension | None = None):
     """Build a fractional solution in T rounds of step 1/T.
 
     Each round weighs every pair by its join marginal at the current
@@ -157,12 +157,14 @@ def continuous_greedy(inst: Instance, objective: LatticeObjective,
     dominated by the average of the per-round LP solutions).
 
     With ``trace=True`` (exact mode only) also returns the exact H value
-    after every round, starting with H(0).
+    after every round, starting with H(0). Exact mode uses ``evaluator``
+    when given (it must be built for ``objective``) and builds one otherwise.
     """
     delta = 1.0 / config.rounds
     y = np.zeros_like(inst.prob)
     exact = config.marginal_mode == "exact"
-    evaluator = FactoredExtension(objective) if exact else None
+    if exact and evaluator is None:
+        evaluator = FactoredExtension(objective)
     if trace and not exact:
         raise ValidationError("trace", "trace requires exact marginals")
     values = [evaluator.H(y)] if trace else None

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from stocan import extension, model
+from stocan import extension, harness, model
 from stocan.errors import CapacityError, ValidationError
 from stocan.rng import substream
 
@@ -96,6 +96,17 @@ def test_fractional_input_validated():
         extension.exact_H_factored(np.array([[0.5]]), f)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_fractional_input_rejected(bad):
+    f = modular_objective([1.0], 2)
+    ext = extension.FactoredExtension(f)
+    x = np.array([[0.5, bad]])
+    for evaluate in (ext.H, ext.marginals, lambda x: extension.exact_H_bruteforce(x, f)):
+        with pytest.raises(ValidationError, match="finite") as err:
+            evaluate(x)
+        assert err.value.path == "x"
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo estimator
 
@@ -162,6 +173,40 @@ def test_marginals_exact_vs_sampled_common_random():
         exact, _ = extension.marginal_weights(x, f, mode="exact")
         est, err = extension.marginal_weights(x, f, mode="sampled", samples=100_000, seed=k)
         assert np.all(np.abs(est - exact) <= 4 * err + 1e-12)
+
+
+@st.composite
+def small_instance_point(draw):
+    """A family, a shape with I*S <= 12, a generator seed and a point x."""
+    family = draw(st.sampled_from(harness.FAMILIES))
+    items = draw(st.integers(1, 12))
+    states = draw(st.integers(1, 12 // items))
+    seed = draw(st.integers(0, 2**16))
+    entries = draw(st.lists(st.floats(0.0, 1.0), min_size=items * states,
+                            max_size=items * states))
+    return family, items, states, seed, entries
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=small_instance_point())
+# single item, and odd item counts whose halving splits are unequal
+@example(case=("nested_coverage", 1, 4, 3, [0.3, 0.0, 1.0, 0.6]))
+@example(case=("concave_over_modular", 3, 2, 4, [0.2, 0.9, 0.5, 0.0, 1.0, 0.4]))
+@example(case=("separable_concave", 5, 2, 5, [0.1, 0.7, 0.3, 0.3, 0.8, 0.2, 0.0, 0.5, 0.9, 0.6]))
+@example(case=("nested_coverage", 7, 1, 6, [0.5, 0.1, 0.9, 0.3, 0.7, 0.2, 0.4]))
+@example(case=("concave_over_modular", 11, 1, 7, [0.05 * k for k in range(1, 12)]))
+def test_marginals_match_bruteforce_oracle(case):
+    family, items, states, seed, entries = case
+    _, f = generated(seed, items, states, family)
+    x = np.array(entries).reshape(items, states)
+    omega = extension.FactoredExtension(f).marginals(x)
+    base = extension.exact_H_bruteforce(x, f)
+    for i in range(items):
+        for s in range(1, states + 1):
+            forced = x.copy()
+            forced[i, s - 1] = 1.0
+            expected = extension.exact_H_bruteforce(forced, f) - base
+            assert omega[i, s - 1] == pytest.approx(expected, abs=1e-12)
 
 
 def test_marginal_mode_validated():

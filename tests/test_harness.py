@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stocan
 from stocan import cli, harness, model, policies
 from stocan.errors import ValidationError
 
@@ -79,6 +84,21 @@ def test_optimize_report_bytes_reproducible(tmp_path):
         out = tmp_path / name
         cfg = harness.ExperimentConfig(instance=str(path), seed=5, rounds=50, out=str(out))
         harness.write_report(harness.run_optimize(cfg), cfg.out)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_optimize_report_bytes_independent_of_blas_threads(tmp_path):
+    path = write_payload(tmp_path, harness.generate_instance(9, 3, 1.0, "nested_coverage", seed=101))
+    src = str(Path(stocan.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}.json"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "stocan.cli", "optimize", "--instance", str(path),
+                        "--seed", "1", "--rounds", "8", "--out", str(out)],
+                       env=env, check=True, capture_output=True)
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
 
