@@ -17,7 +17,8 @@ import argparse
 import sys
 
 from .errors import CapacityError, StocanError, ValidationError
-from .harness import ExperimentConfig, FAMILIES, run_gen, run_optimize, run_simulate, run_verify, write_report
+from .harness import ExperimentConfig, run_gen, run_optimize, run_simulate, run_verify, write_report
+from .model import FAMILIES
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import extension, model, oracle, policies
 from .errors import CapacityError, ValidationError
+from .model import FAMILIES
 from .optimizer import GreedyConfig, continuous_greedy, split_solution
 from .rng import GENERATOR, ORDERS, substream
 
@@ -59,9 +60,6 @@ class ExperimentConfig:
 
 # ---------------------------------------------------------------------------
 # instance generation
-
-FAMILIES = ("separable_concave", "nested_coverage", "concave_over_modular")
-
 
 def generate_instance(items: int, states: int, cost_scale: float = 1.0,
                       family: str = "separable_concave", seed: int = 0,
@@ -173,11 +171,7 @@ def _matrix(y: np.ndarray) -> list:
 
 
 def _load(cfg: ExperimentConfig):
-    with open(cfg.instance, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(str(cfg.instance), f"not valid JSON: {exc}") from exc
+    payload = model.read_json(cfg.instance)
     inst, objective = model.instance_from_dict(payload)
     return payload, inst, objective
 
@@ -262,11 +256,10 @@ def _given_solution(cfg, inst) -> np.ndarray | None:
     """y from the ``--solution`` report, or None without one."""
     if not cfg.solution:
         return None
-    with open(cfg.solution, "r", encoding="utf-8") as fh:
-        prior = json.load(fh)
+    prior = model.read_json(cfg.solution)
     try:
         y = np.asarray(prior["solution"]["y"], dtype=float)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(str(cfg.solution), "no solution.y matrix in report") from exc
     if y.shape != inst.prob.shape:
         raise ValidationError(str(cfg.solution),
@@ -280,23 +273,17 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
 
     sims = {}
     violations = 0
+    records = []
+    for kind in policies.KINDS:
+        sim = policies.simulate_policy(kind, inst, objective, y, cfg.runs,
+                                       order=cfg.order, seed=cfg.seed)
+        violations += sim.budget_violations
+        sims[kind] = _policy_block(sim)
+        if cfg.records:
+            records += policies.scalar_runs(kind, inst, objective, y, cfg.runs,
+                                            order=cfg.order, seed=cfg.seed)
     if cfg.records:
-        all_records = []
-        for kind in policies.KINDS:
-            records = policies.scalar_runs(kind, inst, objective, y, cfg.runs,
-                                           order=cfg.order, seed=cfg.seed)
-            all_records.extend(records)
-            values = np.array([r.value for r in records])
-            over = sum(1 for r in records if r.total_cost > inst.budget)
-            violations += over
-            sims[kind] = _policy_stats(kind, values, over)
-        policies.write_records(cfg.records, all_records)
-    else:
-        for kind in policies.KINDS:
-            sim = policies.simulate_policy(kind, inst, objective, y, cfg.runs,
-                                           order=cfg.order, seed=cfg.seed)
-            violations += sim.budget_violations
-            sims[kind] = _policy_stats(kind, sim.values, sim.budget_violations)
+        policies.write_records(cfg.records, records)
 
     exact_block = None
     exact_order = _fixed_order_for(cfg, inst)
@@ -330,16 +317,15 @@ def _fixed_order_for(cfg, inst):
     return cfg.order
 
 
-def _policy_stats(kind, values, violations) -> dict:
-    n = len(values)
-    mean = float(np.mean(values))
-    if n > 1:
-        stderr = float(np.std(values, ddof=1) / math.sqrt(n))
-        out = {"mean": mean, "stderr": stderr, "runs": n,
-               "ci95": [mean - 1.96 * stderr, mean + 1.96 * stderr]}
+def _policy_block(sim: policies.PolicySimulation) -> dict:
+    """The report's statistics of one campaign, read off the campaign itself."""
+    mean, stderr = sim.mean, sim.stderr
+    if sim.is_single_run:
+        out = {"mean": mean, "stderr": None, "runs": sim.runs, "single_run": True}
     else:
-        out = {"mean": mean, "stderr": None, "runs": n, "single_run": True}
-    out["budget_violations"] = int(violations)
+        out = {"mean": mean, "stderr": stderr, "runs": sim.runs,
+               "ci95": [mean - 1.96 * stderr, mean + 1.96 * stderr]}
+    out["budget_violations"] = sim.budget_violations
     return out
 
 
@@ -533,8 +519,7 @@ def run_verify(cfg: ExperimentConfig) -> dict:
         "config": _config_header(cfg, order_checks=int(cfg.order_checks)),
         "solution": block,
         "oracle": {"available": opt is not None, "adaptive_optimum": opt},
-        "policies": {k: _policy_stats(k, s.values, s.budget_violations)
-                     for k, s in sims.items()},
+        "policies": {k: _policy_block(s) for k, s in sims.items()},
         "ratios": ratios,
         "checks": checks,
         "status": "fail" if failed else "pass",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -56,8 +57,9 @@ class Instance:
         if prob.ndim != 2 or prob.shape != cost.shape or prob.shape[0] < 1 or prob.shape[1] < 1:
             raise ValidationError("instance", "prob and cost must be equal-shape I x S matrices")
         _validate_rows(prob, cost)
-        if not self.budget > 0:
-            raise ValidationError("instance.budget", f"budget must be positive (got {self.budget})")
+        if not (math.isfinite(self.budget) and self.budget > 0):
+            raise ValidationError("instance.budget",
+                                  f"budget must be positive and finite (got {self.budget})")
         prob.flags.writeable = False
         cost.flags.writeable = False
         object.__setattr__(self, "prob", prob)
@@ -83,6 +85,11 @@ class Instance:
 
 
 def _validate_rows(prob: np.ndarray, cost: np.ndarray) -> None:
+    for name, table in (("probs", prob), ("costs", cost)):
+        bad = ~np.isfinite(table)
+        if np.any(bad):
+            i, s = np.argwhere(bad)[0]
+            raise ValidationError(f"items[{i}].{name}[{s}]", f"{table[i, s]} is not a finite number")
     for i in range(prob.shape[0]):
         row = prob[i]
         if np.any(row < -PROB_TOL) or np.any(row > 1 + PROB_TOL):
@@ -209,6 +216,20 @@ class ConcaveCurve:
                    exponent=d.get("exponent"), path=path)
 
 
+def _sum_item_terms(tables: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``sum_i tables[i, u[:, i]]``, added one item at a time from item 0.
+
+    Every row takes the same additions in the same order whatever the
+    batch's size or memory layout, so ``value_many`` agrees bit for bit
+    with ``value`` on every row. Columns of a Fortran-ordered batch are
+    contiguous, which makes it the fast layout here.
+    """
+    total = tables[0][u[:, 0]]
+    for i in range(1, tables.shape[0]):
+        total += tables[i][u[:, i]]
+    return total
+
+
 class SeparableConcave(LatticeObjective):
     """f(u) = sum_i w_i * g(u_i) with tabulated concave nondecreasing g."""
 
@@ -230,9 +251,10 @@ class SeparableConcave(LatticeObjective):
         g.flags.writeable = False
         self.weights = weights
         self.g_table = g
+        self._terms = weights[:, None] * g  # _terms[i, s] = w_i * g(s)
 
     def value_many(self, u: np.ndarray) -> np.ndarray:
-        return self.g_table[u] @ self.weights
+        return _sum_item_terms(self._terms, u)
 
     def params_dict(self) -> dict:
         return {"weights": self.weights.tolist(), "g": self.g_table.tolist()}
@@ -308,7 +330,8 @@ class NestedCoverage(LatticeObjective):
         covered = np.zeros((u.shape[0], self.element_weights.size), dtype=bool)
         for i in range(self.item_count):
             covered |= self.cover_masks[i][u[:, i]]
-        return covered @ self.element_weights
+        # covered is C-ordered whatever u's layout, so each row sums the same way
+        return (covered * self.element_weights).sum(axis=1)
 
     def params_dict(self) -> dict:
         return {"covers": self._covers, "element_weights": self.element_weights.tolist()}
@@ -340,18 +363,13 @@ class ConcaveOverModular(LatticeObjective):
         self.curve = curve
 
     def value_many(self, u: np.ndarray) -> np.ndarray:
-        t = self.a_tables[np.arange(self.item_count)[None, :], u].sum(axis=1)
-        return self.curve.apply(t)
+        return self.curve.apply(_sum_item_terms(self.a_tables, u))
 
     def params_dict(self) -> dict:
         return {"a": self.a_tables[:, 1:].tolist(), "g": self.curve.to_dict()}
 
 
-_FAMILIES = {
-    "separable_concave": SeparableConcave,
-    "nested_coverage": NestedCoverage,
-    "concave_over_modular": ConcaveOverModular,
-}
+FAMILIES = ("separable_concave", "nested_coverage", "concave_over_modular")
 
 
 def make_objective(family: str, params: dict, *, path: str = "objective") -> LatticeObjective:
@@ -604,13 +622,17 @@ def instance_from_dict(d: dict) -> tuple[Instance, LatticeObjective]:
     return inst, objective
 
 
-def load_instance(path) -> tuple[Instance, LatticeObjective]:
+def read_json(path):
+    """The parsed JSON document at ``path``; undecodable text is a ValidationError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
             raise ValidationError(str(path), f"not valid JSON: {exc}") from exc
-    return instance_from_dict(payload)
+
+
+def load_instance(path) -> tuple[Instance, LatticeObjective]:
+    return instance_from_dict(read_json(path))
 
 
 def instance_payload(inst: Instance, objective: LatticeObjective) -> dict:

@@ -16,6 +16,15 @@ Cost is charged on acceptance only; rejected or skipped items are gone
 for good. ``ignore_budget`` drops the remaining-budget check; it exists
 purely as an analysis device for tests (the unbudgeted variant can
 overspend) and must never be used in production runs.
+
+One vectorized kernel executes this rule for every run of a campaign at
+once and records an int8 action code per run and arrival position.
+Campaign statistics (:func:`simulate_policy`), run records
+(:func:`scalar_runs`) and single runs on a given realization
+(:func:`run_pi_small`, :func:`run_pi_large`, :func:`run_stocan`) all come
+from it: a :class:`RunRecord` is a row view of a campaign, so records and
+statistics are computed from the same draws. :func:`exact_policy_value`
+is the independent oracle and shares no code with the kernel.
 """
 
 from __future__ import annotations
@@ -39,6 +48,8 @@ DISCARDED = "discarded-by-size"
 REJECTED = "rejected-by-coin"
 SKIPPED = "skipped-no-budget"
 ACCEPTED = "accepted"
+ACTIONS = (DISCARDED, REJECTED, SKIPPED, ACCEPTED)  # indexed by the int8 action code
+DISCARD, REJECT, SKIP, ACCEPT = range(len(ACTIONS))
 
 EXACT_POLICY_GUARD = 1_000_000  # max S^I * 2^I for exact expectations
 
@@ -74,7 +85,7 @@ def acceptance_probabilities(inst: Instance, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Full trace of one policy execution."""
+    """Full trace of one policy execution: row ``r`` of a campaign."""
 
     kind: str
     order: tuple
@@ -100,91 +111,131 @@ class RunRecord:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _walk(inst, objective, probs, phi, order, keep_small, coin_rng, *, ignore_budget=False):
-    budget = inst.budget
-    half = budget / 2
-    events = []
-    selected = []
-    spent = 0.0
-    u = np.zeros(inst.item_count, dtype=np.int64)
-    for i in order:
-        s = int(phi[i])
-        cost = float(inst.cost[i, s - 1])
-        if (cost <= half) != keep_small:
-            events.append((int(i), s, DISCARDED))
-            continue
-        if not ignore_budget and spent + cost > budget:
-            events.append((int(i), s, SKIPPED))
-            continue
-        if coin_rng.random() < probs[i, s - 1]:
-            events.append((int(i), s, ACCEPTED))
-            selected.append((int(i), s))
-            spent += cost
-            u[i] = s
-        else:
-            events.append((int(i), s, REJECTED))
-    return events, selected, spent, float(objective.value(u))
+@dataclass(frozen=True)
+class _Campaign:
+    """Everything the kernel decided, one row per run."""
+
+    kind: str
+    ignore_budget: bool
+    phi: np.ndarray  # (runs, I) realized states
+    orders: np.ndarray  # (runs, I) arrival orders
+    actions: np.ndarray  # (runs, I) action code per arrival position
+    branch_small: np.ndarray | None  # (runs,) coin outcome of the combined policy
+    spent: np.ndarray  # (runs,) accumulated cost
+    selected: np.ndarray  # (runs, I) accepted state per item, 0 when none
+    values: np.ndarray  # (runs,) objective value of ``selected``
+
+    def record(self, r: int) -> RunRecord:
+        order = self.orders[r].tolist()
+        events = tuple(zip(order, self.phi[r, order].tolist(),
+                           [ACTIONS[a] for a in self.actions[r].tolist()]))
+        branch = None
+        if self.branch_small is not None:
+            branch = "small" if self.branch_small[r] else "large"
+        return RunRecord(
+            kind=self.kind,
+            order=tuple(order),
+            events=events,
+            selected=tuple((i, s) for i, s, a in events if a == ACCEPTED),
+            total_cost=float(self.spent[r]),
+            value=float(self.values[r]),
+            branch=branch,
+            ignore_budget=self.ignore_budget,
+        )
 
 
-def _make_record(kind, inst, objective, y, phi, order, seed, keep_small, branch=None,
-                 ignore_budget=False):
+def _campaign(kind, inst, objective, y, phi, order, seed, ignore_budget=False) -> _Campaign:
+    """Execute the policy rule on every row of ``phi``, one realization per run.
+
+    Run ``r`` reads row ``r`` of each block draw: its accept coins (one
+    per arrival position), its branch coin, and for ``order="random"``
+    its arrival order. Every decision of every run is made here.
+    """
+    if kind not in KINDS:
+        raise ValidationError("kind", f"unknown policy kind {kind!r}")
     probs = acceptance_probabilities(inst, y)
+    runs, I = phi.shape
+    budget = inst.budget
+    coins = substream(seed, COINS).random((runs, I))
+    branch_small = substream(seed, BRANCH).random(runs) < 0.5 if kind == "stocan" else None
+    if isinstance(order, str) and order == "random":
+        orders = np.argsort(substream(seed, ORDERS).random((runs, I)), axis=1)
+    else:
+        orders = np.broadcast_to(resolve_order(order, I), (runs, I))
+    keep_small = branch_small if kind == "stocan" else (kind == "small")
+
+    actions = np.empty((runs, I), dtype=np.int8)
+    selected = np.zeros((runs, I), dtype=np.int64, order="F")  # value_many reads columns
+    spent = np.zeros(runs)
+    rows = np.arange(runs)
+    for t in range(I):
+        items = orders[:, t]
+        states = phi[rows, items]
+        cost = inst.cost[items, states - 1]
+        discard = (cost <= budget / 2) != keep_small
+        fits = ignore_budget | (spent + cost <= budget)
+        accept = ~discard & fits & (coins[:, t] < probs[items, states - 1])
+        actions[:, t] = np.select([discard, ~fits, accept], [DISCARD, SKIP, ACCEPT], REJECT)
+        spent[accept] += cost[accept]
+        selected[rows[accept], items[accept]] = states[accept]
+
+    if not ignore_budget and np.any(spent > budget):
+        bad = int(np.argmax(spent > budget))  # pragma: no cover
+        raise BudgetViolationError(  # pragma: no cover - structurally unreachable
+            {"run": bad, "total_cost": float(spent[bad])}
+        )
+    values = np.asarray(objective.value_many(selected), dtype=float)
+    return _Campaign(kind, ignore_budget, phi, orders, actions, branch_small, spent,
+                     selected, values)
+
+
+def _drawn_campaign(kind, inst, objective, y, runs, order, seed, ignore_budget=False):
+    if runs < 1:
+        raise ValidationError("runs", "must be at least 1")
+    phi = sample_states(inst, substream(seed, STATES), runs)
+    return _campaign(kind, inst, objective, y, phi, order, seed, ignore_budget)
+
+
+def _single_run(kind, inst, objective, y, phi, order, seed, ignore_budget=False) -> RunRecord:
     phi = np.asarray(phi, dtype=np.int64)
     if phi.shape != (inst.item_count,) or np.any(phi < 1) or np.any(phi > inst.state_count):
         raise ValidationError("phi", "expected one realized state in 1..S per item")
-    order_arr = resolve_order(order, inst.item_count)
-    coin_rng = substream(seed, COINS)
-    events, selected, spent, value = _walk(
-        inst, objective, probs, phi, order_arr, keep_small, coin_rng, ignore_budget=ignore_budget
-    )
-    record = RunRecord(
-        kind=kind,
-        order=tuple(int(i) for i in order_arr),
-        events=tuple(events),
-        selected=tuple(selected),
-        total_cost=spent,
-        value=value,
-        branch=branch,
-        ignore_budget=ignore_budget,
-    )
-    if not ignore_budget and record.total_cost > inst.budget:
-        raise BudgetViolationError(record)  # pragma: no cover - structurally unreachable
-    return record
+    return _campaign(kind, inst, objective, y, phi[None, :], order, seed, ignore_budget).record(0)
 
 
 def run_pi_small(inst, objective, y, phi, order="identity", seed=0, *,
                  ignore_budget=False) -> RunRecord:
     """Execute the small-item policy on one realization."""
-    return _make_record("small", inst, objective, y, phi, order, seed, True,
-                        ignore_budget=ignore_budget)
+    return _single_run("small", inst, objective, y, phi, order, seed, ignore_budget)
 
 
 def run_pi_large(inst, objective, y, phi, order="identity", seed=0) -> RunRecord:
     """Execute the large-item policy on one realization."""
-    return _make_record("large", inst, objective, y, phi, order, seed, False)
+    return _single_run("large", inst, objective, y, phi, order, seed)
 
 
 def run_stocan(inst, objective, y, phi, order="identity", seed=0) -> RunRecord:
     """Flip a fair coin, then run the small or large policy."""
-    branch_small = bool(substream(seed, BRANCH).random() < 0.5)
-    return _make_record("stocan", inst, objective, y, phi, order, seed, branch_small,
-                        branch="small" if branch_small else "large")
+    return _single_run("stocan", inst, objective, y, phi, order, seed)
 
 
 @dataclass
 class PolicySimulation:
     """Aggregate of a seeded simulation campaign.
 
-    ``selected_states[r, i]`` is the state item ``i`` was accepted at in
-    run ``r`` (0 when not selected); ``branch_small`` marks the coin
-    outcome per run for the combined policy.
+    Holds one entry per run (value, spend, selection size and, for the
+    combined policy, the coin outcome ``branch_small``) and per-pair
+    inclusion counts: ``pair_counts[i, s]`` runs selected item ``i`` at
+    state ``s``. Per-run states and actions are not kept; run records
+    come from :func:`scalar_runs`.
     """
 
     kind: str
     runs: int
     values: np.ndarray
-    selected_states: np.ndarray
     total_costs: np.ndarray
+    selection_sizes: np.ndarray
+    pair_counts: np.ndarray
     branch_small: np.ndarray | None
     ignore_budget: bool
     budget: float
@@ -208,12 +259,8 @@ class PolicySimulation:
         # exact comparison on the accumulated spend; no tolerance
         return int(np.count_nonzero(self.total_costs > self.budget))
 
-    @property
-    def selection_sizes(self) -> np.ndarray:
-        return np.count_nonzero(self.selected_states, axis=1)
-
     def pair_inclusion_frequency(self, item: int, state: int) -> float:
-        return float(np.mean(self.selected_states[:, item] == state))
+        return float(self.pair_counts[item, state] / self.runs)
 
 
 def simulate_policy(kind: str, inst: Instance, objective: LatticeObjective, y: np.ndarray,
@@ -222,74 +269,25 @@ def simulate_policy(kind: str, inst: Instance, objective: LatticeObjective, y: n
     """Run a vectorized simulation campaign, deterministic in ``seed``.
 
     Randomness is consumed from named substreams, with run ``r`` owning
-    row ``r`` of each stream's pre-drawn block: state draws, accept
-    coins, branch coins and (for ``order="random"``) fresh per-run
-    arrival orders. State draws do not depend on ``kind``, so campaigns
-    with the same seed are paired across policies.
+    row ``r`` of each stream's block draw: state draws, accept coins,
+    branch coins and (for ``order="random"``) fresh per-run arrival
+    orders. State draws do not depend on ``kind``, so campaigns with the
+    same seed are paired across policies.
     """
-    if kind not in KINDS:
-        raise ValidationError("kind", f"unknown policy kind {kind!r}")
-    if runs < 1:
-        raise ValidationError("runs", "must be at least 1")
-    probs = acceptance_probabilities(inst, y)
-    I, S = inst.item_count, inst.state_count
-    budget = inst.budget
-
-    phi = sample_states(inst, substream(seed, STATES), runs)  # (runs, I)
-    coins = substream(seed, COINS).random((runs, I))
-    if kind == "stocan":
-        branch_small = substream(seed, BRANCH).random(runs) < 0.5
-    else:
-        branch_small = None
-
-    random_orders = isinstance(order, str) and order == "random"
-    if random_orders:
-        orders = np.argsort(substream(seed, ORDERS).random((runs, I)), axis=1)
-    else:
-        fixed = resolve_order(order, I)
-
-    item_axis = np.arange(I)[None, :]
-    cost_real = inst.cost[item_axis, phi - 1]  # (runs, I)
-    prob_real = probs[item_axis, phi - 1]
-    small_real = cost_real <= budget / 2
-
-    if kind == "small":
-        keep = small_real
-    elif kind == "large":
-        keep = ~small_real
-    else:
-        keep = np.where(branch_small[:, None], small_real, ~small_real)
-
-    spent = np.zeros(runs)
-    selected = np.zeros((runs, I), dtype=np.int16)
-    rows = np.arange(runs)
-    for t in range(I):
-        items = orders[:, t] if random_orders else np.full(runs, fixed[t])
-        cost_t = cost_real[rows, items]
-        ok = keep[rows, items]
-        if not ignore_budget:
-            ok = ok & (spent + cost_t <= budget)
-        accept = ok & (coins[:, t] < prob_real[rows, items])
-        spent = np.where(accept, spent + cost_t, spent)
-        selected[rows[accept], items[accept]] = phi[rows[accept], items[accept]]
-
-    values = np.asarray(objective.value_many(selected.astype(np.int64)), dtype=float)
-    sim = PolicySimulation(
+    c = _drawn_campaign(kind, inst, objective, y, runs, order, seed, ignore_budget)
+    counts = [np.bincount(c.selected[:, i], minlength=inst.state_count + 1)
+              for i in range(inst.item_count)]
+    return PolicySimulation(
         kind=kind,
         runs=runs,
-        values=values,
-        selected_states=selected,
-        total_costs=spent,
-        branch_small=branch_small,
+        values=c.values,
+        total_costs=c.spent,
+        selection_sizes=np.count_nonzero(c.selected, axis=1),
+        pair_counts=np.array(counts),
+        branch_small=c.branch_small,
         ignore_budget=ignore_budget,
-        budget=budget,
+        budget=inst.budget,
     )
-    if not ignore_budget and sim.budget_violations:
-        bad = int(np.argmax(sim.total_costs > budget))  # pragma: no cover
-        raise BudgetViolationError(  # pragma: no cover - structurally unreachable
-            {"run": bad, "total_cost": float(sim.total_costs[bad])}
-        )
-    return sim
 
 
 def simulate_policy_value(kind, inst, objective, y, runs, order="identity",
@@ -379,38 +377,11 @@ def write_records(path, records: Iterable[RunRecord]) -> int:
 
 def scalar_runs(kind: str, inst: Instance, objective: LatticeObjective, y: np.ndarray,
                 runs: int, order="identity", seed: int = 0) -> list[RunRecord]:
-    """Per-run records; run r derives its randomness from (seed, r).
+    """One record per run of the campaign :func:`simulate_policy` runs.
 
-    Slower than :func:`simulate_policy` and numerically distinct from it
-    (randomness is consumed run by run rather than in blocks), but
-    distributionally identical and equally deterministic.
+    Record ``r`` is a row view of the same draws, so its value is run
+    ``r``'s value in the campaign statistics, and it depends only on
+    ``(seed, r, order, kind)``: the same for every ``runs > r``.
     """
-    records = []
-    for r in range(runs):
-        phi = sample_states(inst, substream(seed, STATES, r), 1)[0]
-        coin_rng = substream(seed, COINS, r)
-        if kind == "small":
-            rec = _record_with_rng(kind, inst, objective, y, phi, order, coin_rng, True, None)
-        elif kind == "large":
-            rec = _record_with_rng(kind, inst, objective, y, phi, order, coin_rng, False, None)
-        elif kind == "stocan":
-            branch_small = bool(substream(seed, BRANCH, r).random() < 0.5)
-            rec = _record_with_rng(kind, inst, objective, y, phi, order, coin_rng,
-                                   branch_small, "small" if branch_small else "large")
-        else:
-            raise ValidationError("kind", f"unknown policy kind {kind!r}")
-        records.append(rec)
-    return records
-
-
-def _record_with_rng(kind, inst, objective, y, phi, order, coin_rng, keep_small, branch):
-    probs = acceptance_probabilities(inst, y)
-    order_arr = resolve_order(order, inst.item_count)
-    events, selected, spent, value = _walk(inst, objective, probs, phi, order_arr,
-                                           keep_small, coin_rng)
-    record = RunRecord(kind=kind, order=tuple(int(i) for i in order_arr),
-                       events=tuple(events), selected=tuple(selected),
-                       total_cost=spent, value=value, branch=branch)
-    if record.total_cost > inst.budget:
-        raise BudgetViolationError(record)  # pragma: no cover - structurally unreachable
-    return record
+    c = _drawn_campaign(kind, inst, objective, y, runs, order, seed)
+    return [c.record(r) for r in range(runs)]

@@ -179,6 +179,46 @@ def test_simulate_records_mode(tmp_path):
     assert report["budget_violations"] == 0
 
 
+def test_simulate_records_report_equals_plain_report(tmp_path):
+    path = write_payload(tmp_path, harness.generate_instance(3, 2, 1.0, "nested_coverage", seed=22))
+    bodies = {}
+    for mode in ("plain", "records"):
+        out = tmp_path / f"{mode}.json"
+        args = ["simulate", "--instance", str(path), "--seed", "1", "--rounds", "30",
+                "--runs", "2000", "--out", str(out)]
+        if mode == "records":
+            args += ["--records", str(tmp_path / "runs.jsonl")]
+        assert cli.main(args) == 0
+        bodies[mode] = out.read_text()
+    assert json.loads(bodies["records"])["config"]["records"] is True
+    assert bodies["records"].replace('"records": true', '"records": false') == bodies["plain"]
+
+
+def test_simulate_non_json_solution_is_input_error(tmp_path):
+    path = write_payload(tmp_path, harness.generate_instance(2, 2, 1.0, seed=23))
+    bad = tmp_path / "solution.json"
+    bad.write_text("this is not JSON\n")
+    src = str(Path(stocan.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "stocan.cli", "simulate", "--instance", str(path),
+                           "--seed", "1", "--runs", "10", "--solution", str(bad)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == cli.EXIT_INVALID
+    assert "Traceback" not in done.stderr
+    assert "not valid JSON" in done.stderr
+
+
+def test_benchmark_tracer_finds_every_traced_name():
+    # bench/tracing.py wraps package functions by name; a rename must fail here
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
+            "from tracing import Tracer; Tracer().install()")
+    done = subprocess.run([sys.executable, "-c", code, str(root / "bench"), str(root / "src")],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 # ---------------------------------------------------------------------------
 # verify
 

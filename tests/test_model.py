@@ -53,6 +53,21 @@ def test_probability_outside_unit_interval():
     assert "probs" in str(err.value)
 
 
+@pytest.mark.parametrize("probs, costs, budget, path", [
+    ([[float("nan"), 1.0]], [[0.1, 0.2]], 1.0, "items[0].probs[0]"),
+    ([[0.5, 0.5], [1.0, float("inf")]], [[0.1, 0.2], [0.1, 0.2]], 1.0, "items[1].probs[1]"),
+    ([[0.5, 0.5]], [[0.1, float("nan")]], 1.0, "items[0].costs[1]"),
+    ([[0.5, 0.5]], [[float("-inf"), 0.2]], 1.0, "items[0].costs[0]"),
+    ([[0.5, 0.5]], [[0.1, float("inf")]], 1.0, "items[0].costs[1]"),
+    ([[0.5, 0.5]], [[0.1, 0.2]], float("inf"), "instance.budget"),
+    ([[0.5, 0.5]], [[0.1, 0.2]], float("nan"), "instance.budget"),
+])
+def test_nonfinite_instance_numbers_rejected(probs, costs, budget, path):
+    with pytest.raises(ValidationError) as err:
+        make_instance(probs, costs, budget)
+    assert err.value.path == path
+
+
 def test_instance_arrays_frozen():
     inst = make_instance([[1.0]], [[1.0]], 1.0)
     with pytest.raises(ValueError):
@@ -206,11 +221,36 @@ def test_submodular_sampled_mode():
 
 def test_builtin_families_pass_both_checkers():
     sizes = [(2, 2), (3, 2), (2, 3)]
-    for k, family in enumerate(model._FAMILIES):
+    for k, family in enumerate(model.FAMILIES):
         for j, (items, states) in enumerate(sizes):
             _, f = generated(100 + 7 * k + j, items, states, family)
             assert model.check_monotone(f).ok, (family, items, states)
             assert model.check_lattice_submodular(f).ok, (family, items, states)
+
+
+@st.composite
+def objective_batch(draw):
+    """A generated objective of any family and a batch of state vectors for it."""
+    family = draw(st.sampled_from(model.FAMILIES))
+    items = draw(st.integers(1, 20))
+    states = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**16))
+    rows = draw(st.integers(1, 300))
+    _, f = generated(seed, items, states, family)
+    u = np.random.default_rng(seed).integers(0, states + 1, size=(rows, items))
+    lo = draw(st.integers(0, rows - 1))
+    hi = draw(st.integers(lo + 1, rows))
+    return f, u, lo, hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=objective_batch())
+def test_value_many_rows_do_not_depend_on_the_batch(case):
+    f, u, lo, hi = case
+    whole = f.value_many(u)
+    assert [float(v) for v in whole] == [f.value(row) for row in u]
+    assert np.array_equal(f.value_many(u[lo:hi]), whole[lo:hi])
+    assert np.array_equal(f.value_many(np.asfortranarray(u)), whole)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from stocan import extension, model, optimizer, policies
 from stocan.errors import CapacityError, PreconditionError, ValidationError
+from stocan.rng import STATES, substream
 
 from conftest import generated, make_instance, modular_objective
 
@@ -197,7 +198,10 @@ def test_simulation_deterministic_and_paired_states():
     combined = policies.simulate_policy("stocan", inst, f, y, 5000, seed=41)
     mask = combined.branch_small
     assert np.array_equal(combined.values[mask], a.values[mask])
-    assert np.array_equal(combined.selected_states[mask], a.selected_states[mask])
+    small_runs = policies.scalar_runs("small", inst, f, y, 5000, seed=41)
+    combined_runs = policies.scalar_runs("stocan", inst, f, y, 5000, seed=41)
+    assert [r.selected for r, m in zip(combined_runs, mask) if m] == \
+        [r.selected for r, m in zip(small_runs, mask) if m]
     large = policies.simulate_policy("large", inst, f, y, 5000, seed=41)
     assert np.array_equal(combined.values[~mask], large.values[~mask])
 
@@ -303,3 +307,49 @@ def test_records_jsonl_roundtrip(tmp_path):
     assert {e["action"] for e in first["events"]} <= {
         policies.DISCARDED, policies.REJECTED, policies.SKIPPED, policies.ACCEPTED
     }
+
+
+# ---------------------------------------------------------------------------
+# one kernel: records, single runs and campaigns agree
+
+
+@pytest.mark.parametrize("order", ["identity", "random"])
+def test_record_depends_only_on_seed_and_run_index(order):
+    inst, f = generated(136, 4, 2, "nested_coverage")
+    y = greedy_y(inst, f)
+    for kind in policies.KINDS:
+        short = policies.scalar_runs(kind, inst, f, y, 20, order=order, seed=50)
+        long = policies.scalar_runs(kind, inst, f, y, 50, order=order, seed=50)
+        assert short == long[:20], kind
+
+
+def test_run_stocan_is_run_zero_of_a_one_run_campaign():
+    inst, f = generated(137, 4, 2)
+    y = greedy_y(inst, f)
+    for seed in range(20):
+        phi = model.sample_states(inst, substream(seed, STATES), 1)[0]
+        single = policies.run_stocan(inst, f, y, phi, seed=seed)
+        record, = policies.scalar_runs("stocan", inst, f, y, 1, seed=seed)
+        sim = policies.simulate_policy("stocan", inst, f, y, 1, seed=seed)
+        assert single == record
+        assert (single.value, single.total_cost) == (sim.values[0], sim.total_costs[0])
+        assert (single.branch == "small") == sim.branch_small[0]
+
+
+@pytest.mark.parametrize("family", model.FAMILIES)
+def test_records_are_rows_of_the_campaign(family):
+    inst, f = generated(138, 5, 2, family)
+    y = greedy_y(inst, f)
+    for kind in policies.KINDS:
+        sim = policies.simulate_policy(kind, inst, f, y, 300, order="random", seed=51)
+        records = policies.scalar_runs(kind, inst, f, y, 300, order="random", seed=51)
+        for rec in records:
+            u = np.zeros(inst.item_count, dtype=np.int64)
+            spent = 0.0
+            for i, s in rec.selected:
+                u[i] = s
+                spent += inst.cost[i, s - 1]
+            assert rec.value == f.value(u)
+            assert rec.total_cost == spent
+        assert np.array_equal([r.value for r in records], sim.values)
+        assert np.array_equal([r.total_cost for r in records], sim.total_costs)
