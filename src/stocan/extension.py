@@ -136,11 +136,25 @@ def _leave_one_out(t: np.ndarray, laws: np.ndarray, out: np.ndarray, first: int)
     _leave_one_out(_contract_leading(t, laws[:mid]), laws[mid:], out, first + mid)
 
 
+def value_table(objective: LatticeObjective) -> np.ndarray:
+    """``f`` at every vector of ``{0..S}^I``, flat in mixed-radix rank order.
+
+    Filled in chunks of rows, with no stored ``(N, I)`` grid; the first
+    chunk raises CapacityError beyond ``ENUM_GUARD``. ``value_many`` rounds
+    every row the same way in any batch, so
+    ``value_table(f).reshape((S+1,) * I)[u] == f.value(u)`` bit for bit.
+    """
+    I, S = objective.item_count, objective.state_count
+    chunks = [objective.value_many(enumerate_state_vectors(I, S, start, start + _CHUNK))
+              for start in range(0, (S + 1) ** I, _CHUNK)]
+    return np.concatenate(chunks).astype(float, copy=False)
+
+
 class FactoredExtension:
     """Cached exact evaluator for one objective.
 
-    Tabulates the objective once as the ``(S+1)^I`` value tensor (stored
-    flat in mixed-radix order). ``H`` contracts it with the per-item laws
+    Tabulates the objective once as the ``(S+1)^I`` value tensor
+    (:func:`value_table`). ``H`` contracts it with the per-item laws
     ``q_i`` one item at a time. ``marginals`` gets every item's
     leave-one-out vector ``W_i`` (the tensor contracted with all laws but
     ``q_i``) from one divide-and-conquer pass. Forcing pair ``(i, s)`` in
@@ -154,11 +168,7 @@ class FactoredExtension:
 
     def __init__(self, objective: LatticeObjective):
         self.objective = objective
-        I, S = objective.item_count, objective.state_count
-        # filled in chunks of rows; the first chunk raises CapacityError when too big
-        chunks = [objective.value_many(enumerate_state_vectors(I, S, start, start + _CHUNK))
-                  for start in range(0, (S + 1) ** I, _CHUNK)]
-        self.values = np.concatenate(chunks).astype(float, copy=False)
+        self.values = value_table(objective)
 
     def H(self, x: np.ndarray) -> float:
         q, _ = _max_state_laws(check_fractional(x, self.objective))

@@ -332,9 +332,7 @@ def _policy_block(sim: policies.PolicySimulation) -> dict:
 def run_gen(items, states, cost_scale, family, seed, out, elements=6) -> dict:
     payload = generate_instance(items, states, cost_scale, family, seed, elements)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        model.write_json(out, payload)
     return payload
 
 

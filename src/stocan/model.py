@@ -29,7 +29,22 @@ PROB_TOL = 1e-9  # validation tolerance for probabilities, costs, feasibility
 EXACT_TOL = 1e-12  # tolerance for exact-arithmetic comparisons
 
 ENUM_GUARD = 1_000_000  # max lattice points for exhaustive checks
-PAIR_GUARD = 2_000_000  # max comparable pairs for the submodularity check
+
+
+def _floats(value, path: str, ndim: int) -> np.ndarray:
+    """``value`` as a finite float array with ``ndim`` axes, else a ValidationError at ``path``."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != ndim:
+        shape = ("a number", "a list of numbers", "a matrix of numbers")[ndim]
+        raise ValidationError(path, f"expected {shape} (got {value!r:.60})")
+    bad = ~np.isfinite(arr)
+    if np.any(bad):
+        k = tuple(int(j) for j in np.argwhere(bad)[0])
+        raise ValidationError(path + "".join(f"[{j}]" for j in k), f"{arr[k]} is not a finite number")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -85,20 +100,15 @@ class Instance:
 
 
 def _validate_rows(prob: np.ndarray, cost: np.ndarray) -> None:
-    for name, table in (("probs", prob), ("costs", cost)):
-        bad = ~np.isfinite(table)
-        if np.any(bad):
-            i, s = np.argwhere(bad)[0]
-            raise ValidationError(f"items[{i}].{name}[{s}]", f"{table[i, s]} is not a finite number")
     for i in range(prob.shape[0]):
-        row = prob[i]
+        row = _floats(prob[i], f"items[{i}].probs", 1)
+        crow = _floats(cost[i], f"items[{i}].costs", 1)
         if np.any(row < -PROB_TOL) or np.any(row > 1 + PROB_TOL):
             s = int(np.argmax((row < -PROB_TOL) | (row > 1 + PROB_TOL)))
             raise ValidationError(f"items[{i}].probs[{s}]", f"probability {row[s]} outside [0, 1]")
         total = float(row.sum())
         if abs(total - 1.0) > PROB_TOL:
             raise ValidationError(f"items[{i}].probs", f"entries must sum to 1 (got {total})")
-        crow = cost[i]
         if np.any(crow < -0.0):
             s = int(np.argmax(crow < 0))
             raise ValidationError(f"items[{i}].costs[{s}]", f"cost {crow[s]} is negative")
@@ -177,6 +187,11 @@ class ConcaveCurve:
                  exponent: float | None = None, path: str = "g"):
         if kind not in self.KINDS:
             raise ValidationError(f"{path}.kind", f"unknown curve kind {kind!r}")
+        scale = float(_floats(scale, f"{path}.scale", 0))
+        if cap is not None:
+            cap = float(_floats(cap, f"{path}.cap", 0))
+        if exponent is not None:
+            exponent = float(_floats(exponent, f"{path}.exponent", 0))
         if scale <= 0:
             raise ValidationError(f"{path}.scale", f"scale must be positive (got {scale})")
         if kind == "cap":
@@ -186,9 +201,9 @@ class ConcaveCurve:
             if exponent is None or not 0 < exponent <= 1:
                 raise ValidationError(f"{path}.exponent", f"exponent must lie in (0, 1] (got {exponent})")
         self.kind = kind
-        self.cap = None if cap is None else float(cap)
-        self.scale = float(scale)
-        self.exponent = None if exponent is None else float(exponent)
+        self.cap = cap
+        self.scale = scale
+        self.exponent = exponent
 
     def apply(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -236,14 +251,14 @@ class SeparableConcave(LatticeObjective):
     family = "separable_concave"
 
     def __init__(self, weights, g_table, *, path: str = "objective"):
-        weights = np.asarray(weights, dtype=float)
-        g = np.asarray(g_table, dtype=float)
-        if weights.ndim != 1 or weights.size < 1:
+        weights = _floats(weights, f"{path}.weights", 1)
+        g = _floats(g_table, f"{path}.g", 1)
+        if weights.size < 1:
             raise ValidationError(f"{path}.weights", "expected a nonempty list of weights")
         if np.any(weights < 0):
             i = int(np.argmax(weights < 0))
             raise ValidationError(f"{path}.weights[{i}]", f"weight {weights[i]} is negative")
-        if g.ndim != 1 or g.size < 2:
+        if g.size < 2:
             raise ValidationError(f"{path}.g", "expected g tabulated on states 0..S (length S+1)")
         _validate_concave_table(g, f"{path}.g")
         super().__init__(weights.size, g.size - 1)
@@ -285,8 +300,8 @@ class NestedCoverage(LatticeObjective):
     family = "nested_coverage"
 
     def __init__(self, covers, element_weights, *, path: str = "objective"):
-        weights = np.asarray(element_weights, dtype=float)
-        if weights.ndim != 1 or weights.size < 1:
+        weights = _floats(element_weights, f"{path}.element_weights", 1)
+        if weights.size < 1:
             raise ValidationError(f"{path}.element_weights", "expected a nonempty list of weights")
         if np.any(weights < 0):
             e = int(np.argmax(weights < 0))
@@ -343,8 +358,8 @@ class ConcaveOverModular(LatticeObjective):
     family = "concave_over_modular"
 
     def __init__(self, a_tables, curve: ConcaveCurve, *, path: str = "objective"):
-        a = np.asarray(a_tables, dtype=float)
-        if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+        a = _floats(a_tables, f"{path}.a", 2)
+        if a.shape[0] < 1 or a.shape[1] < 1:
             raise ValidationError(f"{path}.a", "expected an I x S matrix of values a_i(1..S)")
         if np.any(a[:, 0] < -EXACT_TOL):
             i = int(np.argmax(a[:, 0] < -EXACT_TOL))
@@ -425,12 +440,9 @@ def pairs_to_vector(pairs: Iterable[tuple[int, int]], item_count: int, state_cou
     return u
 
 
-def h_eval(pairs: Iterable[tuple[int, int]], objective: LatticeObjective,
-           item_count: int | None = None) -> float:
+def h_eval(pairs: Iterable[tuple[int, int]], objective: LatticeObjective) -> float:
     """Evaluate the lifted set function: each item at its max paired state."""
-    n = objective.item_count if item_count is None else item_count
-    u = pairs_to_vector(pairs, n, objective.state_count)
-    return objective.value(u)
+    return objective.value(pairs_to_vector(pairs, objective.item_count, objective.state_count))
 
 
 # ---------------------------------------------------------------------------
@@ -467,35 +479,46 @@ def enumerate_state_vectors(item_count: int, state_count: int, start: int = 0,
     return digits.T
 
 
-def check_monotone(objective: LatticeObjective, item_count: int | None = None,
-                   state_count: int | None = None, *, mode: str = "exhaustive",
+def check_monotone(objective: LatticeObjective, *, mode: str = "exhaustive",
                    samples: int = 2000, seed: int = 0) -> CheckResult:
     """Check f(u) <= f(u + 1_i) for every vector and coordinate.
 
     Single-coordinate increments generate the componentwise order, so
-    this is equivalent to monotonicity over all comparable pairs. In
-    ``sampled`` mode, random increment chains are screened instead of
-    the full lattice (for domains beyond the enumeration guard).
+    this is equivalent to monotonicity over all comparable pairs. The
+    exhaustive mode takes the differences of the value table along each
+    axis and is bounded by ``ENUM_GUARD`` alone; beyond it, ``sampled``
+    mode screens random increments instead. A failing check returns the
+    witness ``(u, i)``.
     """
-    I = objective.item_count if item_count is None else item_count
-    S = objective.state_count if state_count is None else state_count
+    I, S = objective.item_count, objective.state_count
     if mode == "sampled":
         return _check_monotone_sampled(objective, I, S, samples, seed)
-    grid = enumerate_state_vectors(I, S)
-    values = objective.value_many(grid)
+    failure, checked = _local_failure(objective, squares=False)
+    return CheckResult(failure is None, None if failure is None else failure[:2], checked)
+
+
+def _local_failure(objective: LatticeObjective, squares: bool) -> tuple[tuple | None, int]:
+    """The first local inequality the value table breaks, as ``((u, i, j), checked)``.
+
+    ``j == i``: f(u+1_i) < f(u) - 1e-12. ``j != i`` (only with ``squares``):
+    the square ``u, u+1_i, u+1_j, u+1_i+1_j`` has mixed difference above
+    1e-12. The failure is None when every inequality holds.
+    """
+    from .extension import value_table  # extension builds on this module
+
+    values = value_table(objective).reshape((objective.state_count + 1,) * objective.item_count)
+    steps = [np.diff(values, axis=i) for i in range(values.ndim)]  # steps[i][u] = f(u+1_i) - f(u)
+    checks = [(i, i, step < -EXACT_TOL) for i, step in enumerate(steps)]
+    if squares:  # lazily, so the scan stops at the first failing pair of axes
+        checks = itertools.chain(checks, ((i, j, np.diff(step, axis=j) > EXACT_TOL)
+                                          for i, step in enumerate(steps)
+                                          for j in range(values.ndim) if j != i))
     checked = 0
-    # rank arithmetic: bumping coordinate i by one adds (S+1)^(I-1-i)
-    radix = (S + 1) ** np.arange(I - 1, -1, -1)
-    for i in range(I):
-        movable = grid[:, i] < S
-        idx = np.nonzero(movable)[0]
-        up = values[idx + radix[i]]
-        bad = up < values[idx] - EXACT_TOL
-        checked += idx.size
+    for i, j, bad in checks:
+        checked += bad.size
         if np.any(bad):
-            k = idx[np.argmax(bad)]
-            return CheckResult(False, (tuple(grid[k]), i), checked)
-    return CheckResult(True, None, checked)
+            return (tuple(int(k) for k in np.argwhere(bad)[0]), i, j), checked
+    return None, checked
 
 
 def _check_monotone_sampled(objective, I, S, samples, seed) -> CheckResult:
@@ -514,49 +537,31 @@ def _check_monotone_sampled(objective, I, S, samples, seed) -> CheckResult:
     return CheckResult(True, None, samples)
 
 
-def check_lattice_submodular(objective: LatticeObjective, item_count: int | None = None,
-                             state_count: int | None = None, *, mode: str = "exhaustive",
+def check_lattice_submodular(objective: LatticeObjective, *, mode: str = "exhaustive",
                              samples: int = 2000, seed: int = 0) -> CheckResult:
     """Check the diminishing-returns inequality over all comparable pairs.
 
-    For every u <= v, state s and item i it verifies
+    For every u <= v, state s and item i the inequality is
 
         f(u v s*1_i) - f(u) >= f(v v s*1_i) - f(v) - 1e-12.
 
-    A failing check returns the witness ``(u, v, i, s)``.
+    The exhaustive mode checks its local characterization (Topkis 1978):
+    f is monotone, and every square ``u, u+1_i, u+1_j, u+1_i+1_j`` with
+    ``i != j`` has mixed difference at most 1e-12. Both come from
+    differences of the value table, so the check is bounded by
+    ``ENUM_GUARD`` alone; beyond it, ``sampled`` mode screens random
+    comparable pairs instead. A failing check returns a witness
+    ``(u, v, i, s)`` of the inequality: ``(u, u+1_i, i, u_i+1)`` where f
+    decreases along axis i, ``(u, u+1_j, i, u_i+1)`` for a square.
     """
-    I = objective.item_count if item_count is None else item_count
-    S = objective.state_count if state_count is None else state_count
+    I, S = objective.item_count, objective.state_count
     if mode == "sampled":
         return _check_submodular_sampled(objective, I, S, samples, seed)
-    pair_count = ((S + 1) * (S + 2) // 2) ** I
-    if pair_count > PAIR_GUARD:
-        raise CapacityError(
-            f"comparable-pair count {pair_count} exceeds guard {PAIR_GUARD}; use sampled mode"
-        )
-    grid = enumerate_state_vectors(I, S)
-    values = objective.value_many(grid)
-    radix = (S + 1) ** np.arange(I - 1, -1, -1)
-    ranks = grid @ radix
-
-    def rank_join(u_rank, u_vec, i, s):
-        lift = max(s - u_vec[i], 0)
-        return u_rank + lift * radix[i]
-
-    checked = 0
-    for a, u in enumerate(grid):
-        # enumerate all v >= u
-        ranges = [range(int(u_i), S + 1) for u_i in u]
-        for v in itertools.product(*ranges):
-            b = int(np.dot(v, radix))
-            for i in range(I):
-                for s in range(1, S + 1):
-                    lhs = values[rank_join(ranks[a], u, i, s)] - values[a]
-                    rhs = values[rank_join(b, v, i, s)] - values[b]
-                    checked += 1
-                    if lhs < rhs - EXACT_TOL:
-                        return CheckResult(False, (tuple(u), tuple(v), i, s), checked)
-    return CheckResult(True, None, checked)
+    failure, checked = _local_failure(objective, squares=True)
+    if failure is None:
+        return CheckResult(True, None, checked)
+    u, i, j = failure
+    return CheckResult(False, (u, u[:j] + (u[j] + 1,) + u[j + 1:], i, u[i] + 1), checked)
 
 
 def _check_submodular_sampled(objective, I, S, samples, seed) -> CheckResult:
@@ -600,16 +605,17 @@ def instance_from_dict(d: dict) -> tuple[Instance, LatticeObjective]:
     for i, item in enumerate(items):
         if not isinstance(item, dict) or "probs" not in item or "costs" not in item:
             raise ValidationError(f"items[{i}]", "expected an object with 'probs' and 'costs'")
-        p, c = item["probs"], item["costs"]
-        if len(p) != len(c) or not p:
+        p = _floats(item["probs"], f"items[{i}].probs", 1)
+        c = _floats(item["costs"], f"items[{i}].costs", 1)
+        if p.size != c.size or not p.size:
             raise ValidationError(f"items[{i}]", "probs and costs must be nonempty, equal-length lists")
         if width is None:
-            width = len(p)
-        elif len(p) != width:
-            raise ValidationError(f"items[{i}].probs", f"expected {width} states, got {len(p)}")
+            width = p.size
+        elif p.size != width:
+            raise ValidationError(f"items[{i}].probs", f"expected {width} states, got {p.size}")
         probs.append(p)
         costs.append(c)
-    inst = Instance(np.array(probs, dtype=float), np.array(costs, dtype=float), float(d["budget"]))
+    inst = Instance(np.array(probs), np.array(costs), float(_floats(d["budget"], "budget", 0)))
     objective = objective_from_dict(d["objective"])
     if objective.item_count != inst.item_count:
         raise ValidationError(
@@ -641,10 +647,15 @@ def instance_payload(inst: Instance, objective: LatticeObjective) -> dict:
     return payload
 
 
-def save_instance(path, inst: Instance, objective: LatticeObjective) -> None:
+def write_json(path, payload: dict) -> None:
+    """Write an instance file: sorted keys, two-space indent, trailing newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_payload(inst, objective), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def save_instance(path, inst: Instance, objective: LatticeObjective) -> None:
+    write_json(path, instance_payload(inst, objective))
 
 
 def instance_digest(payload: dict) -> str:

@@ -16,9 +16,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CapacityError
+from .extension import value_table
 from .model import Instance, LatticeObjective
 
 ORACLE_MAX_ITEMS = 5
@@ -52,15 +51,8 @@ def optimal_policy_value(inst: Instance, objective: LatticeObjective, *,
     budget = inst.budget
     cost = inst.cost
     prob = inst.prob
-    value_cache: dict[tuple, float] = {}
+    values = value_table(objective).reshape((S + 1,) * I)
     memo: dict[tuple, float] = {}
-
-    def fval(sel: tuple) -> float:
-        v = value_cache.get(sel)
-        if v is None:
-            v = objective.value(np.asarray(sel, dtype=np.int64))
-            value_cache[sel] = v
-        return v
 
     def spent_of(sel: tuple) -> float:
         # recomputed from scratch so budget checks never accumulate rounding
@@ -70,7 +62,7 @@ def optimal_policy_value(inst: Instance, objective: LatticeObjective, *,
         key = (probed, sel)
         if memoize and key in memo:
             return memo[key]
-        value = fval(sel)  # stopping is always allowed
+        value = values[sel]  # stopping is always allowed
         remaining = budget - spent_of(sel)
         for i in range(I):
             if probed >> i & 1:
@@ -106,7 +98,7 @@ def optimal_policy_value(inst: Instance, objective: LatticeObjective, *,
                 expected += p * max(reject, best(1 << i, picked))
             else:
                 expected += p * reject
-        if expected > fval(root_sel) and math.isclose(expected, value, rel_tol=0, abs_tol=1e-12):
+        if expected > values[root_sel] and math.isclose(expected, value, rel_tol=0, abs_tol=1e-12):
             first = i
             break
     return OracleResult(value=value, first_probe=first)
@@ -129,15 +121,7 @@ def exhaustive_nonadaptive_value(inst: Instance, objective: LatticeObjective) ->
     budget = inst.budget
     cost = inst.cost
     prob = inst.prob
-    value_cache: dict[tuple, float] = {}
-
-    def fval(sel: tuple) -> float:
-        v = value_cache.get(sel)
-        if v is None:
-            v = objective.value(np.asarray(sel, dtype=np.int64))
-            value_cache[sel] = v
-        return v
-
+    values = value_table(objective).reshape((S + 1,) * I)
     realizations = []
     for phi in itertools.product(range(1, S + 1), repeat=I):
         p = 1.0
@@ -159,7 +143,7 @@ def exhaustive_nonadaptive_value(inst: Instance, objective: LatticeObjective) ->
                     if rule >> (i * S + s - 1) & 1 and spent + c <= budget:
                         sel[i] = s
                         spent += c
-                total += p * fval(tuple(sel))
+                total += p * values[tuple(sel)]
             if total > best:
                 best = total
     return float(best)

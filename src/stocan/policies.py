@@ -38,6 +38,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import BudgetViolationError, CapacityError, PreconditionError, ValidationError
+from .extension import value_table
 from .model import Instance, LatticeObjective, PROB_TOL, sample_states
 from .optimizer import check_lp_feasible
 from .rng import BRANCH, COINS, ORDERS, STATES, substream
@@ -320,18 +321,11 @@ def exact_policy_value(kind: str, inst: Instance, objective: LatticeObjective,
     order_arr = resolve_order(order, I)
     budget = inst.budget
     half = budget / 2
-    value_cache: dict[tuple, float] = {}
-
-    def fval(sel: tuple) -> float:
-        v = value_cache.get(sel)
-        if v is None:
-            v = objective.value(np.asarray(sel, dtype=np.int64))
-            value_cache[sel] = v
-        return v
+    values = value_table(objective).reshape((S + 1,) * I)
 
     def walk(pos: int, spent: float, sel: list, phi, keep_small: bool) -> float:
         if pos == I:
-            return fval(tuple(sel))
+            return values[tuple(sel)]
         i = int(order_arr[pos])
         s = phi[i]
         cost = float(inst.cost[i, s - 1])

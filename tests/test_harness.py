@@ -194,19 +194,40 @@ def test_simulate_records_report_equals_plain_report(tmp_path):
     assert bodies["records"].replace('"records": true', '"records": false') == bodies["plain"]
 
 
+def run_cli(*args):
+    """``python -m stocan.cli ARGS`` in a fresh process, importing this checkout."""
+    src = str(Path(stocan.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "stocan.cli", *map(str, args)],
+                          env=env, capture_output=True, text=True)
+
+
 def test_simulate_non_json_solution_is_input_error(tmp_path):
     path = write_payload(tmp_path, harness.generate_instance(2, 2, 1.0, seed=23))
     bad = tmp_path / "solution.json"
     bad.write_text("this is not JSON\n")
-    src = str(Path(stocan.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "stocan.cli", "simulate", "--instance", str(path),
-                           "--seed", "1", "--runs", "10", "--solution", str(bad)],
-                          env=env, capture_output=True, text=True)
+    done = run_cli("simulate", "--instance", path, "--seed", 1, "--runs", 10, "--solution", bad)
     assert done.returncode == cli.EXIT_INVALID
     assert "Traceback" not in done.stderr
     assert "not valid JSON" in done.stderr
+
+
+@pytest.mark.parametrize("edit, path", [
+    (lambda d: d.update(budget="abc"), "budget"),
+    (lambda d: d["items"][0].update(probs=5), "items[0].probs"),
+    (lambda d: d["items"][0].update(probs=["x", 1]), "items[0].probs"),
+    (lambda d: d["items"][1].update(costs=[0.1, [0.2]]), "items[1].costs"),
+    (lambda d: d["objective"]["weights"].__setitem__(1, math.nan), "objective.weights[1]"),
+], ids=["budget-text", "probs-number", "probs-text-entry", "costs-ragged", "weights-nan"])
+def test_simulate_malformed_instance_numbers_are_input_errors(tmp_path, edit, path):
+    payload = harness.generate_instance(2, 2, 1.0, seed=23)
+    edit(payload)
+    done = run_cli("simulate", "--instance", write_payload(tmp_path, payload), "--seed", 1,
+                   "--runs", 10)
+    assert done.returncode == cli.EXIT_INVALID
+    assert "Traceback" not in done.stderr
+    assert path in done.stderr
 
 
 def test_benchmark_tracer_finds_every_traced_name():

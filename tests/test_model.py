@@ -1,10 +1,13 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stocan import model
+from stocan.extension import value_table
 from stocan.errors import CapacityError, ValidationError
 
 from conftest import TableObjective, generated, make_instance, modular_objective
@@ -65,6 +68,25 @@ def test_probability_outside_unit_interval():
 def test_nonfinite_instance_numbers_rejected(probs, costs, budget, path):
     with pytest.raises(ValidationError) as err:
         make_instance(probs, costs, budget)
+    assert err.value.path == path
+
+
+@pytest.mark.parametrize("family, params, path", [
+    ("separable_concave", {"weights": [math.nan], "g": [0, 1]}, "objective.weights[0]"),
+    ("separable_concave", {"weights": [1.0], "g": [0, math.inf]}, "objective.g[1]"),
+    ("nested_coverage", {"covers": [[[0]]], "element_weights": [1.0, -math.inf]},
+     "objective.element_weights[1]"),
+    ("concave_over_modular", {"a": [[0.5, math.nan]], "g": {"kind": "cap", "cap": 1.0}},
+     "objective.a[0][1]"),
+    ("concave_over_modular", {"a": [[0.5]], "g": {"kind": "cap", "cap": math.nan}}, "objective.g.cap"),
+    ("concave_over_modular", {"a": [[0.5]], "g": {"kind": "sqrt", "scale": math.inf}},
+     "objective.g.scale"),
+    ("concave_over_modular", {"a": [[0.5]], "g": {"kind": "power", "exponent": math.nan}},
+     "objective.g.exponent"),
+])
+def test_nonfinite_objective_parameters_rejected(family, params, path):
+    with pytest.raises(ValidationError) as err:
+        model.make_objective(family, params)
     assert err.value.path == path
 
 
@@ -213,7 +235,7 @@ def test_submodular_checker_constant_function():
 
 
 def test_submodular_sampled_mode():
-    f = TableObjective(9, 3, lambda u: float(np.sqrt(sum(u))))
+    f = TableObjective(12, 4, lambda u: float(np.sqrt(sum(u))))
     with pytest.raises(CapacityError):
         model.check_lattice_submodular(f)
     assert model.check_lattice_submodular(f, mode="sampled", samples=400, seed=5).ok
@@ -226,6 +248,77 @@ def test_builtin_families_pass_both_checkers():
             _, f = generated(100 + 7 * k + j, items, states, family)
             assert model.check_monotone(f).ok, (family, items, states)
             assert model.check_lattice_submodular(f).ok, (family, items, states)
+
+
+def _join(u, i, s):
+    return u[:i] + (max(u[i], s),) + u[i + 1:]
+
+
+def pairwise_dr_witness(f):
+    """The first ``(u, v, i, s)`` with ``u <= v`` violating the join-DR inequality, or None.
+
+    The definition itself, over every comparable pair: the oracle for the
+    local (Topkis) exhaustive checker, for tiny domains only.
+    """
+    I, S = f.item_count, f.state_count
+    grid = list(itertools.product(range(S + 1), repeat=I))
+    value = {u: f.value(u) for u in grid}
+    for u in grid:
+        for v in itertools.product(*(range(k, S + 1) for k in u)):
+            for i in range(I):
+                for s in range(1, S + 1):
+                    lhs = value[_join(u, i, s)] - value[u]
+                    rhs = value[_join(v, i, s)] - value[v]
+                    if lhs < rhs - model.EXACT_TOL:
+                        return u, v, i, s
+    return None
+
+
+@st.composite
+def tiny_objective(draw):
+    """An objective with I, S <= 3: a generated family member, an arbitrary
+    integer table, or a capped modular integer table with one entry moved
+    by -1, 0 or +1. Integer tables keep every difference exact, so the
+    checkers' 1e-12 tolerance never decides a case."""
+    items, states = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("family", "table", "capped")))
+    if kind == "family":
+        family = draw(st.sampled_from(model.FAMILIES))
+        return generated(draw(st.integers(0, 2**16)), items, states, family)[1]
+    grid = list(itertools.product(range(states + 1), repeat=items))
+    if kind == "table":
+        entries = draw(st.lists(st.integers(0, 4), min_size=len(grid), max_size=len(grid)))
+    else:
+        w = draw(st.lists(st.integers(0, 2), min_size=items, max_size=items))
+        cap = draw(st.integers(0, 2 * items * states))
+        entries = [min(cap, sum(wi * ui for wi, ui in zip(w, u))) for u in grid]
+        entries[draw(st.integers(0, len(grid) - 1))] += draw(st.sampled_from((-1, 0, 1)))
+    table = {u: float(e) for u, e in zip(grid, entries)}
+    return TableObjective(items, states, table.__getitem__)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=tiny_objective())
+def test_checkers_by_theorem_agree_with_pairwise_oracle(f):
+    I, S = f.item_count, f.state_count
+    res = model.check_lattice_submodular(f)
+    assert res.ok == (pairwise_dr_witness(f) is None)
+    if not res.ok:
+        u, v, i, s = res.witness
+        assert all(a <= b for a, b in zip(u, v))
+        lhs = f.value(_join(u, i, s)) - f.value(u)
+        rhs = f.value(_join(v, i, s)) - f.value(v)
+        assert lhs < rhs - model.EXACT_TOL
+    grid = list(itertools.product(range(S + 1), repeat=I))
+    mono = model.check_monotone(f)
+    assert mono.ok == all(f.value(_join(u, i, u[i] + 1)) >= f.value(u) - model.EXACT_TOL
+                          for u in grid for i in range(I) if u[i] < S)
+    assert mono.ok or not res.ok
+    if not mono.ok:
+        u, i = mono.witness
+        assert f.value(_join(u, i, u[i] + 1)) < f.value(u) - model.EXACT_TOL
+    table = value_table(f).reshape((S + 1,) * I)
+    assert all(table[u] == f.value(u) for u in grid)
 
 
 @st.composite
