@@ -17,8 +17,7 @@ from .extension import (
     FactoredExtension,
     estimate_H,
     exact_H_bruteforce,
-    exact_H_factored,
-    marginal_weights,
+    sampled_marginals,
 )
 from .model import (
     Instance,
@@ -34,22 +33,17 @@ from .model import (
 )
 from .optimizer import (
     GreedyConfig,
-    LPSolution,
     continuous_greedy,
     density_greedy,
     grid_search_lp_value,
-    solve_inner_lp,
     split_solution,
 )
 from .oracle import OracleResult, exhaustive_nonadaptive_value, optimal_policy_value
 from .policies import (
     RunRecord,
     exact_policy_value,
-    run_pi_large,
-    run_pi_small,
-    run_stocan,
+    run_policy,
     simulate_policy,
-    simulate_policy_value,
 )
 
 __version__ = "0.1.0"
@@ -61,7 +55,6 @@ __all__ = [
     "GreedyConfig",
     "Instance",
     "LatticeObjective",
-    "LPSolution",
     "OracleResult",
     "PreconditionError",
     "RunRecord",
@@ -74,7 +67,6 @@ __all__ = [
     "draw_realization",
     "estimate_H",
     "exact_H_bruteforce",
-    "exact_H_factored",
     "exact_policy_value",
     "exhaustive_nonadaptive_value",
     "grid_search_lp_value",
@@ -82,14 +74,10 @@ __all__ = [
     "instance_from_dict",
     "load_instance",
     "make_objective",
-    "marginal_weights",
     "optimal_policy_value",
-    "run_pi_large",
-    "run_pi_small",
-    "run_stocan",
+    "run_policy",
+    "sampled_marginals",
     "save_instance",
     "simulate_policy",
-    "simulate_policy_value",
-    "solve_inner_lp",
     "split_solution",
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import CapacityError, StocanError, ValidationError
+from .errors import CapacityError, StocanError
 from .harness import ExperimentConfig, run_gen, run_optimize, run_simulate, run_verify, write_report
 from .model import FAMILIES
 
@@ -125,16 +125,10 @@ def main(argv=None) -> int:
         if args.command == "verify" and report["status"] != "pass":
             return EXIT_CHECK_FAILED
         return EXIT_OK
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except StocanError as exc:
+    except (StocanError, OSError) as exc:  # invalid input, or a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 from .model import LatticeObjective, enumerate_state_vectors
-from .rng import substream
+from .rng import ESTIMATE, substream
 
 BRUTEFORCE_GUARD = 20  # max I*S for subset enumeration
 _CHUNK = 1 << 14
@@ -60,7 +60,7 @@ def exact_H_bruteforce(x: np.ndarray, objective: LatticeObjective) -> float:
     if E > BRUTEFORCE_GUARD:
         raise CapacityError(
             f"I*S = {E} exceeds the 2^{BRUTEFORCE_GUARD} subset guard; "
-            "use exact_H_factored or estimate_H"
+            "use FactoredExtension or estimate_H"
         )
     flat = x.reshape(-1)
     total = 0.0
@@ -184,11 +184,6 @@ class FactoredExtension:
         return W[:, 1:] * suffix[:, :-1] - below[:, :-1]
 
 
-def exact_H_factored(x: np.ndarray, objective: LatticeObjective) -> float:
-    """Exact H via the per-item maximum-state factorization."""
-    return FactoredExtension(objective).H(x)
-
-
 def _draw_max_states(x: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
     """Sample per-item maximum included states for n independent pair sets."""
     I, S = x.shape
@@ -206,7 +201,7 @@ def estimate_H(x: np.ndarray, objective: LatticeObjective, samples: int,
     if samples < 1:
         raise ValidationError("samples", "must be at least 1")
     x = check_fractional(x, objective)
-    rng = substream(seed, 0)
+    rng = substream(seed, ESTIMATE)
     vals = np.empty(samples)
     done = 0
     while done < samples:
@@ -220,21 +215,18 @@ def estimate_H(x: np.ndarray, objective: LatticeObjective, samples: int,
 
 
 def sampled_marginals(x: np.ndarray, objective: LatticeObjective, samples: int,
-                      seed: int = 0, *, rng: np.random.Generator | None = None
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo marginal weights using common random pair sets.
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo marginal weights using common random pair sets drawn from ``rng``.
 
     The with-pair and without-pair expectations share every draw (the
     pair is simply toggled in), so the difference estimator avoids the
     variance of two independent estimates. Returns (omega, stderr),
-    both ``I x S``.
+    both ``I x S``; the exact weights are ``FactoredExtension.marginals``.
     """
     if samples < 1:
         raise ValidationError("samples", "must be at least 1")
     x = check_fractional(x, objective)
     I, S = x.shape
-    if rng is None:
-        rng = substream(seed, 1)
     sums = np.zeros((I, S))
     sqsums = np.zeros((I, S))
     done = 0
@@ -259,15 +251,3 @@ def sampled_marginals(x: np.ndarray, objective: LatticeObjective, samples: int,
         stderr = np.full((I, S), math.nan)
     return omega, stderr
 
-
-def marginal_weights(x: np.ndarray, objective: LatticeObjective, *, mode: str = "exact",
-                     samples: int = 10_000, seed: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
-    """Marginal weight of forcing each pair in, exactly or sampled.
-
-    Returns ``(omega, stderr)``; ``stderr`` is None in exact mode.
-    """
-    if mode == "exact":
-        return FactoredExtension(objective).marginals(x), None
-    if mode == "sampled":
-        return sampled_marginals(x, objective, samples, seed)
-    raise ValidationError("mode", f"unknown marginal mode {mode!r}")

@@ -214,26 +214,14 @@ def _solve(cfg, inst, objective, y=None):
         ext = None
     if y is None:
         y = continuous_greedy(inst, objective, cfg.greedy_config(), evaluator=ext)
-    y_small, y_large = split_solution(y, inst)
-    block = {"y": _matrix(y), "y_small": _matrix(y_small), "y_large": _matrix(y_large)}
+    parts = dict(zip(("y", "y_small", "y_large"), (y, *split_solution(y, inst))))
+    block = {key: _matrix(part) for key, part in parts.items()}
     if ext is not None:
-        block["H"] = {
-            "method": "exact",
-            "y": ext.H(y),
-            "y_small": ext.H(y_small),
-            "y_large": ext.H(y_large),
-        }
+        block["H"] = {"method": "exact", **{key: ext.H(part) for key, part in parts.items()}}
     else:
-        est, err = extension.estimate_H(y, objective, cfg.samples, cfg.seed)
-        est_s, err_s = extension.estimate_H(y_small, objective, cfg.samples, cfg.seed)
-        est_l, err_l = extension.estimate_H(y_large, objective, cfg.samples, cfg.seed)
-        block["H"] = {
-            "method": "estimate",
-            "samples": int(cfg.samples),
-            "y": est, "y_stderr": err,
-            "y_small": est_s, "y_small_stderr": err_s,
-            "y_large": est_l, "y_large_stderr": err_l,
-        }
+        H = block["H"] = {"method": "estimate", "samples": int(cfg.samples)}
+        for key, part in parts.items():
+            H[key], H[f"{key}_stderr"] = extension.estimate_H(part, objective, cfg.samples, cfg.seed)
     return y, block
 
 
@@ -252,15 +240,19 @@ def run_optimize(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _given_solution(cfg, inst) -> np.ndarray | None:
-    """y from the ``--solution`` report, or None without one."""
+def _given_solution(cfg, payload, inst) -> np.ndarray | None:
+    """y from the ``--solution`` report of the same instance, or None without one."""
     if not cfg.solution:
         return None
     prior = model.read_json(cfg.solution)
     try:
         y = np.asarray(prior["solution"]["y"], dtype=float)
+        digest = prior["instance"]["digest"]
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(str(cfg.solution), "no solution.y matrix in report") from exc
+        raise ValidationError(str(cfg.solution),
+                              "no solution.y matrix and instance.digest in report") from exc
+    if digest != model.instance_digest(payload):
+        raise ValidationError(str(cfg.solution), "instance.digest differs from the --instance file's")
     if y.shape != inst.prob.shape:
         raise ValidationError(str(cfg.solution),
                               f"solution.y has shape {y.shape}, expected {inst.prob.shape}")
@@ -269,7 +261,7 @@ def _given_solution(cfg, inst) -> np.ndarray | None:
 
 def run_simulate(cfg: ExperimentConfig) -> dict:
     payload, inst, objective = _load(cfg)
-    y, block = _solve(cfg, inst, objective, _given_solution(cfg, inst))
+    y, block = _solve(cfg, inst, objective, _given_solution(cfg, payload, inst))
 
     sims = {}
     violations = 0
@@ -285,7 +277,6 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
     if cfg.records:
         policies.write_records(cfg.records, records)
 
-    exact_block = None
     exact_order = _fixed_order_for(cfg, inst)
     try:
         exact_value = policies.exact_policy_value("stocan", inst, objective, y,
@@ -390,10 +381,8 @@ def run_verify(cfg: ExperimentConfig) -> dict:
                                            order=cfg.order, seed=cfg.seed)
             for kind in policies.KINDS}
     violations = sum(s.budget_violations for s in sims.values())
-    large_sizes = [int(sims["large"].selection_sizes.max(initial=0))]
     stocan_sim = sims["stocan"]
-    if stocan_sim.branch_small is not None and np.any(~stocan_sim.branch_small):
-        large_sizes.append(int(stocan_sim.selection_sizes[~stocan_sim.branch_small].max(initial=0)))
+    large_sizes = [_max_large_selection(sims["large"]), _max_large_selection(stocan_sim)]
 
     if opt is not None:
         checks.append(_check(
@@ -463,14 +452,12 @@ def run_verify(cfg: ExperimentConfig) -> dict:
 
     order_rows = []
     if opt is not None:
-        ok = True
         for k in range(cfg.order_checks):
             perm = substream(cfg.seed, ORDERS, 1000 + k).permutation(inst.item_count)
             sim_k = policies.simulate_policy("stocan", inst, objective, y, cfg.runs,
                                              order=perm, seed=cfg.seed)
             violations += sim_k.budget_violations
-            if sim_k.branch_small is not None and np.any(~sim_k.branch_small):
-                large_sizes.append(int(sim_k.selection_sizes[~sim_k.branch_small].max(initial=0)))
+            large_sizes.append(_max_large_selection(sim_k))
             bound = GUARANTEE_RATIO * opt - SIGMA * sim_k.stderr
             order_rows.append({
                 "order": [int(v) for v in perm],
@@ -479,7 +466,6 @@ def run_verify(cfg: ExperimentConfig) -> dict:
                 "bound": bound,
                 "pass": sim_k.mean >= bound,
             })
-            ok = ok and sim_k.mean >= bound
         checks.append(_check(
             "order_robustness", "ge",
             float(min(r["mean"] - r["bound"] for r in order_rows)),
@@ -524,6 +510,12 @@ def run_verify(cfg: ExperimentConfig) -> dict:
         "failed_checks": failed,
     }
     return report
+
+
+def _max_large_selection(sim) -> int:
+    """Most pairs selected by one large-policy run of ``sim`` (for stocan, of its large branch)."""
+    sizes = sim.selection_sizes
+    return int((sizes if sim.branch_small is None else sizes[~sim.branch_small]).max(initial=0))
 
 
 def _worst_inclusion_gap(device_sim, inst, y, runs) -> dict:

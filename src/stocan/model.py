@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .rng import substream
+from .rng import CHECKS, STATES, substream
 
 PROB_TOL = 1e-9  # validation tolerance for probabilities, costs, feasibility
 EXACT_TOL = 1e-12  # tolerance for exact-arithmetic comparisons
@@ -124,11 +124,10 @@ def _validate_rows(prob: np.ndarray, cost: np.ndarray) -> None:
 def draw_realization(inst: Instance, seed: int) -> np.ndarray:
     """Draw one state per item from the product distribution.
 
-    Returns an integer vector of length ``I`` with entries in ``1 .. S``,
-    deterministic in ``seed``.
+    Returns an integer vector of length ``I`` with entries in ``1 .. S``:
+    run 0's realization in every policy campaign with this ``seed``.
     """
-    rng = substream(seed, 0)
-    return sample_states(inst, rng, 1)[0]
+    return sample_states(inst, substream(seed, STATES), 1)[0]
 
 
 def sample_states(inst: Instance, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -167,9 +166,6 @@ class LatticeObjective:
 
     def value_many(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def __call__(self, u) -> float:
-        return self.value(u)
 
     def params_dict(self) -> dict:
         raise NotImplementedError
@@ -307,12 +303,15 @@ class NestedCoverage(LatticeObjective):
             e = int(np.argmax(weights < 0))
             raise ValidationError(f"{path}.element_weights[{e}]", f"weight {weights[e]} is negative")
         m = weights.size
-        if not covers or not all(covers):
-            raise ValidationError(f"{path}.covers", "expected one nonempty cover list per item")
-        state_count = len(covers[0])
+        lists = (list, tuple)
+        if not isinstance(covers, lists) or not covers:
+            raise ValidationError(f"{path}.covers", "expected one list of cover sets per item")
+        state_count = len(covers[0]) if isinstance(covers[0], lists) else 0
         masks = []
         for i, item_covers in enumerate(covers):
-            if len(item_covers) != state_count:
+            if not isinstance(item_covers, lists) or not all(isinstance(c, lists) for c in item_covers):
+                raise ValidationError(f"{path}.covers[{i}]", "expected a list of element lists, one per state")
+            if not item_covers or len(item_covers) != state_count:
                 raise ValidationError(f"{path}.covers[{i}]", "all items must list one cover set per state")
             mask = np.zeros((state_count + 1, m), dtype=bool)
             prev: set = set()
@@ -421,15 +420,6 @@ def objective_from_dict(d: dict, *, path: str = "objective") -> LatticeObjective
 # the lifted set function h
 
 
-def reduce_pairs(pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
-    """Map each item to the maximum state it is paired with."""
-    best: dict[int, int] = {}
-    for i, s in pairs:
-        if s > best.get(i, 0):
-            best[i] = s
-    return best
-
-
 def pairs_to_vector(pairs: Iterable[tuple[int, int]], item_count: int, state_count: int) -> np.ndarray:
     u = np.zeros(item_count, dtype=np.int64)
     for i, s in pairs:
@@ -522,7 +512,7 @@ def _local_failure(objective: LatticeObjective, squares: bool) -> tuple[tuple | 
 
 
 def _check_monotone_sampled(objective, I, S, samples, seed) -> CheckResult:
-    rng = substream(seed, 0)
+    rng = substream(seed, CHECKS)
     u = rng.integers(0, S + 1, size=(samples, I))
     coords = rng.integers(0, I, size=samples)
     v = u.copy()
@@ -565,7 +555,7 @@ def check_lattice_submodular(objective: LatticeObjective, *, mode: str = "exhaus
 
 
 def _check_submodular_sampled(objective, I, S, samples, seed) -> CheckResult:
-    rng = substream(seed, 1)
+    rng = substream(seed, CHECKS)
     lo = rng.integers(0, S + 1, size=(samples, I))
     hi = np.minimum(lo + rng.integers(0, S + 1, size=(samples, I)), S)
     coords = rng.integers(0, I, size=samples)

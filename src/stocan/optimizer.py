@@ -25,12 +25,6 @@ GRID_POINT_GUARD = 4_000_000
 
 
 @dataclass(frozen=True)
-class LPSolution:
-    x: np.ndarray
-    objective_value: float
-
-
-@dataclass(frozen=True)
 class GreedyConfig:
     """Continuous-greedy settings: T rounds with step 1/T."""
 
@@ -55,11 +49,16 @@ def density_greedy(omega: np.ndarray, caps: np.ndarray, costs: np.ndarray,
     Pairs with nonpositive weight stay at zero; zero-cost profitable
     pairs fill to their caps; the rest fill in decreasing weight/cost
     order (ties broken lexicographically), leaving at most one pair
-    fractional below its cap.
+    fractional below its cap. The inner LP of continuous greedy has the
+    state probabilities as caps.
     """
     omega = np.asarray(omega, dtype=float)
     caps = np.asarray(caps, dtype=float)
     costs = np.asarray(costs, dtype=float)
+    if omega.shape != caps.shape:
+        raise ValidationError("omega", f"expected shape {caps.shape}, got {omega.shape}")
+    if not np.all(np.isfinite(omega)):
+        raise ValidationError("omega", "weights must be finite")
     x = np.zeros_like(caps)
     free = (costs == 0) & (omega > 0)
     x[free] = caps[free]
@@ -77,17 +76,6 @@ def density_greedy(omega: np.ndarray, caps: np.ndarray, costs: np.ndarray,
         x[p] = take
         remaining = max(remaining - take * costs[p], 0.0)
     return x
-
-
-def solve_inner_lp(omega: np.ndarray, inst: Instance) -> LPSolution:
-    """Solve the inner LP with caps equal to the state probabilities."""
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != inst.prob.shape:
-        raise ValidationError("omega", f"expected shape {inst.prob.shape}, got {omega.shape}")
-    if not np.all(np.isfinite(omega)):
-        raise ValidationError("omega", "weights must be finite")
-    x = density_greedy(omega, inst.prob, inst.cost, inst.budget)
-    return LPSolution(x, float(np.sum(omega * x)))
 
 
 def grid_search_lp_value(omega: np.ndarray, caps: np.ndarray, costs: np.ndarray,
@@ -173,7 +161,7 @@ def continuous_greedy(inst: Instance, objective: LatticeObjective,
             omega = evaluator.marginals(y)
         else:
             omega, _ = sampled_marginals(y, objective, config.samples,
-                                         rng=substream(config.seed, OPTIMIZER, t))
+                                         substream(config.seed, OPTIMIZER, t))
         x = density_greedy(omega, inst.prob, inst.cost, inst.budget)
         y = y + delta * x * (1.0 - y)
         if trace:

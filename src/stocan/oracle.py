@@ -58,47 +58,40 @@ def optimal_policy_value(inst: Instance, objective: LatticeObjective, *,
         # recomputed from scratch so budget checks never accumulate rounding
         return float(sum(cost[i, s - 1] for i, s in enumerate(sel) if s > 0))
 
-    def best(probed: int, sel: tuple) -> float:
-        key = (probed, sel)
-        if memoize and key in memo:
-            return memo[key]
-        value = values[sel]  # stopping is always allowed
+    def probe(i: int, probed: int, sel: tuple) -> float:
+        """Expected value of probing item ``i`` next, then continuing optimally."""
         remaining = budget - spent_of(sel)
-        for i in range(I):
-            if probed >> i & 1:
-                continue
-            expected = 0.0
-            for s in range(1, S + 1):
-                p = prob[i, s - 1]
-                if p == 0.0:
-                    continue
-                reject = best(probed | 1 << i, sel)
-                if cost[i, s - 1] <= remaining:
-                    picked = sel[:i] + (s,) + sel[i + 1:]
-                    expected += p * max(reject, best(probed | 1 << i, picked))
-                else:
-                    expected += p * reject
-            value = max(value, expected)
-        if memoize:
-            memo[key] = value
-        return value
-
-    root_sel = (0,) * I
-    value = float(best(0, root_sel))
-    first = None
-    for i in range(I):
         expected = 0.0
         for s in range(1, S + 1):
             p = prob[i, s - 1]
             if p == 0.0:
                 continue
-            reject = best(1 << i, root_sel)
-            if cost[i, s - 1] <= budget:
-                picked = root_sel[:i] + (s,) + root_sel[i + 1:]
-                expected += p * max(reject, best(1 << i, picked))
+            reject = best(probed | 1 << i, sel)
+            if cost[i, s - 1] <= remaining:
+                picked = sel[:i] + (s,) + sel[i + 1:]
+                expected += p * max(reject, best(probed | 1 << i, picked))
             else:
                 expected += p * reject
-        if expected > values[root_sel] and math.isclose(expected, value, rel_tol=0, abs_tol=1e-12):
+        return expected
+
+    def best(probed: int, sel: tuple) -> float:
+        key = (probed, sel)
+        if memoize and key in memo:
+            return memo[key]
+        value = values[sel]  # stopping is always allowed
+        for i in range(I):
+            if not probed >> i & 1:
+                value = max(value, probe(i, probed, sel))
+        if memoize:
+            memo[key] = value
+        return value
+
+    root = (0,) * I
+    value = float(best(0, root))
+    first = None
+    for i in range(I):
+        expected = probe(i, 0, root)
+        if expected > values[root] and math.isclose(expected, value, rel_tol=0, abs_tol=1e-12):
             first = i
             break
     return OracleResult(value=value, first_probe=first)

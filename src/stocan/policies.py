@@ -21,10 +21,10 @@ One vectorized kernel executes this rule for every run of a campaign at
 once and records an int8 action code per run and arrival position.
 Campaign statistics (:func:`simulate_policy`), run records
 (:func:`scalar_runs`) and single runs on a given realization
-(:func:`run_pi_small`, :func:`run_pi_large`, :func:`run_stocan`) all come
-from it: a :class:`RunRecord` is a row view of a campaign, so records and
-statistics are computed from the same draws. :func:`exact_policy_value`
-is the independent oracle and shares no code with the kernel.
+(:func:`run_policy`) all come from it: a :class:`RunRecord` is a row view
+of a campaign, so records and statistics are computed from the same draws.
+:func:`exact_policy_value` is the independent oracle and shares no code
+with the kernel.
 """
 
 from __future__ import annotations
@@ -197,27 +197,17 @@ def _drawn_campaign(kind, inst, objective, y, runs, order, seed, ignore_budget=F
     return _campaign(kind, inst, objective, y, phi, order, seed, ignore_budget)
 
 
-def _single_run(kind, inst, objective, y, phi, order, seed, ignore_budget=False) -> RunRecord:
+def run_policy(kind: str, inst: Instance, objective: LatticeObjective, y: np.ndarray, phi,
+               order="identity", seed: int = 0, *, ignore_budget: bool = False) -> RunRecord:
+    """Execute one policy on the realization ``phi``: run 0 of a campaign with ``seed``.
+
+    With ``phi = draw_realization(inst, seed)`` the record equals
+    ``scalar_runs(kind, inst, objective, y, 1, order, seed)[0]``.
+    """
     phi = np.asarray(phi, dtype=np.int64)
     if phi.shape != (inst.item_count,) or np.any(phi < 1) or np.any(phi > inst.state_count):
         raise ValidationError("phi", "expected one realized state in 1..S per item")
     return _campaign(kind, inst, objective, y, phi[None, :], order, seed, ignore_budget).record(0)
-
-
-def run_pi_small(inst, objective, y, phi, order="identity", seed=0, *,
-                 ignore_budget=False) -> RunRecord:
-    """Execute the small-item policy on one realization."""
-    return _single_run("small", inst, objective, y, phi, order, seed, ignore_budget)
-
-
-def run_pi_large(inst, objective, y, phi, order="identity", seed=0) -> RunRecord:
-    """Execute the large-item policy on one realization."""
-    return _single_run("large", inst, objective, y, phi, order, seed)
-
-
-def run_stocan(inst, objective, y, phi, order="identity", seed=0) -> RunRecord:
-    """Flip a fair coin, then run the small or large policy."""
-    return _single_run("stocan", inst, objective, y, phi, order, seed)
 
 
 @dataclass
@@ -291,16 +281,6 @@ def simulate_policy(kind: str, inst: Instance, objective: LatticeObjective, y: n
     )
 
 
-def simulate_policy_value(kind, inst, objective, y, runs, order="identity",
-                          seed: int = 0) -> tuple[float, float]:
-    """Mean policy value and standard error over seeded runs.
-
-    A single run has no spread estimate; its stderr is reported as NaN.
-    """
-    sim = simulate_policy(kind, inst, objective, y, runs, order=order, seed=seed)
-    return sim.mean, sim.stderr
-
-
 def exact_policy_value(kind: str, inst: Instance, objective: LatticeObjective,
                        y: np.ndarray, order="identity") -> float:
     """Exact expected policy value over states and accept coins.
@@ -316,7 +296,7 @@ def exact_policy_value(kind: str, inst: Instance, objective: LatticeObjective,
     work = (S ** I) * (2 ** I)
     if work > EXACT_POLICY_GUARD:
         raise CapacityError(
-            f"S^I * 2^I = {work} exceeds guard {EXACT_POLICY_GUARD}; use simulate_policy_value"
+            f"S^I * 2^I = {work} exceeds guard {EXACT_POLICY_GUARD}; use simulate_policy"
         )
     order_arr = resolve_order(order, I)
     budget = inst.budget

@@ -1,9 +1,9 @@
 """Named, reproducible random substreams.
 
 All randomness in the package flows from a single integer master seed.
-Independent concerns (state draws, accept coins, branch coins, arrival
-orders, optimizer sampling, instance generation) read from disjoint
-substreams so that, e.g., the same state realizations can be replayed
+Independent concerns (H estimates, state draws, accept coins, branch
+coins, arrival orders, optimizer sampling, instance generation, sampled
+structure checks) read from disjoint substreams so that, e.g., the same state realizations can be replayed
 against different policies for paired comparisons.
 """
 
@@ -13,12 +13,14 @@ import numpy as np
 
 # Stream identifiers. Values are part of the reproducibility contract:
 # changing them changes every seeded result.
+ESTIMATE = 0
 STATES = 1
 COINS = 2
 BRANCH = 3
 ORDERS = 4
 OPTIMIZER = 5
 GENERATOR = 6
+CHECKS = 7
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:

@@ -185,7 +185,7 @@ def test_criterion_7_extension_oracles():
         _, f = model.instance_from_dict(
             harness.generate_instance(items, states, 1.0, FAMS[k % 3], seed=6000 + k))
         x = rng.random((items, states))
-        dev = abs(extension.exact_H_bruteforce(x, f) - extension.exact_H_factored(x, f))
+        dev = abs(extension.exact_H_bruteforce(x, f) - extension.FactoredExtension(f).H(x))
         max_dev = max(max_dev, dev)
     agree = max_dev <= 1e-12
     # the Monte Carlo estimator tracks the exact value
@@ -195,7 +195,7 @@ def test_criterion_7_extension_oracles():
         _, f = model.instance_from_dict(
             harness.generate_instance(items, states, 1.0, FAMS[k % 3], seed=6500 + k))
         x = rng.random((items, states))
-        exact = extension.exact_H_factored(x, f)
+        exact = extension.FactoredExtension(f).H(x)
         est, err = extension.estimate_H(x, f, 100_000, seed=6600 + k)
         est_ok = est_ok and (abs(est - exact) <= 4 * err)
     # multilinearity and concavity along nonnegative directions

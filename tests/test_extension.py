@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from stocan import extension, harness, model
 from stocan.errors import CapacityError, ValidationError
-from stocan.rng import substream
+from stocan.rng import OPTIMIZER, substream
 
 from conftest import generated, modular_objective
 
@@ -70,7 +70,7 @@ def test_factored_equals_bruteforce_on_random_points():
                                                   "concave_over_modular"][k % 3])
         x = rng.random((items, states))
         hb = extension.exact_H_bruteforce(x, f)
-        hf = extension.exact_H_factored(x, f)
+        hf = extension.FactoredExtension(f).H(x)
         assert hf == pytest.approx(hb, abs=1e-12)
 
 
@@ -78,22 +78,22 @@ def test_factored_top_states_forced():
     _, f = generated(55, 3, 2, "nested_coverage")
     x = np.zeros((3, 2))
     x[:, 1] = 1.0
-    assert extension.exact_H_factored(x, f) == pytest.approx(f.value([2, 2, 2]), abs=1e-12)
+    assert extension.FactoredExtension(f).H(x) == pytest.approx(f.value([2, 2, 2]), abs=1e-12)
 
 
 def test_factored_single_item_by_hand():
     # subsets: {} 1/4 -> 0, {s1} 1/4 -> 1, {s2},{s1,s2} 1/2 -> 2
     f = modular_objective([1.0], 2)
     x = np.array([[0.5, 0.5]])
-    assert extension.exact_H_factored(x, f) == pytest.approx(1.25, abs=1e-15)
+    assert extension.FactoredExtension(f).H(x) == pytest.approx(1.25, abs=1e-15)
 
 
 def test_fractional_input_validated():
     f = modular_objective([1.0], 2)
     with pytest.raises(ValidationError):
-        extension.exact_H_factored(np.array([[0.5, 1.5]]), f)
+        extension.FactoredExtension(f).H(np.array([[0.5, 1.5]]))
     with pytest.raises(ValidationError):
-        extension.exact_H_factored(np.array([[0.5]]), f)
+        extension.FactoredExtension(f).H(np.array([[0.5]]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -117,7 +117,7 @@ def test_estimate_within_four_stderr_of_exact():
         _, f = generated(400 + k, 2, 2, ["separable_concave", "nested_coverage",
                                          "concave_over_modular"][k % 3])
         x = rng.random((2, 2))
-        exact = extension.exact_H_factored(x, f)
+        exact = extension.FactoredExtension(f).H(x)
         est, err = extension.estimate_H(x, f, 20_000, seed=k)
         assert abs(est - exact) <= 4 * err
 
@@ -152,14 +152,13 @@ def test_estimate_single_sample_flagged():
 def test_marginal_zero_when_pair_certain():
     _, f = generated(61, 2, 2, "nested_coverage")
     x = np.array([[1.0, 0.3], [0.2, 0.6]])
-    omega, stderr = extension.marginal_weights(x, f, mode="exact")
-    assert stderr is None
+    omega = extension.FactoredExtension(f).marginals(x)
     assert abs(omega[0, 0]) <= 1e-12
 
 
 def test_marginal_at_zero_is_state_value_for_modular():
     f = modular_objective([1.0, 1.0], 3)
-    omega, _ = extension.marginal_weights(np.zeros((2, 3)), f, mode="exact")
+    omega = extension.FactoredExtension(f).marginals(np.zeros((2, 3)))
     for i in range(2):
         for s in range(1, 4):
             assert omega[i, s - 1] == pytest.approx(s, abs=1e-12)
@@ -170,8 +169,8 @@ def test_marginals_exact_vs_sampled_common_random():
     for k in range(4):
         _, f = generated(500 + k, 2, 2, ["separable_concave", "concave_over_modular"][k % 2])
         x = rng.random((2, 2)) * 0.8
-        exact, _ = extension.marginal_weights(x, f, mode="exact")
-        est, err = extension.marginal_weights(x, f, mode="sampled", samples=100_000, seed=k)
+        exact = extension.FactoredExtension(f).marginals(x)
+        est, err = extension.sampled_marginals(x, f, 100_000, substream(k, OPTIMIZER))
         assert np.all(np.abs(est - exact) <= 4 * err + 1e-12)
 
 
@@ -209,16 +208,10 @@ def test_marginals_match_bruteforce_oracle(case):
             assert omega[i, s - 1] == pytest.approx(expected, abs=1e-12)
 
 
-def test_marginal_mode_validated():
-    f = modular_objective([1.0], 1)
-    with pytest.raises(ValidationError):
-        extension.marginal_weights(np.zeros((1, 1)), f, mode="magic")
-
-
 def test_marginals_nonnegative_for_monotone():
     rng = substream(19, 0)
     _, f = generated(71, 3, 2, "nested_coverage")
-    omega, _ = extension.marginal_weights(rng.random((3, 2)), f, mode="exact")
+    omega = extension.FactoredExtension(f).marginals(rng.random((3, 2)))
     assert np.all(omega >= -1e-12)
 
 

@@ -219,7 +219,12 @@ def test_simulate_non_json_solution_is_input_error(tmp_path):
     (lambda d: d["items"][0].update(probs=["x", 1]), "items[0].probs"),
     (lambda d: d["items"][1].update(costs=[0.1, [0.2]]), "items[1].costs"),
     (lambda d: d["objective"]["weights"].__setitem__(1, math.nan), "objective.weights[1]"),
-], ids=["budget-text", "probs-number", "probs-text-entry", "costs-ragged", "weights-nan"])
+    (lambda d: d.update(objective={"family": "nested_coverage", "covers": 5,
+                                   "element_weights": [1.0, 1.0]}), "objective.covers"),
+    (lambda d: d.update(objective={"family": "nested_coverage", "covers": [5, 5],
+                                   "element_weights": [1.0, 1.0]}), "objective.covers[0]"),
+], ids=["budget-text", "probs-number", "probs-text-entry", "costs-ragged", "weights-nan",
+        "covers-number", "covers-numbers"])
 def test_simulate_malformed_instance_numbers_are_input_errors(tmp_path, edit, path):
     payload = harness.generate_instance(2, 2, 1.0, seed=23)
     edit(payload)
@@ -228,6 +233,38 @@ def test_simulate_malformed_instance_numbers_are_input_errors(tmp_path, edit, pa
     assert done.returncode == cli.EXIT_INVALID
     assert "Traceback" not in done.stderr
     assert path in done.stderr
+
+
+@pytest.mark.parametrize("flag", ["--instance", "--out", "--records"])
+def test_directory_path_is_input_error(tmp_path, flag):
+    args = {"--instance": write_payload(tmp_path, harness.generate_instance(2, 2, 1.0, seed=24)),
+            "--out": tmp_path / "sim.json", "--records": tmp_path / "runs.jsonl"}
+    args[flag] = tmp_path
+    done = run_cli("simulate", "--seed", 1, "--runs", 10, *(v for kv in args.items() for v in kv))
+    assert done.returncode == cli.EXIT_INVALID
+    assert "Traceback" not in done.stderr
+    assert str(tmp_path) in done.stderr
+
+
+def test_simulate_solution_of_another_instance_is_input_error(tmp_path, capsys):
+    payload = harness.generate_instance(2, 2, 1.0, seed=25)
+    inst_path = write_payload(tmp_path, payload)
+    opt = tmp_path / "opt.json"
+    assert cli.main(["optimize", "--instance", str(inst_path), "--seed", "1", "--rounds", "20",
+                     "--out", str(opt)]) == 0
+    payload["objective"]["weights"][0] *= 2  # same items, so y stays feasible
+    other = write_payload(tmp_path, payload, "other.json")
+    no_digest = tmp_path / "no_digest.json"
+    report = json.loads(opt.read_text())
+    del report["instance"]
+    no_digest.write_text(json.dumps(report))
+    for instance, solution in ((other, opt), (inst_path, no_digest)):
+        code = cli.main(["simulate", "--instance", str(instance), "--seed", "1", "--runs", "10",
+                         "--solution", str(solution)])
+        assert code == cli.EXIT_INVALID
+        assert str(solution) in capsys.readouterr().err
+    assert cli.main(["simulate", "--instance", str(inst_path), "--seed", "1", "--runs", "10",
+                     "--solution", str(opt)]) == 0
 
 
 def test_benchmark_tracer_finds_every_traced_name():

@@ -22,18 +22,21 @@ def test_density_greedy_forced_order():
     assert float(np.sum(np.array([[3.0], [1.0]]) * x)) == pytest.approx(1.6, abs=1e-12)
 
 
+def inner_lp(omega, inst):
+    """The inner LP of continuous greedy: caps are the state probabilities."""
+    return optimizer.density_greedy(omega, inst.prob, inst.cost, inst.budget)
+
+
 def test_lp_ignores_nonpositive_weights():
     inst = make_instance([[0.5, 0.5]], [[0.2, 0.4]], 1.0)
-    sol = optimizer.solve_inner_lp(np.array([[-1.0, 0.0]]), inst)
-    assert np.all(sol.x == 0)
-    assert sol.objective_value == 0.0
+    assert np.all(inner_lp(np.array([[-1.0, 0.0]]), inst) == 0)
 
 
 def test_lp_zero_cost_pairs_fill_to_cap():
     inst = make_instance([[0.3, 0.7]], [[0.0, 0.5]], 0.1)
-    sol = optimizer.solve_inner_lp(np.array([[2.0, 1.0]]), inst)
-    assert sol.x[0, 0] == 0.3  # free and profitable
-    assert sol.x[0, 1] == pytest.approx(0.2, abs=1e-12)
+    x = inner_lp(np.array([[2.0, 1.0]]), inst)
+    assert x[0, 0] == 0.3  # free and profitable
+    assert x[0, 1] == pytest.approx(0.2, abs=1e-12)
 
 
 def test_lp_solution_respects_constraints():
@@ -41,16 +44,18 @@ def test_lp_solution_respects_constraints():
     for k in range(50):
         inst, _ = generated(800 + k, 2, 2)
         omega = rng.uniform(-0.3, 1.0, size=(2, 2))
-        sol = optimizer.solve_inner_lp(omega, inst)
-        assert np.all(sol.x >= -1e-15)
-        assert np.all(sol.x <= inst.prob + 1e-9)
-        assert float(np.sum(sol.x * inst.cost)) <= inst.budget + 1e-9
+        x = inner_lp(omega, inst)
+        assert np.all(x >= -1e-15)
+        assert np.all(x <= inst.prob + 1e-9)
+        assert float(np.sum(x * inst.cost)) <= inst.budget + 1e-9
 
 
 def test_lp_rejects_nonfinite_weights():
     inst = make_instance([[1.0]], [[0.5]], 1.0)
     with pytest.raises(ValidationError):
-        optimizer.solve_inner_lp(np.array([[np.inf]]), inst)
+        inner_lp(np.array([[np.inf]]), inst)
+    with pytest.raises(ValidationError):  # one weight per (item, state) pair
+        inner_lp(np.array([[1.0, 1.0]]), inst)
 
 
 def test_lp_deterministic_tiebreak():
@@ -67,15 +72,15 @@ def test_lp_dominates_grid_oracle():
         items, states = [(1, 2), (2, 1), (1, 3), (2, 2)][k % 4]
         inst, _ = generated(900 + k, items, states)
         omega = rng.uniform(-0.2, 1.0, size=(items, states))
-        sol = optimizer.solve_inner_lp(omega, inst)
+        value = float(np.sum(omega * inner_lp(omega, inst)))
         if items * states <= 3:
             grid = optimizer.grid_search_lp_value(omega, inst.prob, inst.cost,
                                                   inst.budget, resolution=1e-3)
         else:
             grid = optimizer.grid_search_lp_value(omega, inst.prob, inst.cost,
                                                   inst.budget, resolution=5e-3)
-        assert sol.objective_value >= grid - 1e-9
-        assert sol.objective_value <= grid + 1e-2  # the grid nearly attains the optimum
+        assert value >= grid - 1e-9
+        assert value <= grid + 1e-2  # the grid nearly attains the optimum
 
 
 def test_grid_oracle_guard():
@@ -98,10 +103,9 @@ def test_greedy_closed_form_single_pair(single_item_unit):
 
 def test_greedy_single_round_is_scaled_lp():
     inst, f = generated(51, 2, 2, "separable_concave")
-    omega0, _ = extension.marginal_weights(np.zeros((2, 2)), f, mode="exact")
-    lp = optimizer.solve_inner_lp(omega0, inst)
+    x = inner_lp(extension.FactoredExtension(f).marginals(np.zeros((2, 2))), inst)
     y = optimizer.continuous_greedy(inst, f, optimizer.GreedyConfig(rounds=1))
-    assert np.allclose(y, lp.x, atol=1e-15)  # delta = 1 and (1 - y) = 1 at the origin
+    assert np.allclose(y, x, atol=1e-15)  # delta = 1 and (1 - y) = 1 at the origin
 
 
 def test_greedy_modular_slack_budget_reaches_cap_pattern():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,7 +7,6 @@ import pytest
 
 from stocan import extension, model, optimizer, policies
 from stocan.errors import CapacityError, PreconditionError, ValidationError
-from stocan.rng import STATES, substream
 
 from conftest import generated, make_instance, modular_objective
 
@@ -33,7 +33,7 @@ def test_infeasible_y_raises_precondition_error():
     f = modular_objective([1.0], 2)
     too_big = np.array([[0.9, 0.1]])  # exceeds the p cap, accept prob would pass 1/4
     with pytest.raises(PreconditionError):
-        policies.run_pi_small(inst, f, too_big, [1], seed=0)
+        policies.run_policy("small", inst, f, too_big, [1], seed=0)
     with pytest.raises(PreconditionError):
         policies.simulate_policy("small", inst, f, too_big, 10, seed=0)
 
@@ -54,7 +54,7 @@ def test_zero_y_selects_nothing():
     inst, f = generated(121, 3, 2, "nested_coverage")
     y = np.zeros((3, 2))
     phi = model.draw_realization(inst, 4)
-    rec = policies.run_pi_small(inst, f, y, phi, seed=1)
+    rec = policies.run_policy("small", inst, f, y, phi, seed=1)
     assert rec.selected == ()
     assert rec.value == f.value([0, 0, 0])
     assert rec.total_cost == 0.0
@@ -64,8 +64,8 @@ def test_record_structure_and_determinism():
     inst, f = generated(122, 3, 2)
     y = greedy_y(inst, f)
     phi = model.draw_realization(inst, 7)
-    a = policies.run_stocan(inst, f, y, phi, order=[2, 0, 1], seed=12)
-    b = policies.run_stocan(inst, f, y, phi, order=[2, 0, 1], seed=12)
+    a = policies.run_policy("stocan", inst, f, y, phi, order=[2, 0, 1], seed=12)
+    b = policies.run_policy("stocan", inst, f, y, phi, order=[2, 0, 1], seed=12)
     assert a == b
     assert a.order == (2, 0, 1)
     assert [e[0] for e in a.events] == [2, 0, 1]  # events follow the arrival order
@@ -82,10 +82,10 @@ def test_small_policy_never_keeps_large_items():
     y = greedy_y(inst, f)
     for seed in range(40):
         phi = model.draw_realization(inst, seed)
-        rec = policies.run_pi_small(inst, f, y, phi, seed=seed)
+        rec = policies.run_policy("small", inst, f, y, phi, seed=seed)
         for i, s in rec.selected:
             assert inst.cost[i, s - 1] <= inst.budget / 2
-        rec_l = policies.run_pi_large(inst, f, y, phi, seed=seed)
+        rec_l = policies.run_policy("large", inst, f, y, phi, seed=seed)
         for i, s in rec_l.selected:
             assert inst.cost[i, s - 1] > inst.budget / 2
         assert len(rec_l.selected) <= 1
@@ -138,7 +138,7 @@ def test_unbudgeted_value_floors_at_quarter_of_small_H():
     inst, f = generated(125, 3, 2, "concave_over_modular")
     y = greedy_y(inst, f)
     y_small, _ = optimizer.split_solution(y, inst)
-    H_small = extension.exact_H_factored(y_small, f)
+    H_small = extension.FactoredExtension(f).H(y_small)
     sim = policies.simulate_policy("small", inst, f, y, 100_000, seed=34, ignore_budget=True)
     assert sim.mean >= H_small / 4 - 4 * sim.stderr
 
@@ -181,9 +181,8 @@ def test_stocan_mean_is_average_of_branches():
 def test_single_run_stderr_flagged():
     inst, f = generated(129, 2, 2)
     y = greedy_y(inst, f)
-    mean, stderr = policies.simulate_policy_value("stocan", inst, f, y, 1, seed=40)
-    assert math.isnan(stderr)
     sim = policies.simulate_policy("stocan", inst, f, y, 1, seed=40)
+    assert math.isnan(sim.stderr)
     assert sim.is_single_run
 
 
@@ -323,17 +322,19 @@ def test_record_depends_only_on_seed_and_run_index(order):
         assert short == long[:20], kind
 
 
-def test_run_stocan_is_run_zero_of_a_one_run_campaign():
+def test_run_policy_is_run_zero_of_a_one_run_campaign():
     inst, f = generated(137, 4, 2)
     y = greedy_y(inst, f)
-    for seed in range(20):
-        phi = model.sample_states(inst, substream(seed, STATES), 1)[0]
-        single = policies.run_stocan(inst, f, y, phi, seed=seed)
-        record, = policies.scalar_runs("stocan", inst, f, y, 1, seed=seed)
-        sim = policies.simulate_policy("stocan", inst, f, y, 1, seed=seed)
-        assert single == record
-        assert (single.value, single.total_cost) == (sim.values[0], sim.total_costs[0])
-        assert (single.branch == "small") == sim.branch_small[0]
+    for kind, order in itertools.product(policies.KINDS, ("identity", "random")):
+        for seed in range(20):
+            single = policies.run_policy(kind, inst, f, y, model.draw_realization(inst, seed),
+                                         order=order, seed=seed)
+            record, = policies.scalar_runs(kind, inst, f, y, 1, order=order, seed=seed)
+            sim = policies.simulate_policy(kind, inst, f, y, 1, order=order, seed=seed)
+            assert single == record, (kind, order, seed)
+            assert (single.value, single.total_cost) == (sim.values[0], sim.total_costs[0])
+            if kind == "stocan":
+                assert (single.branch == "small") == sim.branch_small[0]
 
 
 @pytest.mark.parametrize("family", model.FAMILIES)
