@@ -10,8 +10,10 @@ recomputable from the report alone.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 from importlib import resources
 
@@ -52,10 +54,28 @@ class ExperimentConfig:
         for name in ("rounds", "samples", "runs", "order_checks"):
             if int(getattr(self, name)) < 1:
                 raise ValidationError(name, "must be a positive integer")
+        for path in (self.out, self.records):
+            if path:
+                _check_writable(path)
 
     def greedy_config(self) -> GreedyConfig:
         return GreedyConfig(rounds=self.rounds, marginal_mode=self.marginals,
                             samples=self.samples, seed=self.seed)
+
+
+def _check_writable(path) -> None:
+    """Reject an output path that cannot be written, before any work and without opening it.
+
+    The file is not created or truncated here: an output may also be an
+    input, as with ``--out`` equal to ``--solution``.
+    """
+    if os.path.isdir(path):
+        raise ValidationError(str(path), "is a directory, not a file")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise ValidationError(str(path), f"directory {parent} does not exist")
+    if not os.access(parent, os.W_OK):
+        raise ValidationError(str(path), f"directory {parent} is not writable")
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +266,13 @@ def _given_solution(cfg, payload, inst) -> np.ndarray | None:
         return None
     prior = model.read_json(cfg.solution)
     try:
-        y = np.asarray(prior["solution"]["y"], dtype=float)
-        digest = prior["instance"]["digest"]
-    except (KeyError, TypeError, ValueError) as exc:
+        y, digest = prior["solution"]["y"], prior["instance"]["digest"]
+    except (KeyError, TypeError) as exc:
         raise ValidationError(str(cfg.solution),
                               "no solution.y matrix and instance.digest in report") from exc
     if digest != model.instance_digest(payload):
         raise ValidationError(str(cfg.solution), "instance.digest differs from the --instance file's")
+    y = model._floats(y, f"{cfg.solution}: solution.y", 2)
     if y.shape != inst.prob.shape:
         raise ValidationError(str(cfg.solution),
                               f"solution.y has shape {y.shape}, expected {inst.prob.shape}")
@@ -263,19 +283,11 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
     payload, inst, objective = _load(cfg)
     y, block = _solve(cfg, inst, objective, _given_solution(cfg, payload, inst))
 
-    sims = {}
-    violations = 0
-    records = []
-    for kind in policies.KINDS:
-        sim = policies.simulate_policy(kind, inst, objective, y, cfg.runs,
-                                       order=cfg.order, seed=cfg.seed)
-        violations += sim.budget_violations
-        sims[kind] = _policy_block(sim)
-        if cfg.records:
-            records += policies.scalar_runs(kind, inst, objective, y, cfg.runs,
-                                            order=cfg.order, seed=cfg.seed)
+    sims = policies.simulate_policies(inst, objective, y, cfg.runs,
+                                      [(kind, False) for kind in policies.KINDS],
+                                      order=cfg.order, seed=cfg.seed, records=bool(cfg.records))
     if cfg.records:
-        policies.write_records(cfg.records, records)
+        policies.write_records(cfg.records, itertools.chain.from_iterable(s.records for s in sims))
 
     exact_order = _fixed_order_for(cfg, inst)
     try:
@@ -293,8 +305,8 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
         "instance": _instance_header(cfg, payload, inst, objective),
         "config": _config_header(cfg, records=bool(cfg.records)),
         "solution": block,
-        "policies": sims,
-        "budget_violations": violations,
+        "policies": {s.kind: _policy_block(s) for s in sims},
+        "budget_violations": sum(s.budget_violations for s in sims),
     }
     if exact_block is not None:
         report["exact"] = exact_block
@@ -377,11 +389,13 @@ def run_verify(cfg: ExperimentConfig) -> dict:
                             "exact extension beyond enumeration guard"))
 
     order = _fixed_order_for(cfg, inst)
-    sims = {kind: policies.simulate_policy(kind, inst, objective, y, cfg.runs,
-                                           order=cfg.order, seed=cfg.seed)
-            for kind in policies.KINDS}
+    # one draw plan feeds the three policies and the unbudgeted analysis device
+    small, large, stocan_sim, device = policies.simulate_policies(
+        inst, objective, y, cfg.runs,
+        [("small", False), ("large", False), ("stocan", False), ("small", True)],
+        order=cfg.order, seed=cfg.seed)
+    sims = {"small": small, "large": large, "stocan": stocan_sim}
     violations = sum(s.budget_violations for s in sims.values())
-    stocan_sim = sims["stocan"]
     large_sizes = [_max_large_selection(sims["large"]), _max_large_selection(stocan_sim)]
 
     if opt is not None:
@@ -414,8 +428,6 @@ def run_verify(cfg: ExperimentConfig) -> dict:
 
     # analysis device: the unbudgeted small policy includes each cheap pair
     # with probability y/4 and its expected value floors at H(y_small)/4
-    device = policies.simulate_policy("small", inst, objective, y, cfg.runs,
-                                      order=cfg.order, seed=cfg.seed, ignore_budget=True)
     worst = _worst_inclusion_gap(device, inst, y, cfg.runs)
     checks.append(_check(
         "unbudgeted_small_inclusion", "le",

@@ -17,12 +17,18 @@ for good. ``ignore_budget`` drops the remaining-budget check; it exists
 purely as an analysis device for tests (the unbudgeted variant can
 overspend) and must never be used in production runs.
 
-One vectorized kernel executes this rule for every run of a campaign at
-once and records an int8 action code per run and arrival position.
-Campaign statistics (:func:`simulate_policy`), run records
-(:func:`scalar_runs`) and single runs on a given realization
-(:func:`run_policy`) all come from it: a :class:`RunRecord` is a row view
-of a campaign, so records and statistics are computed from the same draws.
+A draw plan yields a campaign's realized states, accept coins, branch
+coins and arrival orders in blocks of at most ``CHUNK_RUNS`` runs, and
+one vectorized kernel executes this rule for every run of a block at
+once, recording an int8 action code per run and arrival position. A
+command feeds all its campaigns from one plan
+(:func:`simulate_policies`); since the combined policy's run is the run
+of the branch its coin chose, it is read off the small and large rows
+when those are run too. Campaign statistics (:func:`simulate_policy`),
+run records (:func:`scalar_runs`) and single runs on a given
+realization (:func:`run_policy`) are views of it: a :class:`RunRecord`
+is a row of a campaign, so records and statistics come from the same
+draws.
 :func:`exact_policy_value` is the independent oracle and shares no code
 with the kernel.
 """
@@ -53,6 +59,7 @@ ACTIONS = (DISCARDED, REJECTED, SKIPPED, ACCEPTED)  # indexed by the int8 action
 DISCARD, REJECT, SKIP, ACCEPT = range(len(ACTIONS))
 
 EXACT_POLICY_GUARD = 1_000_000  # max S^I * 2^I for exact expectations
+CHUNK_RUNS = 65_536  # rows per block of a draw plan
 
 
 def resolve_order(order, item_count: int) -> np.ndarray:
@@ -113,62 +120,56 @@ class RunRecord:
 
 
 @dataclass(frozen=True)
-class _Campaign:
-    """Everything the kernel decided, one row per run."""
+class _Rows:
+    """What the kernel decided for one block of runs, one row per run."""
 
-    kind: str
-    ignore_budget: bool
-    phi: np.ndarray  # (runs, I) realized states
-    orders: np.ndarray  # (runs, I) arrival orders
-    actions: np.ndarray  # (runs, I) action code per arrival position
-    branch_small: np.ndarray | None  # (runs,) coin outcome of the combined policy
-    spent: np.ndarray  # (runs,) accumulated cost
-    selected: np.ndarray  # (runs, I) accepted state per item, 0 when none
-    values: np.ndarray  # (runs,) objective value of ``selected``
-
-    def record(self, r: int) -> RunRecord:
-        order = self.orders[r].tolist()
-        events = tuple(zip(order, self.phi[r, order].tolist(),
-                           [ACTIONS[a] for a in self.actions[r].tolist()]))
-        branch = None
-        if self.branch_small is not None:
-            branch = "small" if self.branch_small[r] else "large"
-        return RunRecord(
-            kind=self.kind,
-            order=tuple(order),
-            events=events,
-            selected=tuple((i, s) for i, s, a in events if a == ACCEPTED),
-            total_cost=float(self.spent[r]),
-            value=float(self.values[r]),
-            branch=branch,
-            ignore_budget=self.ignore_budget,
-        )
+    actions: np.ndarray  # (n, I) action code per arrival position
+    spent: np.ndarray  # (n,) accumulated cost
+    selected: np.ndarray  # (n, I) accepted state per item, 0 when none
+    values: np.ndarray  # (n,) objective value of ``selected``
 
 
-def _campaign(kind, inst, objective, y, phi, order, seed, ignore_budget=False) -> _Campaign:
-    """Execute the policy rule on every row of ``phi``, one realization per run.
-
-    Run ``r`` reads row ``r`` of each block draw: its accept coins (one
-    per arrival position), its branch coin, and for ``order="random"``
-    its arrival order. Every decision of every run is made here.
-    """
+def _check_kind(kind: str) -> None:
     if kind not in KINDS:
         raise ValidationError("kind", f"unknown policy kind {kind!r}")
-    probs = acceptance_probabilities(inst, y)
-    runs, I = phi.shape
-    budget = inst.budget
-    coins = substream(seed, COINS).random((runs, I))
-    branch_small = substream(seed, BRANCH).random(runs) < 0.5 if kind == "stocan" else None
-    if isinstance(order, str) and order == "random":
-        orders = np.argsort(substream(seed, ORDERS).random((runs, I)), axis=1)
-    else:
-        orders = np.broadcast_to(resolve_order(order, I), (runs, I))
-    keep_small = branch_small if kind == "stocan" else (kind == "small")
 
-    actions = np.empty((runs, I), dtype=np.int8)
-    selected = np.zeros((runs, I), dtype=np.int64, order="F")  # value_many reads columns
-    spent = np.zeros(runs)
-    rows = np.arange(runs)
+
+def _draw_plan(inst: Instance, runs: int, order, seed: int):
+    """Yield the ``(phi, coins, branch_small, orders)`` blocks of runs ``0..runs-1``.
+
+    A block holds at most ``CHUNK_RUNS`` rows. Each named substream is
+    opened once and read block after block, so a block's row ``r`` is row
+    ``start + r`` of one ``(runs, I)`` draw and no result depends on
+    ``CHUNK_RUNS``. Run ``r`` owns its realized states, its accept coins
+    (one per arrival position), its branch coin and, for
+    ``order="random"``, its arrival order.
+    """
+    I = inst.item_count
+    random_order = isinstance(order, str) and order == "random"
+    fixed = None if random_order else resolve_order(order, I)
+    states, coins, branch = (substream(seed, s) for s in (STATES, COINS, BRANCH))
+    orders = substream(seed, ORDERS) if random_order else None
+    for start in range(0, runs, CHUNK_RUNS):
+        n = min(CHUNK_RUNS, runs - start)
+        yield (sample_states(inst, states, n), coins.random((n, I)), branch.random(n) < 0.5,
+               np.argsort(orders.random((n, I)), axis=1) if random_order
+               else np.broadcast_to(fixed, (n, I)))
+
+
+def _kernel(inst, objective, probs, block, keep_small, ignore_budget) -> _Rows:
+    """Execute the policy rule on every row of one plan block.
+
+    ``keep_small`` is True for the small policy, False for the large one,
+    and the block's per-run branch coins for the combined policy. Every
+    decision of every run is made here.
+    """
+    phi, coins, _, orders = block
+    n, I = phi.shape
+    budget = inst.budget
+    actions = np.empty((n, I), dtype=np.int8)
+    selected = np.zeros((n, I), dtype=np.int64, order="F")  # value_many reads columns
+    spent = np.zeros(n)
+    rows = np.arange(n)
     for t in range(I):
         items = orders[:, t]
         states = phi[rows, items]
@@ -180,21 +181,48 @@ def _campaign(kind, inst, objective, y, phi, order, seed, ignore_budget=False) -
         spent[accept] += cost[accept]
         selected[rows[accept], items[accept]] = states[accept]
 
-    if not ignore_budget and np.any(spent > budget):
-        bad = int(np.argmax(spent > budget))  # pragma: no cover
+    over = ~(spent <= budget)  # a NaN spend is over budget too
+    if not ignore_budget and np.any(over):
+        bad = int(np.argmax(over))  # pragma: no cover
         raise BudgetViolationError(  # pragma: no cover - structurally unreachable
             {"run": bad, "total_cost": float(spent[bad])}
         )
-    values = np.asarray(objective.value_many(selected), dtype=float)
-    return _Campaign(kind, ignore_budget, phi, orders, actions, branch_small, spent,
-                     selected, values)
+    return _Rows(actions, spent, selected, np.asarray(objective.value_many(selected), dtype=float))
 
 
-def _drawn_campaign(kind, inst, objective, y, runs, order, seed, ignore_budget=False):
-    if runs < 1:
-        raise ValidationError("runs", "must be at least 1")
-    phi = sample_states(inst, substream(seed, STATES), runs)
-    return _campaign(kind, inst, objective, y, phi, order, seed, ignore_budget)
+def _select(branch_small, small: _Rows, large: _Rows) -> _Rows:
+    """The combined policy's rows: small's where its coin chose small, large's elsewhere.
+
+    Bit for bit the kernel's rows with ``keep_small=branch_small``: each
+    run makes the same decisions as the branch its coin chose.
+    """
+    pick = branch_small[:, None]
+    return _Rows(np.where(pick, small.actions, large.actions),
+                 np.where(branch_small, small.spent, large.spent),
+                 np.where(pick, small.selected, large.selected),
+                 np.where(branch_small, small.values, large.values))
+
+
+def _records(kind, ignore_budget, block, rows: _Rows) -> list:
+    """A :class:`RunRecord` per row of one block."""
+    phi, _, branch_small, orders = block
+    seen = np.take_along_axis(phi, orders, axis=1)  # states in arrival order
+    out = []
+    for order, states, codes, spent, value, small in zip(
+            orders.tolist(), seen.tolist(), rows.actions.tolist(), rows.spent.tolist(),
+            rows.values.tolist(), branch_small.tolist()):
+        events = tuple(zip(order, states, [ACTIONS[a] for a in codes]))
+        out.append(RunRecord(
+            kind=kind,
+            order=tuple(order),
+            events=events,
+            selected=tuple((i, s) for i, s, a in events if a == ACCEPTED),
+            total_cost=spent,
+            value=value,
+            branch=("small" if small else "large") if kind == "stocan" else None,
+            ignore_budget=ignore_budget,
+        ))
+    return out
 
 
 def run_policy(kind: str, inst: Instance, objective: LatticeObjective, y: np.ndarray, phi,
@@ -204,10 +232,16 @@ def run_policy(kind: str, inst: Instance, objective: LatticeObjective, y: np.nda
     With ``phi = draw_realization(inst, seed)`` the record equals
     ``scalar_runs(kind, inst, objective, y, 1, order, seed)[0]``.
     """
+    _check_kind(kind)
     phi = np.asarray(phi, dtype=np.int64)
     if phi.shape != (inst.item_count,) or np.any(phi < 1) or np.any(phi > inst.state_count):
         raise ValidationError("phi", "expected one realized state in 1..S per item")
-    return _campaign(kind, inst, objective, y, phi[None, :], order, seed, ignore_budget).record(0)
+    probs = acceptance_probabilities(inst, y)
+    _, coins, branch_small, orders = next(_draw_plan(inst, 1, order, seed))
+    block = (phi[None, :], coins, branch_small, orders)
+    keep_small = branch_small if kind == "stocan" else kind == "small"
+    return _records(kind, ignore_budget, block,
+                    _kernel(inst, objective, probs, block, keep_small, ignore_budget))[0]
 
 
 @dataclass
@@ -217,8 +251,8 @@ class PolicySimulation:
     Holds one entry per run (value, spend, selection size and, for the
     combined policy, the coin outcome ``branch_small``) and per-pair
     inclusion counts: ``pair_counts[i, s]`` runs selected item ``i`` at
-    state ``s``. Per-run states and actions are not kept; run records
-    come from :func:`scalar_runs`.
+    state ``s``. Per-run states and actions are kept only as
+    ``records``, and only when the campaign was asked for them.
     """
 
     kind: str
@@ -230,6 +264,7 @@ class PolicySimulation:
     branch_small: np.ndarray | None
     ignore_budget: bool
     budget: float
+    records: list | None = None
 
     @property
     def mean(self) -> float:
@@ -247,11 +282,63 @@ class PolicySimulation:
 
     @property
     def budget_violations(self) -> int:
-        # exact comparison on the accumulated spend; no tolerance
-        return int(np.count_nonzero(self.total_costs > self.budget))
+        # exact comparison on the accumulated spend; no tolerance, and NaN counts
+        return int(np.count_nonzero(~(self.total_costs <= self.budget)))
 
     def pair_inclusion_frequency(self, item: int, state: int) -> float:
         return float(self.pair_counts[item, state] / self.runs)
+
+
+def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray, runs: int,
+                      variants, order="identity", seed: int = 0, *,
+                      records: bool = False) -> list[PolicySimulation]:
+    """Run ``(kind, ignore_budget)`` variants on one draw plan; one campaign each.
+
+    Every variant sees the same runs: the same realized states, accept
+    coins, branch coins and arrival orders, drawn once in blocks of at
+    most ``CHUNK_RUNS`` rows. When the small and the large policy of the
+    same budget mode are both asked for, the combined policy takes each
+    run from the branch its coin chose instead of a kernel pass of its
+    own. Per-run vectors are kept whole, so ``mean`` and ``stderr`` sum
+    the same vector in the same order at any chunk size; pair counts
+    are summed per block as integers.
+    """
+    if runs < 1:
+        raise ValidationError("runs", "must be at least 1")
+    variants = list(dict.fromkeys((kind, bool(ignore)) for kind, ignore in variants))
+    for kind, _ in variants:
+        _check_kind(kind)
+    probs = acceptance_probabilities(inst, y)
+    I, S = inst.item_count, inst.state_count
+    branch_small = np.empty(runs, dtype=bool)
+    sims = [PolicySimulation(kind, runs, np.empty(runs), np.empty(runs),
+                             np.empty(runs, dtype=np.int64), np.zeros((I, S + 1), dtype=np.int64),
+                             branch_small if kind == "stocan" else None, ignore, inst.budget,
+                             [] if records else None)
+            for kind, ignore in variants]
+    start = 0
+    for block in _draw_plan(inst, runs, order, seed):
+        stop = start + len(block[2])
+        branch_small[start:stop] = block[2]
+        done = {}  # stocan goes last, so it can be read off small and large
+        for kind, ignore in sorted(variants, key=lambda v: v[0] == "stocan"):
+            if kind == "stocan" and ("small", ignore) in done and ("large", ignore) in done:
+                rows = _select(block[2], done["small", ignore], done["large", ignore])
+            else:
+                keep_small = block[2] if kind == "stocan" else kind == "small"
+                rows = _kernel(inst, objective, probs, block, keep_small, ignore)
+            done[kind, ignore] = rows
+        for sim in sims:
+            rows = done[sim.kind, sim.ignore_budget]
+            sim.values[start:stop] = rows.values
+            sim.total_costs[start:stop] = rows.spent
+            sim.selection_sizes[start:stop] = np.count_nonzero(rows.selected, axis=1)
+            for i in range(I):
+                sim.pair_counts[i] += np.bincount(rows.selected[:, i], minlength=S + 1)
+            if records:
+                sim.records += _records(sim.kind, sim.ignore_budget, block, rows)
+        start = stop
+    return sims
 
 
 def simulate_policy(kind: str, inst: Instance, objective: LatticeObjective, y: np.ndarray,
@@ -259,26 +346,12 @@ def simulate_policy(kind: str, inst: Instance, objective: LatticeObjective, y: n
                     ignore_budget: bool = False) -> PolicySimulation:
     """Run a vectorized simulation campaign, deterministic in ``seed``.
 
-    Randomness is consumed from named substreams, with run ``r`` owning
-    row ``r`` of each stream's block draw: state draws, accept coins,
-    branch coins and (for ``order="random"``) fresh per-run arrival
-    orders. State draws do not depend on ``kind``, so campaigns with the
-    same seed are paired across policies.
+    One variant of :func:`simulate_policies`. State draws do not depend
+    on ``kind``, so campaigns with the same seed are paired across
+    policies.
     """
-    c = _drawn_campaign(kind, inst, objective, y, runs, order, seed, ignore_budget)
-    counts = [np.bincount(c.selected[:, i], minlength=inst.state_count + 1)
-              for i in range(inst.item_count)]
-    return PolicySimulation(
-        kind=kind,
-        runs=runs,
-        values=c.values,
-        total_costs=c.spent,
-        selection_sizes=np.count_nonzero(c.selected, axis=1),
-        pair_counts=np.array(counts),
-        branch_small=c.branch_small,
-        ignore_budget=ignore_budget,
-        budget=inst.budget,
-    )
+    sim, = simulate_policies(inst, objective, y, runs, [(kind, ignore_budget)], order, seed)
+    return sim
 
 
 def exact_policy_value(kind: str, inst: Instance, objective: LatticeObjective,
@@ -289,8 +362,7 @@ def exact_policy_value(kind: str, inst: Instance, objective: LatticeObjective,
     tree of accept-coin outcomes along the arrival order (the combined
     policy averages its two branches). Guarded by S^I * 2^I <= 1e6.
     """
-    if kind not in KINDS:
-        raise ValidationError("kind", f"unknown policy kind {kind!r}")
+    _check_kind(kind)
     probs = acceptance_probabilities(inst, y)
     I, S = inst.item_count, inst.state_count
     work = (S ** I) * (2 ** I)
@@ -357,5 +429,5 @@ def scalar_runs(kind: str, inst: Instance, objective: LatticeObjective, y: np.nd
     ``r``'s value in the campaign statistics, and it depends only on
     ``(seed, r, order, kind)``: the same for every ``runs > r``.
     """
-    c = _drawn_campaign(kind, inst, objective, y, runs, order, seed)
-    return [c.record(r) for r in range(runs)]
+    sim, = simulate_policies(inst, objective, y, runs, [(kind, False)], order, seed, records=True)
+    return sim.records

@@ -419,3 +419,76 @@ def test_stdout_report_when_no_out(tmp_path, capsys):
     assert code == 0
     body = capsys.readouterr().out
     assert json.loads(body)["command"] == "optimize"
+
+
+# ---------------------------------------------------------------------------
+# one draw plan per command
+
+
+@pytest.mark.parametrize("order", ["identity", "random"])
+def test_reports_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, order):
+    runs = 45  # not a multiple of 7
+    path = write_payload(tmp_path, harness.generate_instance(4, 2, 1.0, "nested_coverage",
+                                                             seed=26))
+    ref = str(harness.reference_suite_paths()[3])
+    outputs = {}
+    for chunk in (1, 7, runs, 4 * runs):
+        monkeypatch.setattr(policies, "CHUNK_RUNS", chunk)
+        sim, records, ver = (tmp_path / f"{chunk}.{name}" for name in ("sim.json", "runs.jsonl",
+                                                                       "verify.json"))
+        assert cli.main(["simulate", "--instance", str(path), "--seed", "5", "--rounds", "30",
+                         "--runs", str(runs), "--order", order, "--records", str(records),
+                         "--out", str(sim)]) == 0
+        assert cli.main(["verify", "--instance", ref, "--seed", "5", "--rounds", "30",
+                         "--runs", str(runs), "--order", order, "--order-checks", "2",
+                         "--out", str(ver)]) in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
+        outputs[chunk] = [p.read_bytes() for p in (sim, records, ver)]
+    assert len(outputs[1][1].splitlines()) == 3 * runs
+    for chunk in (7, runs, 4 * runs):
+        assert outputs[chunk] == outputs[1], chunk
+
+
+def test_nan_in_solution_names_its_file_and_entry(tmp_path):
+    inst_path = write_payload(tmp_path, harness.generate_instance(2, 2, 1.0, seed=27))
+    opt = tmp_path / "opt.json"
+    assert cli.main(["optimize", "--instance", str(inst_path), "--seed", "1", "--rounds", "20",
+                     "--out", str(opt)]) == 0
+    report = json.loads(opt.read_text())
+    report["solution"]["y"][0][0] = math.nan
+    opt.write_text(json.dumps(report))  # json writes NaN, which json reads back
+    done = run_cli("simulate", "--instance", inst_path, "--seed", 1, "--runs", 10,
+                   "--solution", opt)
+    assert done.returncode == cli.EXIT_INVALID
+    assert "Traceback" not in done.stderr
+    assert f"{opt}: solution.y[0][0]" in done.stderr
+
+
+@pytest.mark.parametrize("flag, target", [
+    ("--out", lambda tmp: tmp),
+    ("--records", lambda tmp: tmp),
+    ("--out", lambda tmp: tmp / "missing" / "sim.json"),
+    ("--records", lambda tmp: tmp / "missing" / "runs.jsonl"),
+], ids=["out-directory", "records-directory", "out-no-parent", "records-no-parent"])
+def test_unwritable_output_fails_before_any_campaign(tmp_path, monkeypatch, capsys, flag, target):
+    def no_campaigns(*args, **kwargs):
+        raise AssertionError("a campaign ran before the output path was checked")
+
+    monkeypatch.setattr(policies, "_draw_plan", no_campaigns)
+    path = write_payload(tmp_path, harness.generate_instance(2, 2, 1.0, seed=28))
+    code = cli.main(["simulate", "--instance", str(path), "--seed", "1", "--runs", "500000",
+                     flag, str(target(tmp_path))])
+    assert code == cli.EXIT_INVALID
+    assert str(target(tmp_path)) in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_out_may_overwrite_the_solution_it_reads(tmp_path):
+    inst_path = write_payload(tmp_path, harness.generate_instance(2, 2, 1.0, seed=29))
+    opt = tmp_path / "opt.json"
+    assert cli.main(["optimize", "--instance", str(inst_path), "--seed", "1", "--rounds", "20",
+                     "--out", str(opt)]) == 0
+    y = json.loads(opt.read_text())["solution"]["y"]
+    assert cli.main(["simulate", "--instance", str(inst_path), "--seed", "1", "--runs", "10",
+                     "--solution", str(opt), "--out", str(opt)]) == 0
+    report = json.loads(opt.read_text())
+    assert report["command"] == "simulate" and report["solution"]["y"] == y

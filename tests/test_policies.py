@@ -354,3 +354,38 @@ def test_records_are_rows_of_the_campaign(family):
             assert rec.total_cost == spent
         assert np.array_equal([r.value for r in records], sim.values)
         assert np.array_equal([r.total_cost for r in records], sim.total_costs)
+
+
+# ---------------------------------------------------------------------------
+# one draw plan: chunking and the combined policy as a row selection
+
+
+@pytest.mark.parametrize("order", ["identity", "random"])
+def test_stocan_selection_is_the_branch_kernel_bit_for_bit(order):
+    inst, f = generated(139, 5, 2, "nested_coverage")
+    y = greedy_y(inst, f)
+    probs = policies.acceptance_probabilities(inst, y)
+    block = next(policies._draw_plan(inst, 3000, order, 52))
+    branch = block[2]
+    small, large, combined = (policies._kernel(inst, f, probs, block, keep, False)
+                              for keep in (True, False, branch))
+    chosen = policies._select(branch, small, large)
+    for field in ("actions", "spent", "selected", "values"):
+        a, b = getattr(chosen, field), getattr(combined, field)
+        assert a.dtype == b.dtype and a.tobytes() == np.ascontiguousarray(b).tobytes(), field
+
+    # through the public views: stocan beside small and large, and stocan alone
+    by_plan = policies.simulate_policies(inst, f, y, 3000, [(k, False) for k in policies.KINDS],
+                                         order, seed=52, records=True)[2]
+    alone = policies.simulate_policy("stocan", inst, f, y, 3000, order=order, seed=52)
+    for field in ("values", "total_costs", "selection_sizes", "pair_counts", "branch_small"):
+        assert getattr(by_plan, field).tobytes() == getattr(alone, field).tobytes(), field
+    assert by_plan.records == policies.scalar_runs("stocan", inst, f, y, 3000, order, seed=52)
+
+
+def test_nan_spend_counts_as_a_budget_violation():
+    sim = policies.PolicySimulation(
+        kind="small", runs=2, values=np.zeros(2), total_costs=np.array([0.5, math.nan]),
+        selection_sizes=np.zeros(2, dtype=np.int64), pair_counts=np.zeros((1, 2), dtype=np.int64),
+        branch_small=None, ignore_budget=True, budget=1.0)
+    assert sim.budget_violations == 1
