@@ -56,7 +56,7 @@ REJECTED = "rejected-by-coin"
 SKIPPED = "skipped-no-budget"
 ACCEPTED = "accepted"
 ACTIONS = (DISCARDED, REJECTED, SKIPPED, ACCEPTED)  # indexed by the int8 action code
-DISCARD, REJECT, SKIP, ACCEPT = range(len(ACTIONS))
+DISCARD, REJECT, SKIP, ACCEPT = np.arange(len(ACTIONS), dtype=np.int8)
 
 EXACT_POLICY_GUARD = 1_000_000  # max S^I * 2^I for exact expectations
 CHUNK_RUNS = 65_536  # rows per block of a draw plan
@@ -166,6 +166,7 @@ def _kernel(inst, objective, probs, block, keep_small, ignore_budget) -> _Rows:
     phi, coins, _, orders = block
     n, I = phi.shape
     budget = inst.budget
+    cost_of, prob_of = inst.cost.ravel(), probs.ravel()  # by pair index item * S + state - 1
     actions = np.empty((n, I), dtype=np.int8)
     selected = np.zeros((n, I), dtype=np.int64, order="F")  # value_many reads columns
     spent = np.zeros(n)
@@ -173,13 +174,15 @@ def _kernel(inst, objective, probs, block, keep_small, ignore_budget) -> _Rows:
     for t in range(I):
         items = orders[:, t]
         states = phi[rows, items]
-        cost = inst.cost[items, states - 1]
+        pair = items * inst.state_count + states - 1
+        cost = cost_of.take(pair)
         discard = (cost <= budget / 2) != keep_small
         fits = ignore_budget | (spent + cost <= budget)
-        accept = ~discard & fits & (coins[:, t] < probs[items, states - 1])
-        actions[:, t] = np.select([discard, ~fits, accept], [DISCARD, SKIP, ACCEPT], REJECT)
-        spent[accept] += cost[accept]
-        selected[rows[accept], items[accept]] = states[accept]
+        accept = ~discard & fits & (coins[:, t] < prob_of.take(pair))
+        actions[:, t] = np.where(discard, DISCARD,
+                                 np.where(fits, np.where(accept, ACCEPT, REJECT), SKIP))
+        spent += np.where(accept, cost, 0.0)  # adding +0.0 leaves a spend's bits as they are
+        selected[rows, items] = np.where(accept, states, 0)  # a run visits each item once
 
     over = ~(spent <= budget)  # a NaN spend is over budget too
     if not ignore_budget and np.any(over):
@@ -301,11 +304,14 @@ def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray
     run from the branch its coin chose instead of a kernel pass of its
     own. Per-run vectors are kept whole, so ``mean`` and ``stderr`` sum
     the same vector in the same order at any chunk size; pair counts
-    are summed per block as integers.
+    are summed per block as integers. Memory is one block's arrays plus
+    24 bytes per run per variant.
     """
     if runs < 1:
         raise ValidationError("runs", "must be at least 1")
     variants = list(dict.fromkeys((kind, bool(ignore)) for kind, ignore in variants))
+    if not variants:
+        raise ValidationError("variants", "expected at least one (kind, ignore_budget) pair")
     for kind, _ in variants:
         _check_kind(kind)
     probs = acceptance_probabilities(inst, y)
@@ -338,6 +344,7 @@ def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray
             if records:
                 sim.records += _records(sim.kind, sim.ignore_budget, block, rows)
         start = stop
+        del block, done, rows  # free this block's arrays before the plan draws the next
     return sims
 
 
