@@ -121,12 +121,13 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class _Rows:
-    """What the kernel decided for one block of runs, one row per run."""
+    """What the kernel decided for one block of runs."""
 
     actions: np.ndarray  # (n, I) action code per arrival position
     spent: np.ndarray  # (n,) accumulated cost
-    selected: np.ndarray  # (n, I) accepted state per item, 0 when none
-    values: np.ndarray  # (n,) objective value of ``selected``
+    sizes: np.ndarray  # (n,) accepted pairs per run
+    values: np.ndarray  # (n,) objective value of the run's selection
+    counts: np.ndarray  # (I, 2, S + 1) runs selecting item i at state s, by branch coin large/small
 
 
 def _check_kind(kind: str) -> None:
@@ -163,7 +164,7 @@ def _kernel(inst, objective, probs, block, keep_small, ignore_budget) -> _Rows:
     and the block's per-run branch coins for the combined policy. Every
     decision of every run is made here.
     """
-    phi, coins, _, orders = block
+    phi, coins, branch_small, orders = block
     n, I = phi.shape
     budget = inst.budget
     cost_of, prob_of = inst.cost.ravel(), probs.ravel()  # by pair index item * S + state - 1
@@ -190,7 +191,12 @@ def _kernel(inst, objective, probs, block, keep_small, ignore_budget) -> _Rows:
         raise BudgetViolationError(  # pragma: no cover - structurally unreachable
             {"run": bad, "total_cost": float(spent[bad])}
         )
-    return _Rows(actions, spent, selected, np.asarray(objective.value_many(selected), dtype=float))
+    # pair counts split by the branch coin, so the combined policy's can be taken half by half
+    S1 = inst.state_count + 1
+    counts = np.array([np.bincount(col + S1 * branch_small, minlength=2 * S1)
+                       for col in selected.T])
+    return _Rows(actions, spent, np.count_nonzero(selected, axis=1),
+                 np.asarray(objective.value_many(selected), dtype=float), counts.reshape(I, 2, S1))
 
 
 def _select(branch_small, small: _Rows, large: _Rows) -> _Rows:
@@ -199,11 +205,11 @@ def _select(branch_small, small: _Rows, large: _Rows) -> _Rows:
     Bit for bit the kernel's rows with ``keep_small=branch_small``: each
     run makes the same decisions as the branch its coin chose.
     """
-    pick = branch_small[:, None]
-    return _Rows(np.where(pick, small.actions, large.actions),
+    return _Rows(np.where(branch_small[:, None], small.actions, large.actions),
                  np.where(branch_small, small.spent, large.spent),
-                 np.where(pick, small.selected, large.selected),
-                 np.where(branch_small, small.values, large.values))
+                 np.where(branch_small, small.sizes, large.sizes),
+                 np.where(branch_small, small.values, large.values),
+                 np.stack((large.counts[:, 0], small.counts[:, 1]), axis=1))
 
 
 def _records(kind, ignore_budget, block, rows: _Rows) -> list:
@@ -338,9 +344,8 @@ def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray
             rows = done[sim.kind, sim.ignore_budget]
             sim.values[start:stop] = rows.values
             sim.total_costs[start:stop] = rows.spent
-            sim.selection_sizes[start:stop] = np.count_nonzero(rows.selected, axis=1)
-            for i in range(I):
-                sim.pair_counts[i] += np.bincount(rows.selected[:, i], minlength=S + 1)
+            sim.selection_sizes[start:stop] = rows.sizes
+            sim.pair_counts += rows.counts.sum(axis=1)
             if records:
                 sim.records += _records(sim.kind, sim.ignore_budget, block, rows)
         start = stop

@@ -370,7 +370,7 @@ def test_stocan_selection_is_the_branch_kernel_bit_for_bit(order):
     small, large, combined = (policies._kernel(inst, f, probs, block, keep, False)
                               for keep in (True, False, branch))
     chosen = policies._select(branch, small, large)
-    for field in ("actions", "spent", "selected", "values"):
+    for field in ("actions", "spent", "sizes", "values", "counts"):
         a, b = getattr(chosen, field), getattr(combined, field)
         assert a.dtype == b.dtype and a.tobytes() == np.ascontiguousarray(b).tobytes(), field
 
