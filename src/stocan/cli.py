@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .errors import CapacityError, StocanError
 from .harness import ExperimentConfig, run_gen, run_optimize, run_simulate, run_verify, write_report
@@ -42,13 +43,15 @@ def _parse_order(text: str):
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instance", required=True, help="instance JSON file")
     p.add_argument("--seed", required=True, type=int, help="master seed (mandatory)")
-    p.add_argument("--rounds", type=int, default=1000, help="continuous-greedy rounds T")
-    p.add_argument("--samples", type=int, default=10_000,
+    p.add_argument("--rounds", type=int, default=ExperimentConfig.rounds,
+                   help="continuous-greedy rounds T")
+    p.add_argument("--samples", type=int, default=ExperimentConfig.samples,
                    help="Monte Carlo samples for sampled marginals / H estimates")
-    p.add_argument("--runs", type=int, default=100_000, help="simulation runs per policy")
-    p.add_argument("--order", type=_parse_order, default="identity",
+    p.add_argument("--runs", type=int, default=ExperimentConfig.runs,
+                   help="simulation runs per policy")
+    p.add_argument("--order", type=_parse_order, default=ExperimentConfig.order,
                    help="arrival order: identity | random | perm:<comma-list> (0-based)")
-    p.add_argument("--marginals", choices=("exact", "sampled"), default="exact")
+    p.add_argument("--marginals", choices=("exact", "sampled"), default=ExperimentConfig.marginals)
     p.add_argument("--out", default=None, help="write the JSON report here")
 
 
@@ -79,26 +82,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the full guarantee battery")
     _common_flags(ver)
-    ver.add_argument("--order-checks", type=int, default=10,
+    ver.add_argument("--order-checks", type=int, default=ExperimentConfig.order_checks,
                      help="number of random arrival orders for the robustness check")
 
     return parser
 
 
 def _config(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
-        instance=args.instance,
-        seed=args.seed,
-        rounds=args.rounds,
-        marginals=args.marginals,
-        samples=args.samples,
-        runs=args.runs,
-        order=args.order,
-        order_checks=getattr(args, "order_checks", 10),
-        out=args.out,
-        records=getattr(args, "records", None),
-        solution=getattr(args, "solution", None),
-    )
+    return ExperimentConfig(**{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+                               if hasattr(args, f.name)})
 
 
 def main(argv=None) -> int:

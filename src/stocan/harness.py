@@ -30,17 +30,22 @@ FRACTIONAL_RATIO = 1.0 - 1.0 / math.e  # continuous-greedy floor vs the oracle
 SPLIT_TOL = 1e-12
 FRACTIONAL_TOL = 0.02
 SIGMA = 4.0  # all stochastic bounds allow four standard errors
+EXACT_SKIP = "exact extension beyond enumeration guard"
 
 
 @dataclass
 class ExperimentConfig:
-    """Settings shared by the optimize / simulate / verify commands."""
+    """Settings shared by the optimize / simulate / verify commands.
+
+    These are the only defaults: the CLI flags read theirs from here. A
+    non-string ``order`` is held as a tuple of item indices.
+    """
 
     instance: str
     seed: int
-    rounds: int = 1000
-    marginals: str = "exact"
-    samples: int = 10_000
+    rounds: int = GreedyConfig.rounds
+    marginals: str = GreedyConfig.marginal_mode
+    samples: int = GreedyConfig.samples
     runs: int = 100_000
     order: object = "identity"
     order_checks: int = 10
@@ -54,6 +59,12 @@ class ExperimentConfig:
         for name in ("rounds", "samples", "runs", "order_checks"):
             if int(getattr(self, name)) < 1:
                 raise ValidationError(name, "must be a positive integer")
+        if not isinstance(self.order, str):
+            try:
+                self.order = tuple(int(v) for v in self.order)
+            except (TypeError, ValueError):
+                raise ValidationError("order", f"expected a spec or a list of item indices "
+                                               f"(got {self.order!r})") from None
         for path in (self.out, self.records):
             if path:
                 _check_writable(path)
@@ -178,7 +189,11 @@ def _skip(name, reason):
 
 
 def write_report(report: dict, out: str | None) -> str:
-    body = json.dumps(report, indent=2, allow_nan=False)
+    try:
+        body = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError:  # finite inputs whose statistics overflow to inf
+        raise ValidationError("report", "a value overflowed the float range; "
+                                        "rescale the instance's numbers") from None
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(body)
@@ -214,7 +229,7 @@ def _config_header(cfg: ExperimentConfig, **extra) -> dict:
         "marginals": cfg.marginals,
         "samples": int(cfg.samples),
         "runs": int(cfg.runs),
-        "order": cfg.order if isinstance(cfg.order, str) else list(map(int, cfg.order)),
+        "order": cfg.order,
     }
     head.update(extra)
     return head
@@ -289,17 +304,6 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
     if cfg.records:
         policies.write_records(cfg.records, itertools.chain.from_iterable(s.records for s in sims))
 
-    exact_order = _fixed_order_for(cfg, inst)
-    try:
-        exact_value = policies.exact_policy_value("stocan", inst, objective, y,
-                                                  order=exact_order)
-        exact_block = {
-            "stocan": exact_value,
-            "order": exact_order if isinstance(exact_order, str) else list(map(int, exact_order)),
-        }
-    except (CapacityError, ValidationError):
-        exact_block = None
-
     report = {
         "command": "simulate",
         "instance": _instance_header(cfg, payload, inst, objective),
@@ -308,16 +312,15 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
         "policies": {s.kind: _policy_block(s) for s in sims},
         "budget_violations": sum(s.budget_violations for s in sims),
     }
-    if exact_block is not None:
-        report["exact"] = exact_block
+    # exact expectations need a fixed order; "random" falls back to identity
+    exact_order = "identity" if cfg.order == "random" else cfg.order
+    try:
+        report["exact"] = {"stocan": policies.exact_policy_value("stocan", inst, objective, y,
+                                                                 order=exact_order),
+                           "order": exact_order}
+    except (CapacityError, ValidationError):
+        pass
     return report
-
-
-def _fixed_order_for(cfg, inst):
-    # exact expectations need a fixed order; fall back to identity for "random"
-    if isinstance(cfg.order, str) and cfg.order == "random":
-        return "identity"
-    return cfg.order
 
 
 def _policy_block(sim: policies.PolicySimulation) -> dict:
@@ -355,40 +358,31 @@ def run_verify(cfg: ExperimentConfig) -> dict:
     payload, inst, objective = _load(cfg)
     y, block = _solve(cfg, inst, objective)
 
-    checks = []
-    exact_H = block["H"]["method"] == "exact"
-    H_y = block["H"]["y"]
-    H_small = block["H"]["y_small"]
-    H_large = block["H"]["y_large"]
+    # the exact H values gate four checks; an estimate skips them
+    H = block["H"] if block["H"]["method"] == "exact" else None
 
-    if exact_H:
-        checks.append(_check(
-            "split_superadditivity", "ge",
-            H_small + H_large, "H(y_small) + H(y_large)",
-            H_y, "H(y)", SPLIT_TOL,
-        ))
-    else:
-        checks.append(_skip("split_superadditivity", "exact extension beyond enumeration guard"))
+    def floor(name, sim, label, rhs, rhs_source):
+        """simulated_mean[label] >= rhs, within SIGMA standard errors."""
+        return _check(name, "ge", sim.mean, f"simulated_mean[{label}]", rhs, rhs_source,
+                      SIGMA * sim.stderr, detail={"stderr": sim.stderr, "runs": cfg.runs})
 
-    opt = None
+    checks = [_check("split_superadditivity", "ge",
+                     H["y_small"] + H["y_large"], "H(y_small) + H(y_large)",
+                     H["y"], "H(y)", SPLIT_TOL) if H
+              else _skip("split_superadditivity", EXACT_SKIP)]
+
     try:
         opt = oracle.optimal_policy_value(inst, objective).value
     except CapacityError as exc:
-        checks.append(_skip("fractional_vs_adaptive_oracle", str(exc)))
-        checks.append(_skip("combined_policy_guarantee", str(exc)))
-        checks.append(_skip("order_robustness", str(exc)))
-    if opt is not None and exact_H:
-        checks.append(_check(
-            "fractional_vs_adaptive_oracle", "ge",
-            H_y, "H(y)",
-            FRACTIONAL_RATIO * opt, "(1 - 1/e) * adaptive_optimum",
-            FRACTIONAL_TOL,
-        ))
-    elif opt is not None:
-        checks.append(_skip("fractional_vs_adaptive_oracle",
-                            "exact extension beyond enumeration guard"))
+        opt = None
+        checks += [_skip(name, str(exc)) for name in
+                   ("fractional_vs_adaptive_oracle", "combined_policy_guarantee", "order_robustness")]
+    if opt is not None:
+        checks.append(_check("fractional_vs_adaptive_oracle", "ge", H["y"], "H(y)",
+                             FRACTIONAL_RATIO * opt, "(1 - 1/e) * adaptive_optimum",
+                             FRACTIONAL_TOL) if H
+                      else _skip("fractional_vs_adaptive_oracle", EXACT_SKIP))
 
-    order = _fixed_order_for(cfg, inst)
     # one draw plan feeds the three policies and the unbudgeted analysis device
     small, large, stocan_sim, device = policies.simulate_policies(
         inst, objective, y, cfg.runs,
@@ -396,69 +390,37 @@ def run_verify(cfg: ExperimentConfig) -> dict:
         order=cfg.order, seed=cfg.seed)
     sims = {"small": small, "large": large, "stocan": stocan_sim}
     violations = sum(s.budget_violations for s in sims.values())
-    large_sizes = [_max_large_selection(sims["large"]), _max_large_selection(stocan_sim)]
+    large_sizes = [_max_large_selection(large), _max_large_selection(stocan_sim)]
 
     if opt is not None:
-        checks.append(_check(
-            "combined_policy_guarantee", "ge",
-            stocan_sim.mean, "simulated_mean[stocan]",
-            GUARANTEE_RATIO * opt, "((1 - 1/e)/16) * adaptive_optimum",
-            SIGMA * stocan_sim.stderr,
-            detail={"stderr": stocan_sim.stderr, "runs": cfg.runs},
-        ))
-
-    if exact_H:
-        checks.append(_check(
-            "small_policy_floor", "ge",
-            sims["small"].mean, "simulated_mean[small]",
-            H_small / 8.0, "H(y_small) / 8",
-            SIGMA * sims["small"].stderr,
-            detail={"stderr": sims["small"].stderr, "runs": cfg.runs},
-        ))
-        checks.append(_check(
-            "large_policy_floor", "ge",
-            sims["large"].mean, "simulated_mean[large]",
-            H_large / 8.0, "H(y_large) / 8",
-            SIGMA * sims["large"].stderr,
-            detail={"stderr": sims["large"].stderr, "runs": cfg.runs},
-        ))
-    else:
-        checks.append(_skip("small_policy_floor", "exact extension beyond enumeration guard"))
-        checks.append(_skip("large_policy_floor", "exact extension beyond enumeration guard"))
+        checks.append(floor("combined_policy_guarantee", stocan_sim, "stocan",
+                            GUARANTEE_RATIO * opt, "((1 - 1/e)/16) * adaptive_optimum"))
+    for name, sim, part in (("small_policy_floor", small, "y_small"),
+                            ("large_policy_floor", large, "y_large")):
+        checks.append(floor(name, sim, sim.kind, H[part] / 8.0, f"H({part}) / 8") if H
+                      else _skip(name, EXACT_SKIP))
 
     # analysis device: the unbudgeted small policy includes each cheap pair
     # with probability y/4 and its expected value floors at H(y_small)/4
     worst = _worst_inclusion_gap(device, inst, y, cfg.runs)
-    checks.append(_check(
-        "unbudgeted_small_inclusion", "le",
-        worst["gap"], f"max_pair |frequency - y/4| at pair {worst['pair']}",
-        0.0, "0",
-        worst["allowance"],
-        detail=worst,
-    ))
-    if exact_H:
-        checks.append(_check(
-            "unbudgeted_small_value", "ge",
-            device.mean, "simulated_mean[unbudgeted small]",
-            H_small / 4.0, "H(y_small) / 4",
-            SIGMA * device.stderr,
-            detail={"stderr": device.stderr, "runs": cfg.runs},
-        ))
-    else:
-        checks.append(_skip("unbudgeted_small_value", "exact extension beyond enumeration guard"))
+    checks.append(_check("unbudgeted_small_inclusion", "le",
+                         worst["gap"], f"max_pair |frequency - y/4| at pair {worst['pair']}",
+                         0.0, "0", worst["allowance"], detail=worst))
+    checks.append(floor("unbudgeted_small_value", device, "unbudgeted small",
+                        H["y_small"] / 4.0, "H(y_small) / 4") if H
+                  else _skip("unbudgeted_small_value", EXACT_SKIP))
 
-    if isinstance(cfg.order, str) and cfg.order == "random":
+    if cfg.order == "random":
         checks.append(_skip("simulation_vs_exact",
                             "exact expectation needs a fixed arrival order"))
     else:
         try:
-            exact_stocan = policies.exact_policy_value("stocan", inst, objective, y, order=order)
-            checks.append(_check(
-                "simulation_vs_exact", "abs",
-                stocan_sim.mean, "simulated_mean[stocan]",
-                exact_stocan, "exact_policy_value[stocan]",
-                SIGMA * stocan_sim.stderr,
-            ))
+            exact_stocan = policies.exact_policy_value("stocan", inst, objective, y,
+                                                       order=cfg.order)
+            checks.append(_check("simulation_vs_exact", "abs",
+                                 stocan_sim.mean, "simulated_mean[stocan]",
+                                 exact_stocan, "exact_policy_value[stocan]",
+                                 SIGMA * stocan_sim.stderr))
         except CapacityError as exc:
             checks.append(_skip("simulation_vs_exact", str(exc)))
 
@@ -471,37 +433,24 @@ def run_verify(cfg: ExperimentConfig) -> dict:
             violations += sim_k.budget_violations
             large_sizes.append(_max_large_selection(sim_k))
             bound = GUARANTEE_RATIO * opt - SIGMA * sim_k.stderr
-            order_rows.append({
-                "order": [int(v) for v in perm],
-                "mean": sim_k.mean,
-                "stderr": sim_k.stderr,
-                "bound": bound,
-                "pass": sim_k.mean >= bound,
-            })
-        checks.append(_check(
-            "order_robustness", "ge",
-            float(min(r["mean"] - r["bound"] for r in order_rows)),
-            "min over orders of simulated_mean[stocan] - bound",
-            0.0, "0", 0.0,
-            detail={"orders": order_rows},
-        ))
+            order_rows.append({"order": [int(v) for v in perm], "mean": sim_k.mean,
+                               "stderr": sim_k.stderr, "bound": bound,
+                               "pass": sim_k.mean >= bound})
+        checks.append(_check("order_robustness", "ge",
+                             float(min(r["mean"] - r["bound"] for r in order_rows)),
+                             "min over orders of simulated_mean[stocan] - bound",
+                             0.0, "0", 0.0, detail={"orders": order_rows}))
 
-    checks.append(_check(
-        "feasibility", "le",
-        violations, "budget violations across all budgeted campaigns",
-        0, "0", 0,
-        detail={"max_large_selection": max(large_sizes)},
-    ))
-    checks.append(_check(
-        "large_policy_singleton", "le",
-        max(large_sizes), "max selections in a large-policy run",
-        1, "1", 0,
-    ))
+    checks.append(_check("feasibility", "le",
+                         violations, "budget violations across all budgeted campaigns",
+                         0, "0", 0, detail={"max_large_selection": max(large_sizes)}))
+    checks.append(_check("large_policy_singleton", "le",
+                         max(large_sizes), "max selections in a large-policy run", 1, "1", 0))
 
     ratios = []
     if opt is not None and opt > 0:
-        if exact_H:
-            ratios.append({"name": "fractional_over_optimum", "value": H_y / opt,
+        if H:
+            ratios.append({"name": "fractional_over_optimum", "value": H["y"] / opt,
                            "numerator": "H(y)", "denominator": "adaptive_optimum"})
         ratios.append({"name": "combined_policy_over_optimum",
                        "value": stocan_sim.mean / opt,
@@ -509,7 +458,7 @@ def run_verify(cfg: ExperimentConfig) -> dict:
                        "denominator": "adaptive_optimum"})
 
     failed = [c["name"] for c in checks if c["status"] == "fail"]
-    report = {
+    return {
         "command": "verify",
         "instance": _instance_header(cfg, payload, inst, objective),
         "config": _config_header(cfg, order_checks=int(cfg.order_checks)),
@@ -521,7 +470,6 @@ def run_verify(cfg: ExperimentConfig) -> dict:
         "status": "fail" if failed else "pass",
         "failed_checks": failed,
     }
-    return report
 
 
 def _max_large_selection(sim) -> int:
@@ -537,19 +485,15 @@ def _worst_inclusion_gap(device_sim, inst, y, runs) -> dict:
     y/4; the allowance is four binomial standard errors at the target
     frequency (so a zero count under a truly tiny target still passes).
     """
-    worst = {"pair": None, "gap": 0.0, "allowance": 0.0, "frequency": 0.0, "target": 0.0}
-    best_slack = math.inf
-    for i in range(inst.item_count):
-        for s in range(1, inst.state_count + 1):
-            if inst.cost[i, s - 1] > inst.budget / 2:
-                continue
-            target = float(y[i, s - 1]) / 4.0
-            freq = device_sim.pair_inclusion_frequency(i, s)
-            allowance = SIGMA * math.sqrt(max(target * (1 - target), 0.0) / runs)
-            gap = abs(freq - target)
-            slack = allowance - gap
-            if slack < best_slack:
-                best_slack = slack
-                worst = {"pair": [i, s], "gap": gap, "allowance": allowance,
-                         "frequency": freq, "target": target}
-    return worst
+    cheap = inst.cost <= inst.budget / 2
+    if not cheap.any():
+        return {"pair": None, "gap": 0.0, "allowance": 0.0, "frequency": 0.0, "target": 0.0}
+    target = y / 4.0
+    freq = device_sim.pair_counts[:, 1:] / device_sim.runs
+    allowance = SIGMA * np.sqrt(np.maximum(target * (1 - target), 0.0) / runs)
+    gap = np.abs(freq - target)
+    # the first pair of least slack in row-major order
+    i, s = np.unravel_index(np.argmin(np.where(cheap, allowance - gap, np.inf)), gap.shape)
+    return {"pair": [int(i), int(s) + 1], "gap": float(gap[i, s]),
+            "allowance": float(allowance[i, s]), "frequency": float(freq[i, s]),
+            "target": float(target[i, s])}

@@ -316,12 +316,12 @@ class NestedCoverage(LatticeObjective):
             mask = np.zeros((state_count + 1, m), dtype=bool)
             prev: set = set()
             for s, elems in enumerate(item_covers, start=1):
-                cur = set(elems)
-                for e in cur:
+                for e in elems:  # before set(), which fails on an unhashable entry
                     if not isinstance(e, int) or not 0 <= e < m:
                         raise ValidationError(
                             f"{path}.covers[{i}][{s - 1}]", f"element {e!r} outside 0..{m - 1}"
                         )
+                cur = set(elems)
                 if not prev <= cur:
                     missing = sorted(prev - cur)
                     raise ValidationError(
@@ -383,28 +383,31 @@ class ConcaveOverModular(LatticeObjective):
         return {"a": self.a_tables[:, 1:].tolist(), "g": self.curve.to_dict()}
 
 
-FAMILIES = ("separable_concave", "nested_coverage", "concave_over_modular")
+# family name -> (required parameter keys, constructor from the parameters and a path)
+_FAMILY_TABLE = {
+    "separable_concave": (
+        ("weights", "g"),
+        lambda p, path: SeparableConcave(p["weights"], p["g"], path=path)),
+    "nested_coverage": (
+        ("covers", "element_weights"),
+        lambda p, path: NestedCoverage(p["covers"], p["element_weights"], path=path)),
+    "concave_over_modular": (
+        ("a", "g"),
+        lambda p, path: ConcaveOverModular(
+            p["a"], ConcaveCurve.from_dict(p["g"], path=f"{path}.g"), path=path)),
+}
+FAMILIES = tuple(_FAMILY_TABLE)
 
 
 def make_objective(family: str, params: dict, *, path: str = "objective") -> LatticeObjective:
     """Build a declared objective, validating every family parameter."""
-    if family == "separable_concave":
-        _require(params, ("weights", "g"), path)
-        return SeparableConcave(params["weights"], params["g"], path=path)
-    if family == "nested_coverage":
-        _require(params, ("covers", "element_weights"), path)
-        return NestedCoverage(params["covers"], params["element_weights"], path=path)
-    if family == "concave_over_modular":
-        _require(params, ("a", "g"), path)
-        curve = ConcaveCurve.from_dict(params["g"], path=f"{path}.g")
-        return ConcaveOverModular(params["a"], curve, path=path)
-    raise ValidationError(f"{path}.family", f"unknown objective family {family!r}")
-
-
-def _require(params: dict, keys: Iterable[str], path: str) -> None:
+    if not isinstance(family, str) or family not in _FAMILY_TABLE:
+        raise ValidationError(f"{path}.family", f"unknown objective family {family!r}")
+    keys, build = _FAMILY_TABLE[family]
     for k in keys:
         if k not in params:
             raise ValidationError(f"{path}.{k}", "missing required key")
+    return build(params, path)
 
 
 def objective_from_dict(d: dict, *, path: str = "objective") -> LatticeObjective:

@@ -27,7 +27,9 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     """Return a generator for the substream addressed by ``path``.
 
     The same ``(seed, *path)`` always yields an identical stream, and
-    distinct paths yield statistically independent streams.
+    distinct paths yield statistically independent streams, except that
+    paths differing only by trailing zeros alias: ``substream(seed, 5, 0)``
+    is ``substream(seed, 5)``. No two streams the package reads alias.
     """
     if seed < 0:
         raise ValueError("seed must be nonnegative")

@@ -1,12 +1,16 @@
+import functools
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import stocan
 from stocan import cli, harness, model, policies
@@ -223,8 +227,14 @@ def test_simulate_non_json_solution_is_input_error(tmp_path):
                                    "element_weights": [1.0, 1.0]}), "objective.covers"),
     (lambda d: d.update(objective={"family": "nested_coverage", "covers": [5, 5],
                                    "element_weights": [1.0, 1.0]}), "objective.covers[0]"),
+    (lambda d: d.update(objective={"family": "nested_coverage",
+                                   "covers": [[[{}], [0, 1]], [[0], [0, 1]]],
+                                   "element_weights": [1.0, 1.0]}), "objective.covers[0][0]"),
+    (lambda d: d.update(objective={"family": "nested_coverage",
+                                   "covers": [[[0], [0, 1]], [[0], [0, [1]]]],
+                                   "element_weights": [1.0, 1.0]}), "objective.covers[1][1]"),
 ], ids=["budget-text", "probs-number", "probs-text-entry", "costs-ragged", "weights-nan",
-        "covers-number", "covers-numbers"])
+        "covers-number", "covers-numbers", "covers-dict", "covers-list"])
 def test_simulate_malformed_instance_numbers_are_input_errors(tmp_path, edit, path):
     payload = harness.generate_instance(2, 2, 1.0, seed=23)
     edit(payload)
@@ -233,6 +243,74 @@ def test_simulate_malformed_instance_numbers_are_input_errors(tmp_path, edit, pa
     assert done.returncode == cli.EXIT_INVALID
     assert "Traceback" not in done.stderr
     assert path in done.stderr
+
+
+def test_overflowing_statistics_are_an_input_error(tmp_path, capsys):
+    # finite inputs, but the variance of the run values overflows to inf
+    payload = harness.generate_instance(2, 2, 1.0, "nested_coverage", seed=1)
+    payload["objective"]["element_weights"][2] = 1e308
+    out = tmp_path / "sim.json"
+    code = cli.main(["simulate", "--instance", str(write_payload(tmp_path, payload)),
+                     "--seed", "1", "--runs", "100", "--out", str(out)])
+    assert code == cli.EXIT_INVALID
+    assert "report: a value overflowed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+DELETE = object()
+JUNK = (DELETE, None, {}, [], [[1]], 1e308, -1.0, 0, "x")
+
+
+def _json_paths(node, path=()):
+    """Every path into a JSON document, the root's first, in document order."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _json_paths(child, (*path, key))
+
+
+def _mutate(doc, path, junk):
+    """``doc`` with the value at ``path`` replaced by ``junk``, or deleted for DELETE."""
+    if not path:
+        return {} if junk is DELETE else junk
+    *head, last = path
+    parent = functools.reduce(operator.getitem, head, doc)
+    if junk is DELETE:
+        del parent[last]
+    else:
+        parent[last] = junk
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(model.FAMILIES), items=st.integers(1, 3),
+       states=st.integers(1, 2), seed=st.integers(0, 30),
+       target=st.sampled_from(["instance", "solution"]),
+       where=st.integers(0, 10_000), junk=st.sampled_from(JUNK))
+# ``where`` indexes the document's paths; an example may name the path itself
+@example(family="nested_coverage", items=2, states=2, seed=1, target="instance",
+         where=("objective", "covers", 0, 0, 0), junk={})
+@example(family="nested_coverage", items=2, states=2, seed=1, target="instance",
+         where=("objective", "covers", 0, 0, 0), junk=[[1]])
+@example(family="nested_coverage", items=2, states=2, seed=1, target="instance",
+         where=("objective", "element_weights", 2), junk=1e308)
+def test_mutated_instance_or_solution_never_escapes_the_exit_codes(
+        tmp_path_factory, family, items, states, seed, target, where, junk):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    instance = harness.generate_instance(items, states, 1.0, family, seed)
+    inst_path = write_payload(tmp, instance)
+    args = ["simulate", "--instance", str(inst_path), "--seed", "1", "--runs", "20",
+            "--rounds", "2"]
+    if target == "solution":
+        cfg = harness.ExperimentConfig(instance=str(inst_path), seed=1, rounds=2)
+        doc = json.loads(harness.write_report(harness.run_optimize(cfg), None))
+        args += ["--solution", str(tmp / "solution.json")]
+    else:
+        doc = instance
+    paths = list(_json_paths(doc))
+    doc = _mutate(doc, where if isinstance(where, tuple) else paths[where % len(paths)], junk)
+    write_payload(tmp, doc, "solution.json" if target == "solution" else "inst.json")
+    assert cli.main(args) in (cli.EXIT_OK, cli.EXIT_INVALID, cli.EXIT_CAPACITY)
 
 
 @pytest.mark.parametrize("flag", ["--instance", "--out", "--records"])
@@ -407,6 +485,14 @@ def test_order_flag_parsing(tmp_path):
         cli.main(["simulate", "--instance", str(path), "--seed", "2", "--order", "sideways"])
 
 
+@pytest.mark.parametrize("order", [5, [[1]], ["a"]])
+def test_order_that_is_not_a_list_of_indices_is_a_validation_error(order):
+    with pytest.raises(ValidationError) as err:
+        harness.ExperimentConfig(instance="inst.json", seed=1, order=order)
+    assert err.value.path == "order"
+    assert harness.ExperimentConfig(instance="inst.json", seed=1, order=[2, 0, 1]).order == (2, 0, 1)
+
+
 def test_seed_is_mandatory(tmp_path):
     path = write_payload(tmp_path, harness.generate_instance(2, 1, 1.0, seed=17))
     with pytest.raises(SystemExit):
@@ -492,3 +578,45 @@ def test_out_may_overwrite_the_solution_it_reads(tmp_path):
                      "--solution", str(opt), "--out", str(opt)]) == 0
     report = json.loads(opt.read_text())
     assert report["command"] == "simulate" and report["solution"]["y"] == y
+
+
+def _worst_inclusion_gap_by_loop(device_sim, inst, y, runs) -> dict:
+    """The pair-by-pair scan the array form replaced: first pair of least slack wins."""
+    worst = {"pair": None, "gap": 0.0, "allowance": 0.0, "frequency": 0.0, "target": 0.0}
+    best_slack = math.inf
+    for i in range(inst.item_count):
+        for s in range(1, inst.state_count + 1):
+            if inst.cost[i, s - 1] > inst.budget / 2:
+                continue
+            target = float(y[i, s - 1]) / 4.0
+            freq = device_sim.pair_inclusion_frequency(i, s)
+            allowance = harness.SIGMA * math.sqrt(max(target * (1 - target), 0.0) / runs)
+            gap = abs(freq - target)
+            slack = allowance - gap
+            if slack < best_slack:
+                best_slack = slack
+                worst = {"pair": [i, s], "gap": gap, "allowance": allowance,
+                         "frequency": freq, "target": target}
+    return worst
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), items=st.integers(1, 4), states=st.integers(1, 3),
+       runs=st.integers(1, 12))
+def test_worst_inclusion_gap_matches_the_pair_loop(data, items, states, runs):
+    shape = (items, states)
+    # mostly a few distinct values, so ties in slack are common
+    y = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                                    min_size=items * states, max_size=items * states)),
+                 dtype=float).reshape(shape)
+    cost = np.array(data.draw(st.lists(st.sampled_from([0.1, 0.5, 0.7]),
+                                       min_size=items * states, max_size=items * states)),
+                    dtype=float).reshape(shape)
+    counts = np.array(data.draw(st.lists(st.integers(0, runs), min_size=items * (states + 1),
+                                         max_size=items * (states + 1))),
+                      dtype=np.int64).reshape(items, states + 1)
+    inst = SimpleNamespace(item_count=items, state_count=states, cost=cost, budget=1.0)
+    none = np.zeros(runs)
+    sim = policies.PolicySimulation("small", runs, none, none, none, counts, None, True, 1.0)
+    got = harness._worst_inclusion_gap(sim, inst, y, runs)
+    assert got == _worst_inclusion_gap_by_loop(sim, inst, y, runs)

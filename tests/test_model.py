@@ -398,6 +398,14 @@ def test_unknown_family_rejected():
         model.make_objective("mystery", {})
 
 
+@pytest.mark.parametrize("family", [["x"], {"name": "x"}, None, 3])
+def test_non_string_family_is_a_validation_error(family):
+    # a family that is not a name must not reach the family table as a key
+    with pytest.raises(ValidationError) as err:
+        model.make_objective(family, {})
+    assert err.value.path == "objective.family"
+
+
 def test_curve_validation():
     with pytest.raises(ValidationError):
         model.ConcaveCurve("cap", cap=-1.0)
