@@ -17,6 +17,8 @@ import argparse
 import sys
 from dataclasses import fields
 
+import numpy as np
+
 from .errors import CapacityError, StocanError
 from .harness import ExperimentConfig, run_gen, run_optimize, run_simulate, run_verify, write_report
 from .model import FAMILIES
@@ -95,6 +97,13 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a float overflow becomes inf, which validation or the report writer rejects
+    # by name; numpy's warning would add lines to the one-line error on stderr
+    with np.errstate(over="ignore"):
+        return _run(args)
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         if args.command == "gen":
             run_gen(args.items, args.states, args.cost_scale, args.family,

@@ -299,8 +299,8 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
     y, block = _solve(cfg, inst, objective, _given_solution(cfg, payload, inst))
 
     sims = policies.simulate_policies(inst, objective, y, cfg.runs,
-                                      [(kind, False) for kind in policies.KINDS],
-                                      order=cfg.order, seed=cfg.seed, records=bool(cfg.records))
+                                      [(kind, False, cfg.order) for kind in policies.KINDS],
+                                      seed=cfg.seed, records=bool(cfg.records))
     if cfg.records:
         policies.write_records(cfg.records, itertools.chain.from_iterable(s.records for s in sims))
 
@@ -383,11 +383,15 @@ def run_verify(cfg: ExperimentConfig) -> dict:
                              FRACTIONAL_TOL) if H
                       else _skip("fractional_vs_adaptive_oracle", EXACT_SKIP))
 
-    # one draw plan feeds the three policies and the unbudgeted analysis device
-    small, large, stocan_sim, device = policies.simulate_policies(
+    # one draw plan feeds the three policies, the unbudgeted analysis device
+    # and, with the oracle, the stocan campaign of each random arrival order
+    perms = ([substream(cfg.seed, ORDERS, 1000 + k).permutation(inst.item_count)
+              for k in range(cfg.order_checks)] if opt is not None else [])
+    small, large, stocan_sim, device, *by_order = policies.simulate_policies(
         inst, objective, y, cfg.runs,
-        [("small", False), ("large", False), ("stocan", False), ("small", True)],
-        order=cfg.order, seed=cfg.seed)
+        [("small", False, cfg.order), ("large", False, cfg.order), ("stocan", False, cfg.order),
+         ("small", True, cfg.order)] + [("stocan", False, perm) for perm in perms],
+        seed=cfg.seed)
     sims = {"small": small, "large": large, "stocan": stocan_sim}
     violations = sum(s.budget_violations for s in sims.values())
     large_sizes = [_max_large_selection(large), _max_large_selection(stocan_sim)]
@@ -426,10 +430,7 @@ def run_verify(cfg: ExperimentConfig) -> dict:
 
     order_rows = []
     if opt is not None:
-        for k in range(cfg.order_checks):
-            perm = substream(cfg.seed, ORDERS, 1000 + k).permutation(inst.item_count)
-            sim_k = policies.simulate_policy("stocan", inst, objective, y, cfg.runs,
-                                             order=perm, seed=cfg.seed)
+        for perm, sim_k in zip(perms, by_order):
             violations += sim_k.budget_violations
             large_sizes.append(_max_large_selection(sim_k))
             bound = GUARANTEE_RATIO * opt - SIGMA * sim_k.stderr
@@ -474,8 +475,8 @@ def run_verify(cfg: ExperimentConfig) -> dict:
 
 def _max_large_selection(sim) -> int:
     """Most pairs selected by one large-policy run of ``sim`` (for stocan, of its large branch)."""
-    sizes = sim.selection_sizes
-    return int((sizes if sim.branch_small is None else sizes[~sim.branch_small]).max(initial=0))
+    return int(sim.largest_selection.max() if sim.branch_small is None
+               else sim.largest_selection[0])
 
 
 def _worst_inclusion_gap(device_sim, inst, y, runs) -> dict:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -135,26 +135,38 @@ def _check_kind(kind: str) -> None:
         raise ValidationError("kind", f"unknown policy kind {kind!r}")
 
 
-def _draw_plan(inst: Instance, runs: int, order, seed: int):
+def _normal_order(order, item_count: int):
+    """An arrival-order spec as ``"random"`` or the tuple of its permutation."""
+    if isinstance(order, str) and order == "random":
+        return order
+    return tuple(resolve_order(order, item_count).tolist())
+
+
+def _draw_plan(inst: Instance, runs: int, random_order: bool, seed: int):
     """Yield the ``(phi, coins, branch_small, orders)`` blocks of runs ``0..runs-1``.
 
     A block holds at most ``CHUNK_RUNS`` rows. Each named substream is
     opened once and read block after block, so a block's row ``r`` is row
     ``start + r`` of one ``(runs, I)`` draw and no result depends on
     ``CHUNK_RUNS``. Run ``r`` owns its realized states, its accept coins
-    (one per arrival position), its branch coin and, for
-    ``order="random"``, its arrival order.
+    (one per arrival position), its branch coin and, with
+    ``random_order``, its arrival order; without it ``orders`` is None and
+    the ``ORDERS`` stream is not read.
     """
     I = inst.item_count
-    random_order = isinstance(order, str) and order == "random"
-    fixed = None if random_order else resolve_order(order, I)
     states, coins, branch = (substream(seed, s) for s in (STATES, COINS, BRANCH))
     orders = substream(seed, ORDERS) if random_order else None
     for start in range(0, runs, CHUNK_RUNS):
         n = min(CHUNK_RUNS, runs - start)
         yield (sample_states(inst, states, n), coins.random((n, I)), branch.random(n) < 0.5,
-               np.argsort(orders.random((n, I)), axis=1) if random_order
-               else np.broadcast_to(fixed, (n, I)))
+               np.argsort(orders.random((n, I)), axis=1) if random_order else None)
+
+
+def _arrivals(block, order):
+    """``block`` as a variant of normalized ``order`` sees it: with its ``(n, I)`` arrival orders."""
+    phi, coins, branch_small, random_orders = block
+    return (phi, coins, branch_small,
+            random_orders if order == "random" else np.broadcast_to(np.array(order), phi.shape))
 
 
 def _kernel(inst, objective, probs, block, keep_small, ignore_budget) -> _Rows:
@@ -246,8 +258,9 @@ def run_policy(kind: str, inst: Instance, objective: LatticeObjective, y: np.nda
     if phi.shape != (inst.item_count,) or np.any(phi < 1) or np.any(phi > inst.state_count):
         raise ValidationError("phi", "expected one realized state in 1..S per item")
     probs = acceptance_probabilities(inst, y)
-    _, coins, branch_small, orders = next(_draw_plan(inst, 1, order, seed))
-    block = (phi[None, :], coins, branch_small, orders)
+    order = _normal_order(order, inst.item_count)
+    _, coins, branch_small, random_orders = next(_draw_plan(inst, 1, order == "random", seed))
+    block = _arrivals((phi[None, :], coins, branch_small, random_orders), order)
     keep_small = branch_small if kind == "stocan" else kind == "small"
     return _records(kind, ignore_budget, block,
                     _kernel(inst, objective, probs, block, keep_small, ignore_budget))[0]
@@ -257,22 +270,25 @@ def run_policy(kind: str, inst: Instance, objective: LatticeObjective, y: np.nda
 class PolicySimulation:
     """Aggregate of a seeded simulation campaign.
 
-    Holds one entry per run (value, spend, selection size and, for the
-    combined policy, the coin outcome ``branch_small``) and per-pair
-    inclusion counts: ``pair_counts[i, s]`` runs selected item ``i`` at
-    state ``s``. Per-run states and actions are kept only as
-    ``records``, and only when the campaign was asked for them.
+    Holds one value per run and, for the combined policy, the coin
+    outcome ``branch_small`` of every run. The rest is reduced per block
+    to exact integers: per-pair inclusion counts (``pair_counts[i, s]``
+    runs selected item ``i`` at state ``s``), the runs whose spend is not
+    within the budget, and the most pairs one run selected, by branch
+    coin (``largest_selection[0]`` over the runs whose coin chose large,
+    ``[1]`` over those whose coin chose small). Per-run states and
+    actions are kept only as ``records``, and only when the campaign was
+    asked for them.
     """
 
     kind: str
     runs: int
     values: np.ndarray
-    total_costs: np.ndarray
-    selection_sizes: np.ndarray
     pair_counts: np.ndarray
     branch_small: np.ndarray | None
     ignore_budget: bool
-    budget: float
+    budget_violations: int = 0
+    largest_selection: np.ndarray = field(default_factory=lambda: np.zeros(2, dtype=np.int64))
     records: list | None = None
 
     @property
@@ -289,68 +305,80 @@ class PolicySimulation:
     def is_single_run(self) -> bool:
         return self.runs == 1
 
-    @property
-    def budget_violations(self) -> int:
-        # exact comparison on the accumulated spend; no tolerance, and NaN counts
-        return int(np.count_nonzero(~(self.total_costs <= self.budget)))
-
     def pair_inclusion_frequency(self, item: int, state: int) -> float:
         return float(self.pair_counts[item, state] / self.runs)
 
 
+def _fold(sim: PolicySimulation, start: int, block, rows: _Rows, budget: float) -> None:
+    """Write one block's rows into the campaign ``sim``."""
+    branch_small = block[2]
+    sim.values[start:start + len(rows.values)] = rows.values
+    sim.pair_counts += rows.counts.sum(axis=1)
+    # exact comparison on the accumulated spend; no tolerance, and NaN counts
+    sim.budget_violations += int(np.count_nonzero(~(rows.spent <= budget)))
+    sim.largest_selection = np.maximum(sim.largest_selection, [
+        rows.sizes[~branch_small].max(initial=0), rows.sizes[branch_small].max(initial=0)])
+    if sim.records is not None:
+        sim.records += _records(sim.kind, sim.ignore_budget, block, rows)
+
+
 def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray, runs: int,
-                      variants, order="identity", seed: int = 0, *,
+                      variants, seed: int = 0, *,
                       records: bool = False) -> list[PolicySimulation]:
-    """Run ``(kind, ignore_budget)`` variants on one draw plan; one campaign each.
+    """Run ``(kind, ignore_budget, order)`` variants on one draw plan; one campaign each.
 
     Every variant sees the same runs: the same realized states, accept
-    coins, branch coins and arrival orders, drawn once in blocks of at
-    most ``CHUNK_RUNS`` rows. When the small and the large policy of the
-    same budget mode are both asked for, the combined policy takes each
-    run from the branch its coin chose instead of a kernel pass of its
-    own. Per-run vectors are kept whole, so ``mean`` and ``stderr`` sum
-    the same vector in the same order at any chunk size; pair counts
-    are summed per block as integers. Memory is one block's arrays plus
-    24 bytes per run per variant.
+    coins and branch coins, drawn once in blocks of at most
+    ``CHUNK_RUNS`` rows, and every ``"random"`` variant the same per-run
+    arrival orders. A fixed order is normalized to the tuple of its
+    permutation (``"identity"`` is ``(0, ..., I-1)``), and variants equal
+    after that run once: the result holds one campaign per requested
+    variant, in request order, and equal variants share theirs. When the
+    small and the large policy of the same budget mode and order are
+    both asked for, the combined policy takes each run from the branch
+    its coin chose instead of a kernel pass of its own. Values are kept
+    whole, so ``mean`` and ``stderr`` sum the same vector in the same
+    order at any chunk size; pair counts, budget violations and largest
+    selections are reduced per block as integers. Memory is one block's
+    arrays plus 8 bytes per run per campaign.
     """
     if runs < 1:
         raise ValidationError("runs", "must be at least 1")
-    variants = list(dict.fromkeys((kind, bool(ignore)) for kind, ignore in variants))
+    variants = list(variants)
     if not variants:
-        raise ValidationError("variants", "expected at least one (kind, ignore_budget) pair")
-    for kind, _ in variants:
+        raise ValidationError("variants", "expected at least one (kind, ignore_budget, order)")
+    for kind, _, _ in variants:
         _check_kind(kind)
     probs = acceptance_probabilities(inst, y)
     I, S = inst.item_count, inst.state_count
+    requested = [(kind, bool(ignore), _normal_order(order, I)) for kind, ignore, order in variants]
     branch_small = np.empty(runs, dtype=bool)
-    sims = [PolicySimulation(kind, runs, np.empty(runs), np.empty(runs),
-                             np.empty(runs, dtype=np.int64), np.zeros((I, S + 1), dtype=np.int64),
-                             branch_small if kind == "stocan" else None, ignore, inst.budget,
-                             [] if records else None)
-            for kind, ignore in variants]
+    sims = {v: PolicySimulation(v[0], runs, np.empty(runs), np.zeros((I, S + 1), dtype=np.int64),
+                                branch_small if v[0] == "stocan" else None, v[1],
+                                records=[] if records else None)
+            for v in requested}
+    # stocan goes last, so it can be read off small and large of its budget mode and order
+    passes = sorted(sims, key=lambda v: v[0] == "stocan")
+    read_off = {(ignore, order) for kind, ignore, order in passes if kind == "stocan"
+                and ("small", ignore, order) in sims and ("large", ignore, order) in sims}
     start = 0
-    for block in _draw_plan(inst, runs, order, seed):
-        stop = start + len(block[2])
-        branch_small[start:stop] = block[2]
-        done = {}  # stocan goes last, so it can be read off small and large
-        for kind, ignore in sorted(variants, key=lambda v: v[0] == "stocan"):
-            if kind == "stocan" and ("small", ignore) in done and ("large", ignore) in done:
-                rows = _select(block[2], done["small", ignore], done["large", ignore])
+    for block in _draw_plan(inst, runs, any(v[2] == "random" for v in passes), seed):
+        branch_small[start:start + len(block[2])] = block[2]
+        done = {}  # this block's small and large rows, until stocan is read off them
+        for kind, ignore, order in passes:
+            view = _arrivals(block, order)
+            if kind == "stocan" and (ignore, order) in read_off:
+                rows = _select(block[2], done.pop(("small", ignore, order)),
+                               done.pop(("large", ignore, order)))
             else:
                 keep_small = block[2] if kind == "stocan" else kind == "small"
-                rows = _kernel(inst, objective, probs, block, keep_small, ignore)
-            done[kind, ignore] = rows
-        for sim in sims:
-            rows = done[sim.kind, sim.ignore_budget]
-            sim.values[start:stop] = rows.values
-            sim.total_costs[start:stop] = rows.spent
-            sim.selection_sizes[start:stop] = rows.sizes
-            sim.pair_counts += rows.counts.sum(axis=1)
-            if records:
-                sim.records += _records(sim.kind, sim.ignore_budget, block, rows)
-        start = stop
-        del block, done, rows  # free this block's arrays before the plan draws the next
-    return sims
+                rows = _kernel(inst, objective, probs, view, keep_small, ignore)
+                if (ignore, order) in read_off:
+                    done[kind, ignore, order] = rows
+            _fold(sims[kind, ignore, order], start, view, rows, inst.budget)
+        start += len(block[2])
+        del block, view, rows  # free this block's arrays before the plan draws the next
+    return [sims[v] for v in requested]
 
 
 def simulate_policy(kind: str, inst: Instance, objective: LatticeObjective, y: np.ndarray,
@@ -362,7 +390,7 @@ def simulate_policy(kind: str, inst: Instance, objective: LatticeObjective, y: n
     on ``kind``, so campaigns with the same seed are paired across
     policies.
     """
-    sim, = simulate_policies(inst, objective, y, runs, [(kind, ignore_budget)], order, seed)
+    sim, = simulate_policies(inst, objective, y, runs, [(kind, ignore_budget, order)], seed)
     return sim
 
 
@@ -441,5 +469,5 @@ def scalar_runs(kind: str, inst: Instance, objective: LatticeObjective, y: np.nd
     ``r``'s value in the campaign statistics, and it depends only on
     ``(seed, r, order, kind)``: the same for every ``runs > r``.
     """
-    sim, = simulate_policies(inst, objective, y, runs, [(kind, False)], order, seed, records=True)
+    sim, = simulate_policies(inst, objective, y, runs, [(kind, False, order)], seed, records=True)
     return sim.records

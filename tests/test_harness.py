@@ -245,16 +245,19 @@ def test_simulate_malformed_instance_numbers_are_input_errors(tmp_path, edit, pa
     assert path in done.stderr
 
 
-def test_overflowing_statistics_are_an_input_error(tmp_path, capsys):
+def test_overflowing_statistics_are_an_input_error(tmp_path):
     # finite inputs, but the variance of the run values overflows to inf
     payload = harness.generate_instance(2, 2, 1.0, "nested_coverage", seed=1)
     payload["objective"]["element_weights"][2] = 1e308
-    out = tmp_path / "sim.json"
-    code = cli.main(["simulate", "--instance", str(write_payload(tmp_path, payload)),
-                     "--seed", "1", "--runs", "100", "--out", str(out)])
-    assert code == cli.EXIT_INVALID
-    assert "report: a value overflowed" in capsys.readouterr().err
-    assert not out.exists()
+    path = write_payload(tmp_path, payload)
+    for command in ("simulate", "verify"):
+        out = tmp_path / f"{command}.json"
+        done = run_cli(command, "--instance", path, "--seed", 1, "--runs", 100, "--out", out)
+        assert done.returncode == cli.EXIT_INVALID
+        # exactly the one error line: no numpy warning before it
+        assert done.stderr == ("error: report: a value overflowed the float range; "
+                               "rescale the instance's numbers\n")
+        assert not out.exists()
 
 
 DELETE = object()
@@ -282,6 +285,7 @@ def _mutate(doc, path, junk):
     return doc
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(family=st.sampled_from(model.FAMILIES), items=st.integers(1, 3),
        states=st.integers(1, 2), seed=st.integers(0, 30),
@@ -311,6 +315,10 @@ def test_mutated_instance_or_solution_never_escapes_the_exit_codes(
     doc = _mutate(doc, where if isinstance(where, tuple) else paths[where % len(paths)], junk)
     write_payload(tmp, doc, "solution.json" if target == "solution" else "inst.json")
     assert cli.main(args) in (cli.EXIT_OK, cli.EXIT_INVALID, cli.EXIT_CAPACITY)
+    if target == "instance":  # the oracle and the order checks see the junk too
+        assert cli.main(["verify", "--instance", str(inst_path), "--seed", "1", "--runs", "20",
+                         "--rounds", "2", "--order-checks", "2"]) in (
+            cli.EXIT_OK, cli.EXIT_CHECK_FAILED, cli.EXIT_INVALID, cli.EXIT_CAPACITY)
 
 
 @pytest.mark.parametrize("flag", ["--instance", "--out", "--records"])
@@ -616,7 +624,6 @@ def test_worst_inclusion_gap_matches_the_pair_loop(data, items, states, runs):
                                          max_size=items * (states + 1))),
                       dtype=np.int64).reshape(items, states + 1)
     inst = SimpleNamespace(item_count=items, state_count=states, cost=cost, budget=1.0)
-    none = np.zeros(runs)
-    sim = policies.PolicySimulation("small", runs, none, none, none, counts, None, True, 1.0)
+    sim = policies.PolicySimulation("small", runs, np.zeros(runs), counts, None, True)
     got = harness._worst_inclusion_gap(sim, inst, y, runs)
     assert got == _worst_inclusion_gap_by_loop(sim, inst, y, runs)

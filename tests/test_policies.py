@@ -15,6 +15,18 @@ def greedy_y(inst, f, rounds=150):
     return optimizer.continuous_greedy(inst, f, optimizer.GreedyConfig(rounds=rounds))
 
 
+def plan_spent(kind, inst, f, y, runs, order="identity", seed=0):
+    """The kernel's spend per run of the campaign ``simulate_policy`` runs, block after block."""
+    probs = policies.acceptance_probabilities(inst, y)
+    order = policies._normal_order(order, inst.item_count)
+    spent = []
+    for block in policies._draw_plan(inst, runs, order == "random", seed):
+        view = policies._arrivals(block, order)
+        keep_small = view[2] if kind == "stocan" else kind == "small"
+        spent.append(policies._kernel(inst, f, probs, view, keep_small, False).spent)
+    return np.concatenate(spent)
+
+
 # ---------------------------------------------------------------------------
 # preconditions and orders
 
@@ -97,7 +109,7 @@ def test_large_policy_discards_everything_when_all_small():
     y = inst.prob * 0.9
     sim = policies.simulate_policy("large", inst, f, y, 2000, seed=5)
     assert np.all(sim.values == f.value([0, 0]))
-    assert np.all(sim.selection_sizes == 0)
+    assert sim.largest_selection.tolist() == [0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +242,7 @@ def test_hard_feasibility_and_exact_cost_recomputation():
     for kind in policies.KINDS:
         sim = policies.simulate_policy(kind, inst, f, y, 20_000, seed=45)
         assert sim.budget_violations == 0
-        assert np.all(sim.total_costs <= inst.budget)
+        assert np.all(plan_spent(kind, inst, f, y, 20_000, seed=45) <= inst.budget)
     records = policies.scalar_runs("stocan", inst, f, y, 200, seed=46)
     for rec in records:
         assert rec.total_cost <= inst.budget
@@ -332,7 +344,8 @@ def test_run_policy_is_run_zero_of_a_one_run_campaign():
             record, = policies.scalar_runs(kind, inst, f, y, 1, order=order, seed=seed)
             sim = policies.simulate_policy(kind, inst, f, y, 1, order=order, seed=seed)
             assert single == record, (kind, order, seed)
-            assert (single.value, single.total_cost) == (sim.values[0], sim.total_costs[0])
+            spent, = plan_spent(kind, inst, f, y, 1, order, seed)
+            assert (single.value, single.total_cost) == (sim.values[0], spent)
             if kind == "stocan":
                 assert (single.branch == "small") == sim.branch_small[0]
 
@@ -353,7 +366,8 @@ def test_records_are_rows_of_the_campaign(family):
             assert rec.value == f.value(u)
             assert rec.total_cost == spent
         assert np.array_equal([r.value for r in records], sim.values)
-        assert np.array_equal([r.total_cost for r in records], sim.total_costs)
+        assert np.array_equal([r.total_cost for r in records],
+                              plan_spent(kind, inst, f, y, 300, "random", 51))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +379,8 @@ def test_stocan_selection_is_the_branch_kernel_bit_for_bit(order):
     inst, f = generated(139, 5, 2, "nested_coverage")
     y = greedy_y(inst, f)
     probs = policies.acceptance_probabilities(inst, y)
-    block = next(policies._draw_plan(inst, 3000, order, 52))
+    block = policies._arrivals(next(policies._draw_plan(inst, 3000, order == "random", 52)),
+                               policies._normal_order(order, inst.item_count))
     branch = block[2]
     small, large, combined = (policies._kernel(inst, f, probs, block, keep, False)
                               for keep in (True, False, branch))
@@ -375,17 +390,64 @@ def test_stocan_selection_is_the_branch_kernel_bit_for_bit(order):
         assert a.dtype == b.dtype and a.tobytes() == np.ascontiguousarray(b).tobytes(), field
 
     # through the public views: stocan beside small and large, and stocan alone
-    by_plan = policies.simulate_policies(inst, f, y, 3000, [(k, False) for k in policies.KINDS],
-                                         order, seed=52, records=True)[2]
+    by_plan = policies.simulate_policies(inst, f, y, 3000,
+                                         [(k, False, order) for k in policies.KINDS],
+                                         seed=52, records=True)[2]
     alone = policies.simulate_policy("stocan", inst, f, y, 3000, order=order, seed=52)
-    for field in ("values", "total_costs", "selection_sizes", "pair_counts", "branch_small"):
+    for field in ("values", "pair_counts", "branch_small", "largest_selection"):
         assert getattr(by_plan, field).tobytes() == getattr(alone, field).tobytes(), field
+    assert by_plan.budget_violations == alone.budget_violations == 0
     assert by_plan.records == policies.scalar_runs("stocan", inst, f, y, 3000, order, seed=52)
 
 
 def test_nan_spend_counts_as_a_budget_violation():
     sim = policies.PolicySimulation(
-        kind="small", runs=2, values=np.zeros(2), total_costs=np.array([0.5, math.nan]),
-        selection_sizes=np.zeros(2, dtype=np.int64), pair_counts=np.zeros((1, 2), dtype=np.int64),
-        branch_small=None, ignore_budget=True, budget=1.0)
+        kind="small", runs=2, values=np.zeros(2), pair_counts=np.zeros((1, 2), dtype=np.int64),
+        branch_small=None, ignore_budget=True)
+    rows = policies._Rows(actions=np.zeros((2, 1), dtype=np.int8), spent=np.array([0.5, math.nan]),
+                          sizes=np.zeros(2, dtype=np.int64), values=np.zeros(2),
+                          counts=np.zeros((1, 2, 2), dtype=np.int64))
+    policies._fold(sim, 0, (None, None, np.array([True, False]), None), rows, budget=1.0)
     assert sim.budget_violations == 1
+
+
+def test_one_campaign_per_requested_variant_in_request_order(monkeypatch):
+    inst, f = generated(140, 3, 2, "nested_coverage")
+    y = greedy_y(inst, f)
+    variants = [("stocan", False, "identity"), ("small", True, [2, 0, 1]),
+                ("stocan", False, (0, 1, 2)), ("large", False, "random"),
+                ("stocan", False, "identity")]
+    passes = []
+    kernel = policies._kernel
+    monkeypatch.setattr(policies, "_kernel", lambda *a: passes.append(a) or kernel(*a))
+    sims = policies.simulate_policies(inst, f, y, 500, variants, seed=53)
+    assert len(passes) == 3  # the three equal stocan variants run once
+    assert [(s.kind, s.ignore_budget) for s in sims] == [v[:2] for v in variants]
+    assert sims[0] is sims[2] is sims[4]
+    monkeypatch.undo()
+    for sim, (kind, ignore, order) in zip(sims, variants):
+        alone = policies.simulate_policy(kind, inst, f, y, 500, order, 53, ignore_budget=ignore)
+        assert sim.values.tobytes() == alone.values.tobytes(), (kind, ignore, order)
+
+
+@pytest.mark.parametrize("main", ["identity", "random"])
+@pytest.mark.parametrize("chunk", [1, 7, 45])
+def test_order_variants_equal_lone_campaigns_bit_for_bit(monkeypatch, chunk, main):
+    inst, f = generated(141, 3, 2, "nested_coverage")
+    y = greedy_y(inst, f)
+    runs = 100  # a multiple of neither 7 nor 45
+    variants = [("small", False, main), ("large", False, main), ("stocan", False, main),
+                ("small", True, main)]
+    variants += [("stocan", False, perm) for perm in itertools.permutations(range(3))]
+    alone = [policies.simulate_policy(kind, inst, f, y, runs, order, 54, ignore_budget=ignore)
+             for kind, ignore, order in variants]
+    monkeypatch.setattr(policies, "CHUNK_RUNS", chunk)
+    folded = policies.simulate_policies(inst, f, y, runs, variants, seed=54)
+    assert len(folded) == len(variants)
+    for a, b, variant in zip(folded, alone, variants):
+        for field in ("values", "pair_counts", "largest_selection"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), (variant, field)
+        assert a.budget_violations == b.budget_violations, variant
+        assert (a.branch_small is None) == (b.branch_small is None), variant
+        if a.branch_small is not None:
+            assert np.array_equal(a.branch_small, b.branch_small), variant
