@@ -97,9 +97,10 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # a float overflow becomes inf, which validation or the report writer rejects
-    # by name; numpy's warning would add lines to the one-line error on stderr
-    with np.errstate(over="ignore"):
+    # a float overflow becomes inf, and inf * 0 or inf - inf becomes NaN, which
+    # validation or the report writer rejects by name; numpy's warning would add
+    # lines to the one-line error on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
         return _run(args)
 
 

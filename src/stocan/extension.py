@@ -169,6 +169,10 @@ class FactoredExtension:
     def __init__(self, objective: LatticeObjective):
         self.objective = objective
         self.values = value_table(objective)
+        # finite parameters whose sums overflow; min and max need no table-sized temporary
+        if not (np.isfinite(self.values.min()) and np.isfinite(self.values.max())):
+            raise ValidationError("objective", "a value overflowed the float range; "
+                                               "rescale the instance's numbers")
 
     def H(self, x: np.ndarray) -> float:
         q, _ = _max_state_laws(check_fractional(x, self.objective))
@@ -176,7 +180,10 @@ class FactoredExtension:
 
     def marginals(self, x: np.ndarray) -> np.ndarray:
         """omega[i, s-1] = H(x with pair (i,s) forced in) - H(x)."""
-        x = check_fractional(x, self.objective)
+        return self._marginals(check_fractional(x, self.objective))
+
+    def _marginals(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`marginals` of a float ``x`` known to have the objective's shape and lie in [0, 1]."""
         q, suffix = _max_state_laws(x)
         W = np.empty_like(q)
         _leave_one_out(self.values, q, W, 0)

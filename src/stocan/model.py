@@ -131,9 +131,9 @@ def draw_realization(inst: Instance, seed: int) -> np.ndarray:
 
 
 def sample_states(inst: Instance, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw ``n`` independent state realizations, shape ``(n, I)``."""
+    """Draw ``n`` independent state realizations, shape ``(n, I)``, one item per column."""
     u = rng.random((n, inst.item_count))
-    out = np.empty((n, inst.item_count), dtype=np.int64)
+    out = np.empty((n, inst.item_count), dtype=np.int64, order="F")
     for i in range(inst.item_count):
         cum = np.cumsum(inst.prob[i])
         out[:, i] = np.searchsorted(cum, u[:, i], side="right")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .extension import FactoredExtension, sampled_marginals
+from .extension import FactoredExtension, check_fractional, sampled_marginals
 from .model import Instance, LatticeObjective, PROB_TOL
 from .rng import OPTIMIZER, substream
 
@@ -59,22 +59,23 @@ def density_greedy(omega: np.ndarray, caps: np.ndarray, costs: np.ndarray,
         raise ValidationError("omega", f"expected shape {caps.shape}, got {omega.shape}")
     if not np.all(np.isfinite(omega)):
         raise ValidationError("omega", "weights must be finite")
-    x = np.zeros_like(caps)
+    x = np.zeros(caps.shape)
     free = (costs == 0) & (omega > 0)
     x[free] = caps[free]
     remaining = float(budget)
-    order = sorted(
-        ((i, s) for (i, s) in np.ndindex(omega.shape) if omega[i, s] > 0 and costs[i, s] > 0),
-        key=lambda p: (-omega[p] / costs[p], p),
-    )
-    for p in order:
+    # profitable positive-cost pairs by flat index, in decreasing omega/cost order;
+    # the stable sort keeps ties in row-major, that is lexicographic, order
+    flat = np.flatnonzero((omega > 0) & (costs > 0))
+    flat = flat[np.argsort(-(omega.ravel()[flat] / costs.ravel()[flat]), kind="stable")]
+    x_flat, cap_of, cost_of = x.reshape(-1), caps.ravel().tolist(), costs.ravel().tolist()
+    for p in flat.tolist():
         if remaining <= 0:
             break
-        take = min(caps[p], remaining / costs[p])
+        take = min(cap_of[p], remaining / cost_of[p])
         if take <= 0:
             continue
-        x[p] = take
-        remaining = max(remaining - take * costs[p], 0.0)
+        x_flat[p] = take
+        remaining = max(remaining - take * cost_of[p], 0.0)
     return x
 
 
@@ -156,9 +157,14 @@ def continuous_greedy(inst: Instance, objective: LatticeObjective,
     if trace and not exact:
         raise ValidationError("trace", "trace requires exact marginals")
     values = [evaluator.H(y)] if trace else None
+    if exact:
+        check_fractional(y, objective)  # the shape, once
+        # y stays in [0, 1] when every cap does, and then the rounds need not re-check it
+        caps_in_box = np.all((inst.prob >= 0) & (inst.prob <= 1))
+        marginals = evaluator._marginals if caps_in_box else evaluator.marginals
     for t in range(config.rounds):
         if exact:
-            omega = evaluator.marginals(y)
+            omega = marginals(y)
         else:
             omega, _ = sampled_marginals(y, objective, config.samples,
                                          substream(config.seed, OPTIMIZER, t))

@@ -20,7 +20,10 @@ overspend) and must never be used in production runs.
 A draw plan yields a campaign's realized states, accept coins, branch
 coins and arrival orders in blocks of at most ``CHUNK_RUNS`` runs, and
 one vectorized kernel executes this rule for every run of a block at
-once, recording an int8 action code per run and arrival position. A
+once, one arrival position (one column of states and coins) at a time,
+recording an int8 action code per run and position. A run's value is
+read from the objective's value table when the command holds it (within
+``ENUM_GUARD``), else from ``value_many`` on the selection matrix. A
 command feeds all its campaigns from one plan
 (:func:`simulate_policies`); since the combined policy's run is the run
 of the branch its coin chose, it is read off the small and large rows
@@ -35,6 +38,7 @@ with the kernel.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -158,44 +162,74 @@ def _draw_plan(inst: Instance, runs: int, random_order: bool, seed: int):
     orders = substream(seed, ORDERS) if random_order else None
     for start in range(0, runs, CHUNK_RUNS):
         n = min(CHUNK_RUNS, runs - start)
-        yield (sample_states(inst, states, n), coins.random((n, I)), branch.random(n) < 0.5,
+        # the kernel reads states and coins one arrival position (column) at a time
+        yield (sample_states(inst, states, n), np.asfortranarray(coins.random((n, I))),
+               branch.random(n) < 0.5,
                np.argsort(orders.random((n, I)), axis=1) if random_order else None)
 
 
 def _arrivals(block, order):
-    """``block`` as a variant of normalized ``order`` sees it: with its ``(n, I)`` arrival orders."""
+    """``block`` as a variant of normalized ``order`` sees it: a fixed order stays its
+    permutation tuple, ``"random"`` takes the block's ``(n, I)`` arrival orders."""
     phi, coins, branch_small, random_orders = block
-    return (phi, coins, branch_small,
-            random_orders if order == "random" else np.broadcast_to(np.array(order), phi.shape))
+    return phi, coins, branch_small, random_orders if order == "random" else order
 
 
-def _kernel(inst, objective, probs, block, keep_small, ignore_budget) -> _Rows:
+def _kernel(inst, objective, probs, block, keep_small, ignore_budget, table=None) -> _Rows:
     """Execute the policy rule on every row of one plan block.
 
     ``keep_small`` is True for the small policy, False for the large one,
     and the block's per-run branch coins for the combined policy. Every
-    decision of every run is made here.
+    decision of every run is made here. The item at arrival position
+    ``t`` is a Python int under a fixed order and an ``(n,)`` array under
+    random orders; every formula below takes either. With ``table``
+    (:func:`~stocan.extension.value_table`), a run's value is read at the
+    mixed-radix rank of its selection and no selection matrix is built.
     """
-    phi, coins, branch_small, orders = block
+    phi, coins, branch_small, order = block
     n, I = phi.shape
-    budget = inst.budget
-    cost_of, prob_of = inst.cost.ravel(), probs.ravel()  # by pair index item * S + state - 1
-    actions = np.empty((n, I), dtype=np.int8)
-    selected = np.zeros((n, I), dtype=np.int64, order="F")  # value_many reads columns
+    S1 = inst.state_count + 1
+    budget, half = inst.budget, inst.budget / 2
+    # by padded pair index item * (S+1) + state, so a realized state indexes its item's row
+    cost_of = np.pad(inst.cost, ((0, 0), (1, 0))).ravel()
+    prob_of = np.pad(probs, ((0, 0), (1, 0))).ravel()
+    radix = S1 ** np.arange(I - 1, -1, -1)  # an item's weight in the rank of a selection
+    fixed = isinstance(order, tuple)
+    rows = slice(None) if fixed else np.arange(n)  # phi[rows, items]: a column, or a gather
+    actions = np.empty((n, I), dtype=np.int8, order="F")
     spent = np.zeros(n)
-    rows = np.arange(n)
+    sizes = np.zeros(n, dtype=np.int64)
+    # flat (I, 2, S+1) pair counts split by the branch coin, so the combined
+    # policy's can be taken half by half
+    counts = np.zeros(I * 2 * S1, dtype=np.int64)
+    branch_key = branch_small * S1
+    if table is None:
+        selected = np.zeros((n, I), dtype=np.int64, order="F")  # value_many reads columns
+    else:
+        rank = np.zeros(n, dtype=np.int64)
     for t in range(I):
-        items = orders[:, t]
+        items = order[t] if fixed else order[:, t]
         states = phi[rows, items]
-        pair = items * inst.state_count + states - 1
+        pair = items * S1 + states
         cost = cost_of.take(pair)
-        discard = (cost <= budget / 2) != keep_small
-        fits = ignore_budget | (spent + cost <= budget)
-        accept = ~discard & fits & (coins[:, t] < prob_of.take(pair))
-        actions[:, t] = np.where(discard, DISCARD,
-                                 np.where(fits, np.where(accept, ACCEPT, REJECT), SKIP))
-        spent += np.where(accept, cost, 0.0)  # adding +0.0 leaves a spend's bits as they are
-        selected[rows, items] = np.where(accept, states, 0)  # a run visits each item once
+        keep = (cost <= half) == keep_small
+        accept = keep & (coins[:, t] < prob_of.take(pair))
+        # action codes DISCARD..ACCEPT are 0..3: kept pairs reject (1), skip (2) or accept (3)
+        if ignore_budget:
+            code = 1 + 2 * accept.view(np.int8)
+        else:
+            fits = spent + cost <= budget
+            accept &= fits
+            code = 2 - fits.view(np.int8) + 2 * accept.view(np.int8)
+        np.multiply(keep.view(np.int8), code, out=actions[:, t])
+        np.add(spent, cost, out=spent, where=accept)
+        sizes += accept
+        chosen = states * accept
+        counts += np.bincount(items * (2 * S1) + branch_key + chosen, minlength=counts.size)
+        if table is None:
+            selected[rows, items] = chosen  # a run visits each item once
+        else:
+            rank += chosen * radix[items]
 
     over = ~(spent <= budget)  # a NaN spend is over budget too
     if not ignore_budget and np.any(over):
@@ -203,12 +237,9 @@ def _kernel(inst, objective, probs, block, keep_small, ignore_budget) -> _Rows:
         raise BudgetViolationError(  # pragma: no cover - structurally unreachable
             {"run": bad, "total_cost": float(spent[bad])}
         )
-    # pair counts split by the branch coin, so the combined policy's can be taken half by half
-    S1 = inst.state_count + 1
-    counts = np.array([np.bincount(col + S1 * branch_small, minlength=2 * S1)
-                       for col in selected.T])
-    return _Rows(actions, spent, np.count_nonzero(selected, axis=1),
-                 np.asarray(objective.value_many(selected), dtype=float), counts.reshape(I, 2, S1))
+    values = (np.asarray(objective.value_many(selected), dtype=float) if table is None
+              else table.take(rank))
+    return _Rows(actions, spent, sizes, values, counts.reshape(I, 2, S1))
 
 
 def _select(branch_small, small: _Rows, large: _Rows) -> _Rows:
@@ -227,6 +258,7 @@ def _select(branch_small, small: _Rows, large: _Rows) -> _Rows:
 def _records(kind, ignore_budget, block, rows: _Rows) -> list:
     """A :class:`RunRecord` per row of one block."""
     phi, _, branch_small, orders = block
+    orders = np.broadcast_to(np.array(orders), phi.shape)  # a fixed order is a tuple
     seen = np.take_along_axis(phi, orders, axis=1)  # states in arrival order
     out = []
     for order, states, codes, spent, value, small in zip(
@@ -278,7 +310,8 @@ class PolicySimulation:
     coin (``largest_selection[0]`` over the runs whose coin chose large,
     ``[1]`` over those whose coin chose small). Per-run states and
     actions are kept only as ``records``, and only when the campaign was
-    asked for them.
+    asked for them. ``mean`` and ``stderr`` are computed on first use,
+    once the campaign is complete.
     """
 
     kind: str
@@ -291,11 +324,11 @@ class PolicySimulation:
     largest_selection: np.ndarray = field(default_factory=lambda: np.zeros(2, dtype=np.int64))
     records: list | None = None
 
-    @property
+    @functools.cached_property
     def mean(self) -> float:
         return float(np.mean(self.values))
 
-    @property
+    @functools.cached_property
     def stderr(self) -> float:
         if self.runs < 2:
             return math.nan
@@ -316,15 +349,18 @@ def _fold(sim: PolicySimulation, start: int, block, rows: _Rows, budget: float) 
     sim.pair_counts += rows.counts.sum(axis=1)
     # exact comparison on the accumulated spend; no tolerance, and NaN counts
     sim.budget_violations += int(np.count_nonzero(~(rows.spent <= budget)))
-    sim.largest_selection = np.maximum(sim.largest_selection, [
-        rows.sizes[~branch_small].max(initial=0), rows.sizes[branch_small].max(initial=0)])
+    # runs by (selection size 0..I, branch coin), then the largest size each coin saw
+    top = rows.actions.shape[1] + 1
+    by_size = np.bincount(rows.sizes * 2 + branch_small, minlength=2 * top).reshape(top, 2)
+    sim.largest_selection = np.maximum(sim.largest_selection,
+                                       [np.flatnonzero(col).max(initial=0) for col in by_size.T])
     if sim.records is not None:
         sim.records += _records(sim.kind, sim.ignore_budget, block, rows)
 
 
 def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray, runs: int,
-                      variants, seed: int = 0, *,
-                      records: bool = False) -> list[PolicySimulation]:
+                      variants, seed: int = 0, *, records: bool = False,
+                      table: np.ndarray | None = None) -> list[PolicySimulation]:
     """Run ``(kind, ignore_budget, order)`` variants on one draw plan; one campaign each.
 
     Every variant sees the same runs: the same realized states, accept
@@ -340,7 +376,9 @@ def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray
     whole, so ``mean`` and ``stderr`` sum the same vector in the same
     order at any chunk size; pair counts, budget violations and largest
     selections are reduced per block as integers. Memory is one block's
-    arrays plus 8 bytes per run per campaign.
+    arrays plus 8 bytes per run per campaign. ``table``, the objective's
+    value table when the caller holds one, gives run values by lookup,
+    with the bits ``value_many`` gives.
     """
     if runs < 1:
         raise ValidationError("runs", "must be at least 1")
@@ -372,7 +410,7 @@ def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray
                                done.pop(("large", ignore, order)))
             else:
                 keep_small = block[2] if kind == "stocan" else kind == "small"
-                rows = _kernel(inst, objective, probs, view, keep_small, ignore)
+                rows = _kernel(inst, objective, probs, view, keep_small, ignore, table)
                 if (ignore, order) in read_off:
                     done[kind, ignore, order] = rows
             _fold(sims[kind, ignore, order], start, view, rows, inst.budget)

@@ -260,8 +260,23 @@ def test_overflowing_statistics_are_an_input_error(tmp_path):
         assert not out.exists()
 
 
+def test_overflowing_objective_values_are_an_input_error(tmp_path):
+    # finite parameters, but w_i * g(1) overflows to inf, and inf * 0 to NaN in H
+    payload = harness.generate_instance(2, 1, 1.0, "separable_concave", seed=0)
+    payload["objective"]["g"][1] = 1e308
+    path = write_payload(tmp_path, payload)
+    for command in ("optimize", "simulate", "verify"):
+        done = run_cli(command, "--instance", path, "--seed", 1, "--runs", 20, "--rounds", 2)
+        assert done.returncode == cli.EXIT_INVALID
+        assert done.stderr == ("error: objective: a value overflowed the float range; "
+                               "rescale the instance's numbers\n")
+
+
 DELETE = object()
 JUNK = (DELETE, None, {}, [], [[1]], 1e308, -1.0, 0, "x")
+# finite numbers aimed at the instance's numbers, which the loader accepts more often
+NUMBERS = (0, -1.0, 1e-300, 0.5, 1e308)
+NUMERIC_KEYS = {"probs", "costs", "budget", "weights", "element_weights", "g", "a", "cap", "scale"}
 
 
 def _json_paths(node, path=()):
@@ -270,6 +285,13 @@ def _json_paths(node, path=()):
     if isinstance(node, (dict, list)):
         for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
             yield from _json_paths(child, (*path, key))
+
+
+def _numeric_paths(doc):
+    """Paths to the numbers of probs, costs, the budget and the objective's weights and curves."""
+    return [path for path in _json_paths(doc)
+            if NUMERIC_KEYS.intersection(path)
+            and isinstance(functools.reduce(operator.getitem, path, doc), (int, float))]
 
 
 def _mutate(doc, path, junk):
@@ -289,17 +311,18 @@ def _mutate(doc, path, junk):
 @settings(max_examples=60, deadline=None)
 @given(family=st.sampled_from(model.FAMILIES), items=st.integers(1, 3),
        states=st.integers(1, 2), seed=st.integers(0, 30),
-       target=st.sampled_from(["instance", "solution"]),
-       where=st.integers(0, 10_000), junk=st.sampled_from(JUNK))
+       target=st.sampled_from(["instance", "number", "solution"]),
+       where=st.integers(0, 10_000), junk=st.sampled_from(JUNK), number=st.sampled_from(NUMBERS))
 # ``where`` indexes the document's paths; an example may name the path itself
 @example(family="nested_coverage", items=2, states=2, seed=1, target="instance",
-         where=("objective", "covers", 0, 0, 0), junk={})
+         where=("objective", "covers", 0, 0, 0), junk={}, number=0)
 @example(family="nested_coverage", items=2, states=2, seed=1, target="instance",
-         where=("objective", "covers", 0, 0, 0), junk=[[1]])
+         where=("objective", "covers", 0, 0, 0), junk=[[1]], number=0)
 @example(family="nested_coverage", items=2, states=2, seed=1, target="instance",
-         where=("objective", "element_weights", 2), junk=1e308)
+         where=("objective", "element_weights", 2), junk=1e308, number=0)
 def test_mutated_instance_or_solution_never_escapes_the_exit_codes(
-        tmp_path_factory, family, items, states, seed, target, where, junk):
+        tmp_path_factory, family, items, states, seed, target, where, junk, number):
+    """``target`` "number" replaces one number of the instance by ``number``."""
     tmp = tmp_path_factory.mktemp("fuzz")
     instance = harness.generate_instance(items, states, 1.0, family, seed)
     inst_path = write_payload(tmp, instance)
@@ -311,11 +334,12 @@ def test_mutated_instance_or_solution_never_escapes_the_exit_codes(
         args += ["--solution", str(tmp / "solution.json")]
     else:
         doc = instance
-    paths = list(_json_paths(doc))
-    doc = _mutate(doc, where if isinstance(where, tuple) else paths[where % len(paths)], junk)
+    paths = list(_numeric_paths(doc) if target == "number" else _json_paths(doc))
+    doc = _mutate(doc, where if isinstance(where, tuple) else paths[where % len(paths)],
+                  number if target == "number" else junk)
     write_payload(tmp, doc, "solution.json" if target == "solution" else "inst.json")
     assert cli.main(args) in (cli.EXIT_OK, cli.EXIT_INVALID, cli.EXIT_CAPACITY)
-    if target == "instance":  # the oracle and the order checks see the junk too
+    if target != "solution":  # the oracle and the order checks see the junk too
         assert cli.main(["verify", "--instance", str(inst_path), "--seed", "1", "--runs", "20",
                          "--rounds", "2", "--order-checks", "2"]) in (
             cli.EXIT_OK, cli.EXIT_CHECK_FAILED, cli.EXIT_INVALID, cli.EXIT_CAPACITY)
@@ -521,25 +545,30 @@ def test_stdout_report_when_no_out(tmp_path, capsys):
 
 @pytest.mark.parametrize("order", ["identity", "random"])
 def test_reports_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, order):
+    """Nor on the value table: at chunk size 7 a second pass drops it, so run values
+    come from ``value_many`` on the selection matrix instead."""
     runs = 45  # not a multiple of 7
     path = write_payload(tmp_path, harness.generate_instance(4, 2, 1.0, "nested_coverage",
                                                              seed=26))
     ref = str(harness.reference_suite_paths()[3])
+    kernel = policies._kernel
     outputs = {}
-    for chunk in (1, 7, runs, 4 * runs):
+    for chunk, table in ((1, True), (7, True), (runs, True), (4 * runs, True), (7, False)):
         monkeypatch.setattr(policies, "CHUNK_RUNS", chunk)
-        sim, records, ver = (tmp_path / f"{chunk}.{name}" for name in ("sim.json", "runs.jsonl",
-                                                                       "verify.json"))
+        monkeypatch.setattr(policies, "_kernel", kernel if table else lambda *a: kernel(*a[:6]))
+        key = chunk if table else "no table"
+        sim, records, ver = (tmp_path / f"{chunk}.{table}.{name}"
+                             for name in ("sim.json", "runs.jsonl", "verify.json"))
         assert cli.main(["simulate", "--instance", str(path), "--seed", "5", "--rounds", "30",
                          "--runs", str(runs), "--order", order, "--records", str(records),
                          "--out", str(sim)]) == 0
         assert cli.main(["verify", "--instance", ref, "--seed", "5", "--rounds", "30",
                          "--runs", str(runs), "--order", order, "--order-checks", "2",
                          "--out", str(ver)]) in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
-        outputs[chunk] = [p.read_bytes() for p in (sim, records, ver)]
+        outputs[key] = [p.read_bytes() for p in (sim, records, ver)]
     assert len(outputs[1][1].splitlines()) == 3 * runs
-    for chunk in (7, runs, 4 * runs):
-        assert outputs[chunk] == outputs[1], chunk
+    for key in (7, runs, 4 * runs, "no table"):
+        assert outputs[key] == outputs[1], key
 
 
 def test_nan_in_solution_names_its_file_and_entry(tmp_path):

@@ -1,9 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stocan import extension, optimizer
+from stocan import extension, model, optimizer
 from stocan.errors import CapacityError, ValidationError
 from stocan.rng import substream
 
@@ -64,6 +66,81 @@ def test_lp_deterministic_tiebreak():
     costs = np.array([[1.0, 1.0]])
     x = optimizer.density_greedy(np.array([[1.0, 1.0]]), caps, costs, 0.5)
     assert x[0, 0] == 0.4 and x[0, 1] == pytest.approx(0.1, abs=1e-15)
+
+
+def reference_density_greedy(omega, caps, costs, budget):
+    """density_greedy by a Python sort of (-omega/cost, pair) keys: its oracle for order and bytes."""
+    x = np.zeros_like(caps)
+    free = (costs == 0) & (omega > 0)
+    x[free] = caps[free]
+    remaining = float(budget)
+    order = sorted(
+        ((i, s) for (i, s) in np.ndindex(omega.shape) if omega[i, s] > 0 and costs[i, s] > 0),
+        key=lambda p: (-omega[p] / costs[p], p),
+    )
+    for p in order:
+        if remaining <= 0:
+            break
+        take = min(caps[p], remaining / costs[p])
+        if take <= 0:
+            continue
+        x[p] = take
+        remaining = max(remaining - take * costs[p], 0.0)
+    return x
+
+
+# a few values, so that equal densities (ties) and zero or negative weights are common
+_GRID = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 2.0]) | st.floats(-1.0, 3.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), items=st.integers(1, 5), states=st.integers(1, 4),
+       budget=st.sampled_from([0.0, 0.3, 1.0, 2.5]) | st.floats(0.0, 5.0))
+def test_density_greedy_equals_its_sorted_oracle_bit_for_bit(data, items, states, budget):
+    size = items * states
+    omega, caps, costs = (
+        np.array(data.draw(st.lists(values, min_size=size, max_size=size))).reshape(items, states)
+        for values in (_GRID, st.sampled_from([0.0, 0.2, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                       st.sampled_from([0.0, 0.1, 0.5, 1.0]) | st.floats(0.0, 2.0)))
+    with np.errstate(over="ignore"):  # a tiny cost overflows omega/cost to inf on both sides
+        got = optimizer.density_greedy(omega, caps, costs, budget)
+        want = reference_density_greedy(omega, caps, costs, budget)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def reference_greedy(inst, objective, rounds):
+    """continuous_greedy in exact mode with every round's marginals validated."""
+    ext = extension.FactoredExtension(objective)
+    y = np.zeros_like(inst.prob)
+    for _ in range(rounds):
+        y = y + (1.0 / rounds) * inner_lp(ext.marginals(y), inst) * (1.0 - y)
+    return y
+
+
+def _outcome(run):
+    """The bytes of y, or the message of the ValidationError raised instead."""
+    try:
+        return run().tobytes()
+    except ValidationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("family", model.FAMILIES)
+def test_greedy_rounds_equal_validated_rounds_bit_for_bit(family):
+    inst, f = generated(55, 4, 3, family)
+    y = optimizer.continuous_greedy(inst, f, optimizer.GreedyConfig(rounds=40))
+    assert y.tobytes() == reference_greedy(inst, f, 40).tobytes()
+
+
+def test_greedy_rounds_validate_y_when_a_cap_leaves_the_unit_interval():
+    # a free, profitable pair whose cap is negative within the loader's tolerance drives
+    # y below 0, and every round validates y as before: the second raises
+    edge = make_instance([[1 + 5e-10, -5e-10], [0.5, 0.5]], [[0.0, 0.0], [0.2, 0.6]], 1.0)
+    g = modular_objective([1.0, 2.0], 2)
+    for rounds in (1, 2, 5):
+        run = functools.partial(optimizer.continuous_greedy, edge, g,
+                                optimizer.GreedyConfig(rounds=rounds))
+        assert _outcome(run) == _outcome(lambda: reference_greedy(edge, g, rounds)), rounds
 
 
 def test_lp_dominates_grid_oracle():

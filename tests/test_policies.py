@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stocan import extension, model, optimizer, policies
+from stocan import extension, harness, model, optimizer, policies
 from stocan.errors import CapacityError, PreconditionError, ValidationError
 
 from conftest import generated, make_instance, modular_objective
@@ -451,3 +452,80 @@ def test_order_variants_equal_lone_campaigns_bit_for_bit(monkeypatch, chunk, mai
         assert (a.branch_small is None) == (b.branch_small is None), variant
         if a.branch_small is not None:
             assert np.array_equal(a.branch_small, b.branch_small), variant
+
+
+# ---------------------------------------------------------------------------
+# the kernel against its oracle
+
+
+def reference_kernel(inst, objective, probs, block, keep_small, ignore_budget) -> policies._Rows:
+    """The policy rule over an ``(n, I)`` order matrix and selection matrix: the kernel's oracle.
+
+    Action codes by nested ``where``, each row's item and state gathered
+    by row, run values by ``value_many`` on the selection, sizes and pair
+    counts read off it at the end.
+    """
+    phi, coins, branch_small, orders = block
+    orders = np.broadcast_to(np.array(orders), phi.shape)  # a fixed order is a tuple
+    n, I = phi.shape
+    budget = inst.budget
+    cost_of, prob_of = inst.cost.ravel(), probs.ravel()  # by pair index item * S + state - 1
+    actions = np.empty((n, I), dtype=np.int8)
+    selected = np.zeros((n, I), dtype=np.int64)
+    spent = np.zeros(n)
+    rows = np.arange(n)
+    for t in range(I):
+        items = orders[:, t]
+        states = phi[rows, items]
+        pair = items * inst.state_count + states - 1
+        cost = cost_of.take(pair)
+        discard = (cost <= budget / 2) != keep_small
+        fits = ignore_budget | (spent + cost <= budget)
+        accept = ~discard & fits & (coins[:, t] < prob_of.take(pair))
+        actions[:, t] = np.where(discard, policies.DISCARD,
+                                 np.where(fits, np.where(accept, policies.ACCEPT, policies.REJECT),
+                                          policies.SKIP))
+        spent += np.where(accept, cost, 0.0)
+        selected[rows, items] = np.where(accept, states, 0)
+    S1 = inst.state_count + 1
+    counts = np.array([np.bincount(col + S1 * branch_small, minlength=2 * S1)
+                       for col in selected.T])
+    return policies._Rows(actions, spent, np.count_nonzero(selected, axis=1),
+                          np.asarray(objective.value_many(selected), dtype=float),
+                          counts.reshape(I, 2, S1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), family=st.sampled_from(model.FAMILIES), items=st.integers(1, 6),
+       states=st.integers(1, 3), seed=st.integers(0, 10_000), runs=st.integers(1, 300),
+       order=st.sampled_from(["identity", "perm", "random"]),
+       keep=st.sampled_from(["small", "large", "coins"]), ignore_budget=st.booleans(),
+       with_table=st.booleans(), grid_costs=st.booleans())
+def test_kernel_equals_its_oracle_bit_for_bit(data, family, items, states, seed, runs, order, keep,
+                                             ignore_budget, with_table, grid_costs):
+    payload = harness.generate_instance(items, states, 1.0, family, seed)
+    if grid_costs:  # costs on a grid holding 0 and B/2, so ties with the size threshold occur
+        for row in payload["items"]:
+            row["costs"] = sorted(data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                                                     min_size=states, max_size=states)))
+    inst, f = model.instance_from_dict(payload)
+    # an LP-feasible y: a random share of each cap, scaled into the budget
+    share = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=items * states,
+                                        max_size=items * states))).reshape(items, states)
+    y = inst.prob * share
+    spend = float(np.sum(y * inst.cost))
+    if spend > inst.budget:
+        y *= inst.budget / spend * (1 - 1e-12)
+    probs = policies.acceptance_probabilities(inst, y)
+    if order == "perm":
+        order = data.draw(st.permutations(range(items)))
+    order = policies._normal_order(order, items)
+    block = policies._arrivals(next(policies._draw_plan(inst, runs, order == "random", seed)), order)
+    keep_small = {"small": True, "large": False, "coins": block[2]}[keep]
+    table = extension.value_table(f) if with_table else None
+    got = policies._kernel(inst, f, probs, block, keep_small, ignore_budget, table)
+    want = reference_kernel(inst, f, probs, block, keep_small, ignore_budget)
+    for name in ("actions", "spent", "sizes", "values", "counts"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
