@@ -139,15 +139,22 @@ def _leave_one_out(t: np.ndarray, laws: np.ndarray, out: np.ndarray, first: int)
 def value_table(objective: LatticeObjective) -> np.ndarray:
     """``f`` at every vector of ``{0..S}^I``, flat in mixed-radix rank order.
 
-    Filled in chunks of rows, with no stored ``(N, I)`` grid; the first
-    chunk raises CapacityError beyond ``ENUM_GUARD``. ``value_many`` rounds
-    every row the same way in any batch, so
+    Built on first use and kept on the objective, read-only, so the exact
+    evaluator, the oracles and the policy kernel share one table per
+    objective. Filled in chunks of rows, with no stored ``(N, I)`` grid;
+    the first chunk raises CapacityError beyond ``ENUM_GUARD``.
+    ``value_many`` rounds every row the same way in any batch, so
     ``value_table(f).reshape((S+1,) * I)[u] == f.value(u)`` bit for bit.
     """
-    I, S = objective.item_count, objective.state_count
-    chunks = [objective.value_many(enumerate_state_vectors(I, S, start, start + _CHUNK))
-              for start in range(0, (S + 1) ** I, _CHUNK)]
-    return np.concatenate(chunks).astype(float, copy=False)
+    table = getattr(objective, "_value_table", None)
+    if table is None:
+        I, S = objective.item_count, objective.state_count
+        chunks = [objective.value_many(enumerate_state_vectors(I, S, start, start + _CHUNK))
+                  for start in range(0, (S + 1) ** I, _CHUNK)]
+        table = np.concatenate(chunks).astype(float, copy=False)
+        table.flags.writeable = False
+        objective._value_table = table
+    return table
 
 
 class FactoredExtension:

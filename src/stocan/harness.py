@@ -236,13 +236,13 @@ def _config_header(cfg: ExperimentConfig, **extra) -> dict:
 
 
 def _solve(cfg, inst, objective, y=None):
-    """y (by continuous greedy unless given), its solution block and the value table.
+    """y (by continuous greedy unless given) and its solution block.
 
     The block holds y, its split, and H values: exact when the value
     tensor fits the enumeration guard, else estimated. One exact evaluator
-    serves the greedy and the H values, and its flat value table is
-    returned for the campaigns that follow, which read run values from
-    it; beyond the guard the table is None.
+    serves the greedy and the H values; the value table it reads stays
+    on the objective, and the campaigns that follow read run values
+    from it.
     """
     try:
         ext = extension.FactoredExtension(objective)
@@ -258,7 +258,7 @@ def _solve(cfg, inst, objective, y=None):
         H = block["H"] = {"method": "estimate", "samples": int(cfg.samples)}
         for key, part in parts.items():
             H[key], H[f"{key}_stderr"] = extension.estimate_H(part, objective, cfg.samples, cfg.seed)
-    return y, block, None if ext is None else ext.values
+    return y, block
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +267,7 @@ def _solve(cfg, inst, objective, y=None):
 
 def run_optimize(cfg: ExperimentConfig) -> dict:
     payload, inst, objective = _load(cfg)
-    _, block, _ = _solve(cfg, inst, objective)
+    _, block = _solve(cfg, inst, objective)
     return {
         "command": "optimize",
         "instance": _instance_header(cfg, payload, inst, objective),
@@ -297,11 +297,11 @@ def _given_solution(cfg, payload, inst) -> np.ndarray | None:
 
 def run_simulate(cfg: ExperimentConfig) -> dict:
     payload, inst, objective = _load(cfg)
-    y, block, table = _solve(cfg, inst, objective, _given_solution(cfg, payload, inst))
+    y, block = _solve(cfg, inst, objective, _given_solution(cfg, payload, inst))
 
     sims = policies.simulate_policies(inst, objective, y, cfg.runs,
                                       [(kind, False, cfg.order) for kind in policies.KINDS],
-                                      seed=cfg.seed, records=bool(cfg.records), table=table)
+                                      seed=cfg.seed, records=bool(cfg.records))
     if cfg.records:
         policies.write_records(cfg.records, itertools.chain.from_iterable(s.records for s in sims))
 
@@ -357,7 +357,7 @@ def run_verify(cfg: ExperimentConfig) -> dict:
     if cfg.runs < 2:
         raise ValidationError("runs", "verify needs at least 2 simulation runs")
     payload, inst, objective = _load(cfg)
-    y, block, table = _solve(cfg, inst, objective)
+    y, block = _solve(cfg, inst, objective)
 
     # the exact H values gate four checks; an estimate skips them
     H = block["H"] if block["H"]["method"] == "exact" else None
@@ -392,7 +392,7 @@ def run_verify(cfg: ExperimentConfig) -> dict:
         inst, objective, y, cfg.runs,
         [("small", False, cfg.order), ("large", False, cfg.order), ("stocan", False, cfg.order),
          ("small", True, cfg.order)] + [("stocan", False, perm) for perm in perms],
-        seed=cfg.seed, table=table)
+        seed=cfg.seed)
     sims = {"small": small, "large": large, "stocan": stocan_sim}
     violations = sum(s.budget_violations for s in sims.values())
     large_sizes = [_max_large_selection(large), _max_large_selection(stocan_sim)]

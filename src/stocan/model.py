@@ -130,10 +130,15 @@ def draw_realization(inst: Instance, seed: int) -> np.ndarray:
     return sample_states(inst, substream(seed, STATES), 1)[0]
 
 
-def sample_states(inst: Instance, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw ``n`` independent state realizations, shape ``(n, I)``, one item per column."""
+def sample_states(inst: Instance, rng: np.random.Generator, n: int, *,
+                  layout: str = "C") -> np.ndarray:
+    """Draw ``n`` independent state realizations, shape ``(n, I)``.
+
+    ``layout`` is the memory order of the result (numpy's ``order``); it
+    does not change the draws.
+    """
     u = rng.random((n, inst.item_count))
-    out = np.empty((n, inst.item_count), dtype=np.int64, order="F")
+    out = np.empty((n, inst.item_count), dtype=np.int64, order=layout)
     for i in range(inst.item_count):
         cum = np.cumsum(inst.prob[i])
         out[:, i] = np.searchsorted(cum, u[:, i], side="right")

@@ -148,9 +148,13 @@ def continuous_greedy(inst: Instance, objective: LatticeObjective,
     With ``trace=True`` (exact mode only) also returns the exact H value
     after every round, starting with H(0). Exact mode uses ``evaluator``
     when given (it must be built for ``objective``) and builds one otherwise.
+    The inner LP's caps are the state probabilities clipped into [0, 1]
+    (the loader admits them ``PROB_TOL`` outside), so ``y`` stays in
+    [0, 1] and the rounds take exact marginals without re-validating it.
     """
     delta = 1.0 / config.rounds
     y = np.zeros_like(inst.prob)
+    caps = np.clip(inst.prob, 0.0, 1.0)
     exact = config.marginal_mode == "exact"
     if exact and evaluator is None:
         evaluator = FactoredExtension(objective)
@@ -159,16 +163,13 @@ def continuous_greedy(inst: Instance, objective: LatticeObjective,
     values = [evaluator.H(y)] if trace else None
     if exact:
         check_fractional(y, objective)  # the shape, once
-        # y stays in [0, 1] when every cap does, and then the rounds need not re-check it
-        caps_in_box = np.all((inst.prob >= 0) & (inst.prob <= 1))
-        marginals = evaluator._marginals if caps_in_box else evaluator.marginals
     for t in range(config.rounds):
         if exact:
-            omega = marginals(y)
+            omega = evaluator._marginals(y)
         else:
             omega, _ = sampled_marginals(y, objective, config.samples,
                                          substream(config.seed, OPTIMIZER, t))
-        x = density_greedy(omega, inst.prob, inst.cost, inst.budget)
+        x = density_greedy(omega, caps, inst.cost, inst.budget)
         y = y + delta * x * (1.0 - y)
         if trace:
             values.append(evaluator.H(y))

@@ -21,9 +21,10 @@ A draw plan yields a campaign's realized states, accept coins, branch
 coins and arrival orders in blocks of at most ``CHUNK_RUNS`` runs, and
 one vectorized kernel executes this rule for every run of a block at
 once, one arrival position (one column of states and coins) at a time,
-recording an int8 action code per run and position. A run's value is
-read from the objective's value table when the command holds it (within
-``ENUM_GUARD``), else from ``value_many`` on the selection matrix. A
+recording an int8 action code per run and position. Within
+``ENUM_GUARD`` a run's value is read from the objective's value table
+(:func:`~stocan.extension.value_table`, built once per objective), else
+from ``value_many`` on the selection matrix. A
 command feeds all its campaigns from one plan
 (:func:`simulate_policies`); since the combined policy's run is the run
 of the branch its coin chose, it is read off the small and large rows
@@ -33,12 +34,11 @@ realization (:func:`run_policy`) are views of it: a :class:`RunRecord`
 is a row of a campaign, so records and statistics come from the same
 draws.
 :func:`exact_policy_value` is the independent oracle and shares no code
-with the kernel.
+with the kernel but the value table.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import BudgetViolationError, CapacityError, PreconditionError, ValidationError
 from .extension import value_table
-from .model import Instance, LatticeObjective, PROB_TOL, sample_states
+from .model import ENUM_GUARD, Instance, LatticeObjective, PROB_TOL, sample_states
 from .optimizer import check_lp_feasible
 from .rng import BRANCH, COINS, ORDERS, STATES, substream
 
@@ -163,7 +163,7 @@ def _draw_plan(inst: Instance, runs: int, random_order: bool, seed: int):
     for start in range(0, runs, CHUNK_RUNS):
         n = min(CHUNK_RUNS, runs - start)
         # the kernel reads states and coins one arrival position (column) at a time
-        yield (sample_states(inst, states, n), np.asfortranarray(coins.random((n, I))),
+        yield (sample_states(inst, states, n, layout="F"), np.asfortranarray(coins.random((n, I))),
                branch.random(n) < 0.5,
                np.argsort(orders.random((n, I)), axis=1) if random_order else None)
 
@@ -175,20 +175,22 @@ def _arrivals(block, order):
     return phi, coins, branch_small, random_orders if order == "random" else order
 
 
-def _kernel(inst, objective, probs, block, keep_small, ignore_budget, table=None) -> _Rows:
+def _kernel(inst, objective, probs, block, keep_small, ignore_budget) -> _Rows:
     """Execute the policy rule on every row of one plan block.
 
     ``keep_small`` is True for the small policy, False for the large one,
     and the block's per-run branch coins for the combined policy. Every
     decision of every run is made here. The item at arrival position
     ``t`` is a Python int under a fixed order and an ``(n,)`` array under
-    random orders; every formula below takes either. With ``table``
-    (:func:`~stocan.extension.value_table`), a run's value is read at the
-    mixed-radix rank of its selection and no selection matrix is built.
+    random orders; every formula below takes either. Within
+    ``ENUM_GUARD`` a run's value is read from the objective's value table
+    at the mixed-radix rank of its selection, and no selection matrix is
+    built; either way the value has the bits ``value_many`` gives.
     """
     phi, coins, branch_small, order = block
     n, I = phi.shape
     S1 = inst.state_count + 1
+    table = value_table(objective) if S1 ** I <= ENUM_GUARD else None
     budget, half = inst.budget, inst.budget / 2
     # by padded pair index item * (S+1) + state, so a realized state indexes its item's row
     cost_of = np.pad(inst.cost, ((0, 0), (1, 0))).ravel()
@@ -310,8 +312,8 @@ class PolicySimulation:
     coin (``largest_selection[0]`` over the runs whose coin chose large,
     ``[1]`` over those whose coin chose small). Per-run states and
     actions are kept only as ``records``, and only when the campaign was
-    asked for them. ``mean`` and ``stderr`` are computed on first use,
-    once the campaign is complete.
+    asked for them. ``mean`` and ``stderr`` are set once the last block
+    is folded in (NaN until then; ``stderr`` stays NaN for a single run).
     """
 
     kind: str
@@ -323,16 +325,8 @@ class PolicySimulation:
     budget_violations: int = 0
     largest_selection: np.ndarray = field(default_factory=lambda: np.zeros(2, dtype=np.int64))
     records: list | None = None
-
-    @functools.cached_property
-    def mean(self) -> float:
-        return float(np.mean(self.values))
-
-    @functools.cached_property
-    def stderr(self) -> float:
-        if self.runs < 2:
-            return math.nan
-        return float(np.std(self.values, ddof=1) / math.sqrt(self.runs))
+    mean: float = math.nan
+    stderr: float = math.nan
 
     @property
     def is_single_run(self) -> bool:
@@ -359,8 +353,8 @@ def _fold(sim: PolicySimulation, start: int, block, rows: _Rows, budget: float) 
 
 
 def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray, runs: int,
-                      variants, seed: int = 0, *, records: bool = False,
-                      table: np.ndarray | None = None) -> list[PolicySimulation]:
+                      variants, seed: int = 0, *,
+                      records: bool = False) -> list[PolicySimulation]:
     """Run ``(kind, ignore_budget, order)`` variants on one draw plan; one campaign each.
 
     Every variant sees the same runs: the same realized states, accept
@@ -376,9 +370,8 @@ def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray
     whole, so ``mean`` and ``stderr`` sum the same vector in the same
     order at any chunk size; pair counts, budget violations and largest
     selections are reduced per block as integers. Memory is one block's
-    arrays plus 8 bytes per run per campaign. ``table``, the objective's
-    value table when the caller holds one, gives run values by lookup,
-    with the bits ``value_many`` gives.
+    arrays plus 8 bytes per run per campaign, and, within ``ENUM_GUARD``,
+    the objective's value table (8 bytes per lattice point).
     """
     if runs < 1:
         raise ValidationError("runs", "must be at least 1")
@@ -410,12 +403,16 @@ def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray
                                done.pop(("large", ignore, order)))
             else:
                 keep_small = block[2] if kind == "stocan" else kind == "small"
-                rows = _kernel(inst, objective, probs, view, keep_small, ignore, table)
+                rows = _kernel(inst, objective, probs, view, keep_small, ignore)
                 if (ignore, order) in read_off:
                     done[kind, ignore, order] = rows
             _fold(sims[kind, ignore, order], start, view, rows, inst.budget)
         start += len(block[2])
         del block, view, rows  # free this block's arrays before the plan draws the next
+    for sim in sims.values():
+        sim.mean = float(np.mean(sim.values))
+        if runs > 1:
+            sim.stderr = float(np.std(sim.values, ddof=1) / math.sqrt(runs))
     return [sims[v] for v in requested]
 
 

@@ -545,17 +545,16 @@ def test_stdout_report_when_no_out(tmp_path, capsys):
 
 @pytest.mark.parametrize("order", ["identity", "random"])
 def test_reports_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, order):
-    """Nor on the value table: at chunk size 7 a second pass drops it, so run values
-    come from ``value_many`` on the selection matrix instead."""
+    """Nor on the value table: at chunk size 7 a second pass lowers the kernel's guard
+    to 0, so run values come from ``value_many`` on the selection matrix instead."""
     runs = 45  # not a multiple of 7
     path = write_payload(tmp_path, harness.generate_instance(4, 2, 1.0, "nested_coverage",
                                                              seed=26))
     ref = str(harness.reference_suite_paths()[3])
-    kernel = policies._kernel
     outputs = {}
     for chunk, table in ((1, True), (7, True), (runs, True), (4 * runs, True), (7, False)):
         monkeypatch.setattr(policies, "CHUNK_RUNS", chunk)
-        monkeypatch.setattr(policies, "_kernel", kernel if table else lambda *a: kernel(*a[:6]))
+        monkeypatch.setattr(policies, "ENUM_GUARD", model.ENUM_GUARD if table else 0)
         key = chunk if table else "no table"
         sim, records, ver = (tmp_path / f"{chunk}.{table}.{name}"
                              for name in ("sim.json", "runs.jsonl", "verify.json"))

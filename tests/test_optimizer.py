@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -117,14 +116,6 @@ def reference_greedy(inst, objective, rounds):
     return y
 
 
-def _outcome(run):
-    """The bytes of y, or the message of the ValidationError raised instead."""
-    try:
-        return run().tobytes()
-    except ValidationError as exc:
-        return str(exc)
-
-
 @pytest.mark.parametrize("family", model.FAMILIES)
 def test_greedy_rounds_equal_validated_rounds_bit_for_bit(family):
     inst, f = generated(55, 4, 3, family)
@@ -132,15 +123,17 @@ def test_greedy_rounds_equal_validated_rounds_bit_for_bit(family):
     assert y.tobytes() == reference_greedy(inst, f, 40).tobytes()
 
 
-def test_greedy_rounds_validate_y_when_a_cap_leaves_the_unit_interval():
-    # a free, profitable pair whose cap is negative within the loader's tolerance drives
-    # y below 0, and every round validates y as before: the second raises
-    edge = make_instance([[1 + 5e-10, -5e-10], [0.5, 0.5]], [[0.0, 0.0], [0.2, 0.6]], 1.0)
+def test_greedy_optimizes_caps_just_outside_the_unit_interval_as_clipped_caps():
+    # free, profitable pairs whose caps leave [0, 1] within the loader's tolerance
+    costs = [[0.0, 0.0], [0.2, 0.6]]
+    edge = make_instance([[1 + 5e-10, -5e-10], [0.5, 0.5]], costs, 1.0)
+    clipped = make_instance([[1.0, 0.0], [0.5, 0.5]], costs, 1.0)
     g = modular_objective([1.0, 2.0], 2)
     for rounds in (1, 2, 5):
-        run = functools.partial(optimizer.continuous_greedy, edge, g,
-                                optimizer.GreedyConfig(rounds=rounds))
-        assert _outcome(run) == _outcome(lambda: reference_greedy(edge, g, rounds)), rounds
+        y = optimizer.continuous_greedy(edge, g, optimizer.GreedyConfig(rounds=rounds))
+        assert np.all((0.0 <= y) & (y <= 1.0)), rounds
+        optimizer.check_lp_feasible(y, edge)
+        assert y.tobytes() == reference_greedy(clipped, g, rounds).tobytes(), rounds
 
 
 def test_lp_dominates_grid_oracle():
