@@ -24,8 +24,6 @@ from .model import (
     LatticeObjective,
     check_lattice_submodular,
     check_monotone,
-    draw_realization,
-    h_eval,
     instance_from_dict,
     load_instance,
     make_objective,
@@ -42,7 +40,6 @@ from .oracle import OracleResult, exhaustive_nonadaptive_value, optimal_policy_v
 from .policies import (
     RunRecord,
     exact_policy_value,
-    run_policy,
     simulate_policy,
 )
 
@@ -64,18 +61,15 @@ __all__ = [
     "check_monotone",
     "continuous_greedy",
     "density_greedy",
-    "draw_realization",
     "estimate_H",
     "exact_H_bruteforce",
     "exact_policy_value",
     "exhaustive_nonadaptive_value",
     "grid_search_lp_value",
-    "h_eval",
     "instance_from_dict",
     "load_instance",
     "make_objective",
     "optimal_policy_value",
-    "run_policy",
     "sampled_marginals",
     "save_instance",
     "simulate_policy",

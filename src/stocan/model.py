@@ -18,12 +18,11 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .rng import CHECKS, STATES, substream
 
 PROB_TOL = 1e-9  # validation tolerance for probabilities, costs, feasibility
 EXACT_TOL = 1e-12  # tolerance for exact-arithmetic comparisons
@@ -119,31 +118,6 @@ def _validate_rows(prob: np.ndarray, cost: np.ndarray) -> None:
                     f"cost must be nondecreasing in state: state {s + 1} costs {crow[s]} "
                     f"< state {s} cost {crow[s - 1]}",
                 )
-
-
-def draw_realization(inst: Instance, seed: int) -> np.ndarray:
-    """Draw one state per item from the product distribution.
-
-    Returns an integer vector of length ``I`` with entries in ``1 .. S``:
-    run 0's realization in every policy campaign with this ``seed``.
-    """
-    return sample_states(inst, substream(seed, STATES), 1)[0]
-
-
-def sample_states(inst: Instance, rng: np.random.Generator, n: int, *,
-                  layout: str = "C") -> np.ndarray:
-    """Draw ``n`` independent state realizations, shape ``(n, I)``.
-
-    ``layout`` is the memory order of the result (numpy's ``order``); it
-    does not change the draws.
-    """
-    u = rng.random((n, inst.item_count))
-    out = np.empty((n, inst.item_count), dtype=np.int64, order=layout)
-    for i in range(inst.item_count):
-        cum = np.cumsum(inst.prob[i])
-        out[:, i] = np.searchsorted(cum, u[:, i], side="right")
-    np.clip(out, 0, inst.state_count - 1, out=out)
-    return out + 1
 
 
 # ---------------------------------------------------------------------------
@@ -425,25 +399,6 @@ def objective_from_dict(d: dict, *, path: str = "objective") -> LatticeObjective
 
 
 # ---------------------------------------------------------------------------
-# the lifted set function h
-
-
-def pairs_to_vector(pairs: Iterable[tuple[int, int]], item_count: int, state_count: int) -> np.ndarray:
-    u = np.zeros(item_count, dtype=np.int64)
-    for i, s in pairs:
-        if not (0 <= i < item_count) or not (1 <= s <= state_count):
-            raise ValidationError("pairs", f"pair ({i}, {s}) outside [0,{item_count}) x [1,{state_count}]")
-        if s > u[i]:
-            u[i] = s
-    return u
-
-
-def h_eval(pairs: Iterable[tuple[int, int]], objective: LatticeObjective) -> float:
-    """Evaluate the lifted set function: each item at its max paired state."""
-    return objective.value(pairs_to_vector(pairs, objective.item_count, objective.state_count))
-
-
-# ---------------------------------------------------------------------------
 # structure checkers
 
 
@@ -477,20 +432,15 @@ def enumerate_state_vectors(item_count: int, state_count: int, start: int = 0,
     return digits.T
 
 
-def check_monotone(objective: LatticeObjective, *, mode: str = "exhaustive",
-                   samples: int = 2000, seed: int = 0) -> CheckResult:
+def check_monotone(objective: LatticeObjective) -> CheckResult:
     """Check f(u) <= f(u + 1_i) for every vector and coordinate.
 
     Single-coordinate increments generate the componentwise order, so
     this is equivalent to monotonicity over all comparable pairs. The
-    exhaustive mode takes the differences of the value table along each
-    axis and is bounded by ``ENUM_GUARD`` alone; beyond it, ``sampled``
-    mode screens random increments instead. A failing check returns the
+    check takes the differences of the value table along each axis and
+    is bounded by ``ENUM_GUARD`` alone. A failing check returns the
     witness ``(u, i)``.
     """
-    I, S = objective.item_count, objective.state_count
-    if mode == "sampled":
-        return _check_monotone_sampled(objective, I, S, samples, seed)
     failure, checked = _local_failure(objective, squares=False)
     return CheckResult(failure is None, None if failure is None else failure[:2], checked)
 
@@ -519,67 +469,26 @@ def _local_failure(objective: LatticeObjective, squares: bool) -> tuple[tuple | 
     return None, checked
 
 
-def _check_monotone_sampled(objective, I, S, samples, seed) -> CheckResult:
-    rng = substream(seed, CHECKS)
-    u = rng.integers(0, S + 1, size=(samples, I))
-    coords = rng.integers(0, I, size=samples)
-    v = u.copy()
-    rows = np.arange(samples)
-    v[rows, coords] = np.minimum(v[rows, coords] + 1, S)
-    fu = objective.value_many(u)
-    fv = objective.value_many(v)
-    bad = fv < fu - EXACT_TOL
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        return CheckResult(False, (tuple(u[k]), int(coords[k])), samples)
-    return CheckResult(True, None, samples)
-
-
-def check_lattice_submodular(objective: LatticeObjective, *, mode: str = "exhaustive",
-                             samples: int = 2000, seed: int = 0) -> CheckResult:
+def check_lattice_submodular(objective: LatticeObjective) -> CheckResult:
     """Check the diminishing-returns inequality over all comparable pairs.
 
     For every u <= v, state s and item i the inequality is
 
         f(u v s*1_i) - f(u) >= f(v v s*1_i) - f(v) - 1e-12.
 
-    The exhaustive mode checks its local characterization (Topkis 1978):
-    f is monotone, and every square ``u, u+1_i, u+1_j, u+1_i+1_j`` with
+    The check takes its local characterization (Topkis 1978): f is
+    monotone, and every square ``u, u+1_i, u+1_j, u+1_i+1_j`` with
     ``i != j`` has mixed difference at most 1e-12. Both come from
     differences of the value table, so the check is bounded by
-    ``ENUM_GUARD`` alone; beyond it, ``sampled`` mode screens random
-    comparable pairs instead. A failing check returns a witness
+    ``ENUM_GUARD`` alone. A failing check returns a witness
     ``(u, v, i, s)`` of the inequality: ``(u, u+1_i, i, u_i+1)`` where f
     decreases along axis i, ``(u, u+1_j, i, u_i+1)`` for a square.
     """
-    I, S = objective.item_count, objective.state_count
-    if mode == "sampled":
-        return _check_submodular_sampled(objective, I, S, samples, seed)
     failure, checked = _local_failure(objective, squares=True)
     if failure is None:
         return CheckResult(True, None, checked)
     u, i, j = failure
     return CheckResult(False, (u, u[:j] + (u[j] + 1,) + u[j + 1:], i, u[i] + 1), checked)
-
-
-def _check_submodular_sampled(objective, I, S, samples, seed) -> CheckResult:
-    rng = substream(seed, CHECKS)
-    lo = rng.integers(0, S + 1, size=(samples, I))
-    hi = np.minimum(lo + rng.integers(0, S + 1, size=(samples, I)), S)
-    coords = rng.integers(0, I, size=samples)
-    states = rng.integers(1, S + 1, size=samples)
-    rows = np.arange(samples)
-    lo_up = lo.copy()
-    lo_up[rows, coords] = np.maximum(lo[rows, coords], states)
-    hi_up = hi.copy()
-    hi_up[rows, coords] = np.maximum(hi[rows, coords], states)
-    lhs = objective.value_many(lo_up) - objective.value_many(lo)
-    rhs = objective.value_many(hi_up) - objective.value_many(hi)
-    bad = lhs < rhs - EXACT_TOL
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        return CheckResult(False, (tuple(lo[k]), tuple(hi[k]), int(coords[k]), int(states[k])), samples)
-    return CheckResult(True, None, samples)
 
 
 # ---------------------------------------------------------------------------

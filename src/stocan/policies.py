@@ -28,11 +28,10 @@ from ``value_many`` on the selection matrix. A
 command feeds all its campaigns from one plan
 (:func:`simulate_policies`); since the combined policy's run is the run
 of the branch its coin chose, it is read off the small and large rows
-when those are run too. Campaign statistics (:func:`simulate_policy`),
-run records (:func:`scalar_runs`) and single runs on a given
-realization (:func:`run_policy`) are views of it: a :class:`RunRecord`
-is a row of a campaign, so records and statistics come from the same
-draws.
+when those are run too. Campaign statistics (:func:`simulate_policy`)
+and run records (:func:`scalar_runs`) are views of it: a
+:class:`RunRecord` is a row of a campaign, so records and statistics
+come from the same draws, and a single run is row 0.
 :func:`exact_policy_value` is the independent oracle and shares no code
 with the kernel but the value table.
 """
@@ -49,7 +48,7 @@ import numpy as np
 
 from .errors import BudgetViolationError, CapacityError, PreconditionError, ValidationError
 from .extension import value_table
-from .model import ENUM_GUARD, Instance, LatticeObjective, PROB_TOL, sample_states
+from .model import ENUM_GUARD, Instance, LatticeObjective, PROB_TOL
 from .optimizer import check_lp_feasible
 from .rng import BRANCH, COINS, ORDERS, STATES, substream
 
@@ -66,16 +65,18 @@ EXACT_POLICY_GUARD = 1_000_000  # max S^I * 2^I for exact expectations
 CHUNK_RUNS = 65_536  # rows per block of a draw plan
 
 
-def resolve_order(order, item_count: int) -> np.ndarray:
-    """Normalize an arrival-order spec to a permutation of 0..I-1."""
+def resolve_order(order, item_count: int):
+    """An arrival-order spec as ``"random"`` or the tuple of its permutation of 0..I-1."""
     if isinstance(order, str):
+        if order == "random":
+            return order
         if order == "identity":
-            return np.arange(item_count)
+            return tuple(range(item_count))
         raise ValidationError("order", f"unknown order spec {order!r}")
-    arr = np.asarray(order, dtype=np.int64)
-    if sorted(arr.tolist()) != list(range(item_count)):
-        raise ValidationError("order", f"{arr.tolist()} is not a permutation of 0..{item_count - 1}")
-    return arr
+    arr = np.asarray(order, dtype=np.int64).tolist()
+    if sorted(arr) != list(range(item_count)):
+        raise ValidationError("order", f"{arr} is not a permutation of 0..{item_count - 1}")
+    return tuple(arr)
 
 
 def acceptance_probabilities(inst: Instance, y: np.ndarray) -> np.ndarray:
@@ -106,7 +107,6 @@ class RunRecord:
     total_cost: float
     value: float
     branch: str | None = None
-    ignore_budget: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -139,11 +139,19 @@ def _check_kind(kind: str) -> None:
         raise ValidationError("kind", f"unknown policy kind {kind!r}")
 
 
-def _normal_order(order, item_count: int):
-    """An arrival-order spec as ``"random"`` or the tuple of its permutation."""
-    if isinstance(order, str) and order == "random":
-        return order
-    return tuple(resolve_order(order, item_count).tolist())
+def sample_states(inst: Instance, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw ``n`` independent state realizations, shape ``(n, I)``.
+
+    The array is column-major, because the kernel reads it one arrival
+    position (one column) at a time; the layout does not change the draws.
+    """
+    u = rng.random((n, inst.item_count))
+    out = np.empty((n, inst.item_count), dtype=np.int64, order="F")
+    for i in range(inst.item_count):
+        cum = np.cumsum(inst.prob[i])
+        out[:, i] = np.searchsorted(cum, u[:, i], side="right")
+    np.clip(out, 0, inst.state_count - 1, out=out)
+    return out + 1
 
 
 def _draw_plan(inst: Instance, runs: int, random_order: bool, seed: int):
@@ -163,13 +171,13 @@ def _draw_plan(inst: Instance, runs: int, random_order: bool, seed: int):
     for start in range(0, runs, CHUNK_RUNS):
         n = min(CHUNK_RUNS, runs - start)
         # the kernel reads states and coins one arrival position (column) at a time
-        yield (sample_states(inst, states, n, layout="F"), np.asfortranarray(coins.random((n, I))),
+        yield (sample_states(inst, states, n), np.asfortranarray(coins.random((n, I))),
                branch.random(n) < 0.5,
                np.argsort(orders.random((n, I)), axis=1) if random_order else None)
 
 
 def _arrivals(block, order):
-    """``block`` as a variant of normalized ``order`` sees it: a fixed order stays its
+    """``block`` as a variant of resolved ``order`` sees it: a fixed order stays its
     permutation tuple, ``"random"`` takes the block's ``(n, I)`` arrival orders."""
     phi, coins, branch_small, random_orders = block
     return phi, coins, branch_small, random_orders if order == "random" else order
@@ -257,7 +265,7 @@ def _select(branch_small, small: _Rows, large: _Rows) -> _Rows:
                  np.stack((large.counts[:, 0], small.counts[:, 1]), axis=1))
 
 
-def _records(kind, ignore_budget, block, rows: _Rows) -> list:
+def _records(kind, block, rows: _Rows) -> list:
     """A :class:`RunRecord` per row of one block."""
     phi, _, branch_small, orders = block
     orders = np.broadcast_to(np.array(orders), phi.shape)  # a fixed order is a tuple
@@ -275,29 +283,8 @@ def _records(kind, ignore_budget, block, rows: _Rows) -> list:
             total_cost=spent,
             value=value,
             branch=("small" if small else "large") if kind == "stocan" else None,
-            ignore_budget=ignore_budget,
         ))
     return out
-
-
-def run_policy(kind: str, inst: Instance, objective: LatticeObjective, y: np.ndarray, phi,
-               order="identity", seed: int = 0, *, ignore_budget: bool = False) -> RunRecord:
-    """Execute one policy on the realization ``phi``: run 0 of a campaign with ``seed``.
-
-    With ``phi = draw_realization(inst, seed)`` the record equals
-    ``scalar_runs(kind, inst, objective, y, 1, order, seed)[0]``.
-    """
-    _check_kind(kind)
-    phi = np.asarray(phi, dtype=np.int64)
-    if phi.shape != (inst.item_count,) or np.any(phi < 1) or np.any(phi > inst.state_count):
-        raise ValidationError("phi", "expected one realized state in 1..S per item")
-    probs = acceptance_probabilities(inst, y)
-    order = _normal_order(order, inst.item_count)
-    _, coins, branch_small, random_orders = next(_draw_plan(inst, 1, order == "random", seed))
-    block = _arrivals((phi[None, :], coins, branch_small, random_orders), order)
-    keep_small = branch_small if kind == "stocan" else kind == "small"
-    return _records(kind, ignore_budget, block,
-                    _kernel(inst, objective, probs, block, keep_small, ignore_budget))[0]
 
 
 @dataclass
@@ -349,7 +336,7 @@ def _fold(sim: PolicySimulation, start: int, block, rows: _Rows, budget: float) 
     sim.largest_selection = np.maximum(sim.largest_selection,
                                        [np.flatnonzero(col).max(initial=0) for col in by_size.T])
     if sim.records is not None:
-        sim.records += _records(sim.kind, sim.ignore_budget, block, rows)
+        sim.records += _records(sim.kind, block, rows)
 
 
 def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray, runs: int,
@@ -382,7 +369,7 @@ def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray
         _check_kind(kind)
     probs = acceptance_probabilities(inst, y)
     I, S = inst.item_count, inst.state_count
-    requested = [(kind, bool(ignore), _normal_order(order, I)) for kind, ignore, order in variants]
+    requested = [(kind, bool(ignore), resolve_order(order, I)) for kind, ignore, order in variants]
     branch_small = np.empty(runs, dtype=bool)
     sims = {v: PolicySimulation(v[0], runs, np.empty(runs), np.zeros((I, S + 1), dtype=np.int64),
                                 branch_small if v[0] == "stocan" else None, v[1],
@@ -445,7 +432,9 @@ def exact_policy_value(kind: str, inst: Instance, objective: LatticeObjective,
         raise CapacityError(
             f"S^I * 2^I = {work} exceeds guard {EXACT_POLICY_GUARD}; use simulate_policy"
         )
-    order_arr = resolve_order(order, I)
+    order = resolve_order(order, I)
+    if order == "random":
+        raise ValidationError("order", "an exact expectation needs a fixed order, not 'random'")
     budget = inst.budget
     half = budget / 2
     values = value_table(objective).reshape((S + 1,) * I)
@@ -453,7 +442,7 @@ def exact_policy_value(kind: str, inst: Instance, objective: LatticeObjective,
     def walk(pos: int, spent: float, sel: list, phi, keep_small: bool) -> float:
         if pos == I:
             return values[tuple(sel)]
-        i = int(order_arr[pos])
+        i = order[pos]
         s = phi[i]
         cost = float(inst.cost[i, s - 1])
         if (cost <= half) != keep_small or spent + cost > budget:

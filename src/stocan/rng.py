@@ -2,9 +2,9 @@
 
 All randomness in the package flows from a single integer master seed.
 Independent concerns (H estimates, state draws, accept coins, branch
-coins, arrival orders, optimizer sampling, instance generation, sampled
-structure checks) read from disjoint substreams so that, e.g., the same state realizations can be replayed
-against different policies for paired comparisons.
+coins, arrival orders, optimizer sampling, instance generation) read
+from disjoint substreams so that, e.g., the same state realizations can
+be replayed against different policies for paired comparisons.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ BRANCH = 3
 ORDERS = 4
 OPTIMIZER = 5
 GENERATOR = 6
-CHECKS = 7
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:

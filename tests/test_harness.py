@@ -1,8 +1,11 @@
+import ast
 import functools
+import importlib
 import json
 import math
 import operator
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -380,11 +383,35 @@ def test_simulate_solution_of_another_instance_is_input_error(tmp_path, capsys):
 def test_benchmark_tracer_finds_every_traced_name():
     # bench/tracing.py wraps package functions by name; a rename must fail here
     root = Path(__file__).resolve().parents[1]
-    code = ("import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
-            "from tracing import Tracer; Tracer().install()")
-    done = subprocess.run([sys.executable, "-c", code, str(root / "bench"), str(root / "src")],
-                          capture_output=True, text=True)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "bench")])}
+    code = "from tracing import Tracer; Tracer().install(); import workloads, child"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_every_package_name_the_benchmark_reads_resolves():
+    # the benchmark calls package functions that no command reaches, for example
+    # oracle.exhaustive_nonadaptive_value; importing bench/ does not look them up
+    assert [name for name in stocan.__all__ if not hasattr(stocan, name)] == []
+    for path in sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "stocan"
+                   for alias in node.names}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                module = importlib.import_module(f"stocan.{node.value.id}")
+                assert hasattr(module, node.attr), (path.name, ast.unparse(node))
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "inst.json" in block
+    shutil.copy(harness.reference_suite_paths()[7], tmp_path / "inst.json")  # 3 items, 2 states
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stocan import model
+from stocan import model, policies
+from stocan.rng import STATES, substream
 from stocan.extension import value_table
 from stocan.errors import CapacityError, ValidationError
 
@@ -102,15 +103,9 @@ def test_instance_arrays_frozen():
 
 def test_h_empty_set_is_value_at_zero():
     f = modular_objective([2.0, 3.0], 2)
-    assert model.h_eval([], f) == 0.0
+    assert f.value([0, 0]) == 0.0
     g = model.make_objective("separable_concave", {"weights": [1.0], "g": [0.0, 0.5]})
-    assert model.h_eval([], g) == 0.0
-
-
-def test_h_max_reduction_forced():
-    # two states of the same item collapse to the higher one
-    f = modular_objective([1.0, 1.0], 2)
-    assert model.h_eval([(0, 1), (0, 2), (1, 1)], f) == 3.0
+    assert g.value([0]) == 0.0
 
 
 def test_h_nested_coverage_matches_set_union():
@@ -122,28 +117,7 @@ def test_h_nested_coverage_matches_set_union():
     # independent computation with plain python sets
     union = set(covers[0][0]) | set(covers[1][0])
     expected = sum(weights[e] for e in union)
-    assert model.h_eval([(0, 1), (1, 1)], f) == pytest.approx(expected, abs=1e-12)
-
-
-def test_h_rejects_out_of_range_pairs():
-    f = modular_objective([1.0], 2)
-    with pytest.raises(ValidationError):
-        model.h_eval([(1, 1)], f)
-    with pytest.raises(ValidationError):
-        model.h_eval([(0, 3)], f)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 3)), max_size=12))
-def test_h_invariant_under_max_reduction(pairs):
-    f = model.make_objective(
-        "separable_concave", {"weights": [1.0, 0.5, 2.0], "g": [0.0, 1.0, 1.7, 2.1]}
-    )
-    top = {}
-    for i, s in pairs:
-        top[i] = max(top.get(i, 0), s)
-    reduced = list(top.items())
-    assert model.h_eval(pairs, f) == model.h_eval(reduced, f)
+    assert f.value([1, 1]) == pytest.approx(expected, abs=1e-12)
 
 
 def test_h_is_monotone_submodular_set_function():
@@ -215,7 +189,6 @@ def test_monotone_capacity_guard_and_sampled_fallback():
     with pytest.raises(CapacityError) as err:
         model.check_monotone(f)
     assert "sampled" in str(err.value)
-    assert model.check_monotone(f, mode="sampled", samples=500, seed=3).ok
 
 
 def test_submodular_checker_accepts_concave_of_coordinates():
@@ -239,9 +212,9 @@ def test_submodular_checker_constant_function():
 
 def test_submodular_sampled_mode():
     f = TableObjective(12, 4, lambda u: float(np.sqrt(sum(u))))
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError) as err:
         model.check_lattice_submodular(f)
-    assert model.check_lattice_submodular(f, mode="sampled", samples=400, seed=5).ok
+    assert "sampled" in str(err.value)
 
 
 def test_builtin_families_pass_both_checkers():
@@ -431,20 +404,21 @@ def test_objective_serialization_roundtrip():
 def test_degenerate_distribution_draws_surely():
     inst = make_instance([[1.0, 0.0]], [[0.1, 0.2]], 1.0)
     for seed in range(5):
-        assert model.draw_realization(inst, seed)[0] == 1
+        assert policies.sample_states(inst, substream(seed, STATES), 1)[0, 0] == 1
 
 
 def test_draw_frequency_concentrates():
     inst = make_instance([[0.5, 0.5]], [[0.1, 0.2]], 1.0)
-    draws = model.sample_states(inst, model.substream(42, 0), 100_000)
+    draws = policies.sample_states(inst, substream(42, 0), 100_000)
     freq = np.mean(draws[:, 0] == 1)
     assert abs(freq - 0.5) <= 0.01
 
 
 def test_draw_same_seed_identical():
     inst = make_instance([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]], [[0.1, 0.2, 0.3], [0.1, 0.1, 0.1]], 1.0)
-    assert np.array_equal(model.draw_realization(inst, 9), model.draw_realization(inst, 9))
-    assert model.draw_realization(inst, 9).shape == (2,)
+    a, b = (policies.sample_states(inst, substream(9, STATES), 5) for _ in range(2))
+    assert np.array_equal(a, b)
+    assert a.shape == (5, 2) and a.flags.f_contiguous  # the kernel reads it by column
 
 
 # ---------------------------------------------------------------------------

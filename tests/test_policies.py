@@ -19,7 +19,7 @@ def greedy_y(inst, f, rounds=150):
 def plan_spent(kind, inst, f, y, runs, order="identity", seed=0):
     """The kernel's spend per run of the campaign ``simulate_policy`` runs, block after block."""
     probs = policies.acceptance_probabilities(inst, y)
-    order = policies._normal_order(order, inst.item_count)
+    order = policies.resolve_order(order, inst.item_count)
     spent = []
     for block in policies._draw_plan(inst, runs, order == "random", seed):
         view = policies._arrivals(block, order)
@@ -33,12 +33,18 @@ def plan_spent(kind, inst, f, y, runs, order="identity", seed=0):
 
 
 def test_order_resolution():
-    assert np.array_equal(policies.resolve_order("identity", 3), [0, 1, 2])
-    assert np.array_equal(policies.resolve_order([2, 0, 1], 3), [2, 0, 1])
+    assert policies.resolve_order("identity", 3) == (0, 1, 2)
+    assert policies.resolve_order([2, 0, 1], 3) == (2, 0, 1)
+    assert policies.resolve_order(np.array([2, 0, 1]), 3) == (2, 0, 1)
+    assert policies.resolve_order("random", 3) == "random"
     with pytest.raises(ValidationError):
         policies.resolve_order([0, 0, 1], 3)
     with pytest.raises(ValidationError):
         policies.resolve_order("shuffled", 3)
+    inst = make_instance([[0.5, 0.5]] * 3, [[0.2, 0.4]] * 3, 1.0)
+    with pytest.raises(ValidationError, match="'random'"):  # an exact value needs a fixed order
+        policies.exact_policy_value("stocan", inst, modular_objective([1.0] * 3, 2), np.zeros((3, 2)),
+                                    order="random")
 
 
 def test_infeasible_y_raises_precondition_error():
@@ -46,7 +52,7 @@ def test_infeasible_y_raises_precondition_error():
     f = modular_objective([1.0], 2)
     too_big = np.array([[0.9, 0.1]])  # exceeds the p cap, accept prob would pass 1/4
     with pytest.raises(PreconditionError):
-        policies.run_policy("small", inst, f, too_big, [1], seed=0)
+        policies.scalar_runs("small", inst, f, too_big, 1, seed=0)
     with pytest.raises(PreconditionError):
         policies.simulate_policy("small", inst, f, too_big, 10, seed=0)
 
@@ -59,49 +65,62 @@ def test_acceptance_probabilities_zero_over_zero():
     assert np.all(probs <= 0.25 + 1e-9)
 
 
+def selection_vector(inst, selected) -> np.ndarray:
+    """The state vector of a run's accepted pairs; a run selects each item at most once."""
+    u = np.zeros(inst.item_count, dtype=np.int64)
+    for i, s in selected:
+        u[i] = s
+    return u
+
+
 # ---------------------------------------------------------------------------
-# single-run records
+# run records
 
 
 def test_zero_y_selects_nothing():
     inst, f = generated(121, 3, 2, "nested_coverage")
     y = np.zeros((3, 2))
-    phi = model.draw_realization(inst, 4)
-    rec = policies.run_policy("small", inst, f, y, phi, seed=1)
-    assert rec.selected == ()
-    assert rec.value == f.value([0, 0, 0])
-    assert rec.total_cost == 0.0
+    for rec in policies.scalar_runs("small", inst, f, y, 20, seed=1):
+        assert rec.selected == ()
+        assert rec.value == f.value([0, 0, 0])
+        assert rec.total_cost == 0.0
+    sim = policies.simulate_policy("small", inst, f, y, 20, seed=1)
+    assert np.all(sim.values == f.value([0, 0, 0]))
+    assert not sim.pair_counts[:, 1:].any()
 
 
 def test_record_structure_and_determinism():
     inst, f = generated(122, 3, 2)
     y = greedy_y(inst, f)
-    phi = model.draw_realization(inst, 7)
-    a = policies.run_policy("stocan", inst, f, y, phi, order=[2, 0, 1], seed=12)
-    b = policies.run_policy("stocan", inst, f, y, phi, order=[2, 0, 1], seed=12)
+    a = policies.scalar_runs("stocan", inst, f, y, 40, order=[2, 0, 1], seed=12)
+    b = policies.scalar_runs("stocan", inst, f, y, 40, order=[2, 0, 1], seed=12)
     assert a == b
-    assert a.order == (2, 0, 1)
-    assert [e[0] for e in a.events] == [2, 0, 1]  # events follow the arrival order
-    assert sorted(e[0] for e in a.events) == [0, 1, 2]
-    assert a.branch in ("small", "large")
-    assert a.total_cost <= inst.budget
-    assert a.value == model.h_eval(a.selected, f)
-    parsed = json.loads(a.to_json())
+    sim = policies.simulate_policy("stocan", inst, f, y, 40, order=[2, 0, 1], seed=12)
+    for rec, value, small in zip(a, sim.values, sim.branch_small):
+        assert rec.order == (2, 0, 1)
+        assert [e[0] for e in rec.events] == [2, 0, 1]  # events follow the arrival order
+        assert rec.branch == ("small" if small else "large")
+        assert rec.total_cost <= inst.budget
+        assert rec.value == f.value(selection_vector(inst, rec.selected)) == value
+    parsed = json.loads(a[0].to_json())
     assert set(parsed) == {"kind", "branch", "order", "events", "selected", "total_cost", "value"}
 
 
 def test_small_policy_never_keeps_large_items():
     inst, f = generated(123, 3, 2)
     y = greedy_y(inst, f)
-    for seed in range(40):
-        phi = model.draw_realization(inst, seed)
-        rec = policies.run_policy("small", inst, f, y, phi, seed=seed)
+    small = policies.scalar_runs("small", inst, f, y, 200, seed=13)
+    large = policies.scalar_runs("large", inst, f, y, 200, seed=13)
+    for rec, rec_l in zip(small, large):
+        # state draws do not depend on the policy, so both runs see one realization
+        assert [e[:2] for e in rec.events] == [e[:2] for e in rec_l.events]
         for i, s in rec.selected:
             assert inst.cost[i, s - 1] <= inst.budget / 2
-        rec_l = policies.run_policy("large", inst, f, y, phi, seed=seed)
         for i, s in rec_l.selected:
             assert inst.cost[i, s - 1] > inst.budget / 2
         assert len(rec_l.selected) <= 1
+    assert any(rec.selected for rec in large)
+    assert policies.simulate_policy("large", inst, f, y, 200, seed=13).largest_selection.max() <= 1
 
 
 def test_large_policy_discards_everything_when_all_small():
@@ -322,7 +341,7 @@ def test_records_jsonl_roundtrip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# one kernel: records, single runs and campaigns agree
+# one kernel: records and campaigns agree
 
 
 @pytest.mark.parametrize("order", ["identity", "random"])
@@ -335,22 +354,6 @@ def test_record_depends_only_on_seed_and_run_index(order):
         assert short == long[:20], kind
 
 
-def test_run_policy_is_run_zero_of_a_one_run_campaign():
-    inst, f = generated(137, 4, 2)
-    y = greedy_y(inst, f)
-    for kind, order in itertools.product(policies.KINDS, ("identity", "random")):
-        for seed in range(20):
-            single = policies.run_policy(kind, inst, f, y, model.draw_realization(inst, seed),
-                                         order=order, seed=seed)
-            record, = policies.scalar_runs(kind, inst, f, y, 1, order=order, seed=seed)
-            sim = policies.simulate_policy(kind, inst, f, y, 1, order=order, seed=seed)
-            assert single == record, (kind, order, seed)
-            spent, = plan_spent(kind, inst, f, y, 1, order, seed)
-            assert (single.value, single.total_cost) == (sim.values[0], spent)
-            if kind == "stocan":
-                assert (single.branch == "small") == sim.branch_small[0]
-
-
 @pytest.mark.parametrize("family", model.FAMILIES)
 def test_records_are_rows_of_the_campaign(family):
     inst, f = generated(138, 5, 2, family)
@@ -359,12 +362,10 @@ def test_records_are_rows_of_the_campaign(family):
         sim = policies.simulate_policy(kind, inst, f, y, 300, order="random", seed=51)
         records = policies.scalar_runs(kind, inst, f, y, 300, order="random", seed=51)
         for rec in records:
-            u = np.zeros(inst.item_count, dtype=np.int64)
             spent = 0.0
             for i, s in rec.selected:
-                u[i] = s
                 spent += inst.cost[i, s - 1]
-            assert rec.value == f.value(u)
+            assert rec.value == f.value(selection_vector(inst, rec.selected))
             assert rec.total_cost == spent
         assert np.array_equal([r.value for r in records], sim.values)
         assert np.array_equal([r.total_cost for r in records],
@@ -381,7 +382,7 @@ def test_stocan_selection_is_the_branch_kernel_bit_for_bit(order):
     y = greedy_y(inst, f)
     probs = policies.acceptance_probabilities(inst, y)
     block = policies._arrivals(next(policies._draw_plan(inst, 3000, order == "random", 52)),
-                               policies._normal_order(order, inst.item_count))
+                               policies.resolve_order(order, inst.item_count))
     branch = block[2]
     small, large, combined = (policies._kernel(inst, f, probs, block, keep, False)
                               for keep in (True, False, branch))
@@ -519,7 +520,7 @@ def test_kernel_equals_its_oracle_bit_for_bit(data, family, items, states, seed,
     probs = policies.acceptance_probabilities(inst, y)
     if order == "perm":
         order = data.draw(st.permutations(range(items)))
-    order = policies._normal_order(order, items)
+    order = policies.resolve_order(order, items)
     block = policies._arrivals(next(policies._draw_plan(inst, runs, order == "random", seed)), order)
     keep_small = {"small": True, "large": False, "coins": block[2]}[keep]
     with pytest.MonkeyPatch.context() as mp:
