@@ -246,7 +246,9 @@ def _solve(cfg, inst, objective, y=None):
     """
     try:
         ext = extension.FactoredExtension(objective)
-    except CapacityError:
+    except CapacityError as exc:
+        if y is None and cfg.marginals == "exact":  # the greedy needs exact marginals
+            raise CapacityError(f"{exc}; use --marginals sampled") from exc
         ext = None
     if y is None:
         y = continuous_greedy(inst, objective, cfg.greedy_config(), evaluator=ext)

@@ -423,7 +423,7 @@ def enumerate_state_vectors(item_count: int, state_count: int, start: int = 0,
     n = (state_count + 1) ** item_count
     if n > ENUM_GUARD:
         raise CapacityError(
-            f"(S+1)^I = {n} exceeds the enumeration guard {ENUM_GUARD}; use sampled mode"
+            f"(S+1)^I = {n} exceeds the enumeration guard {ENUM_GUARD}"
         )
     ranks = np.arange(start, n if stop is None else min(stop, n), dtype=np.int64)
     digits = np.empty((item_count, ranks.size), dtype=np.int64)

@@ -1,13 +1,14 @@
-"""Exact optimal-policy values on tiny instances, by exhaustive search.
+"""Exact optimal-policy values on small instances.
 
-The adaptive oracle enumerates every deterministic policy: at each point
+The adaptive oracle ranges over every deterministic policy: at each point
 it may stop, or probe any unprobed item and then, per observed state,
 pick the item (if affordable) or reject it. Probing is free and the
 probe order is chosen adaptively, so this is the strongest baseline the
 approximation guarantees can be measured against. Probed-but-rejected
-items never matter again, which makes the value a function of the
-(probed set, selected pairs) state alone and lets memoization collapse
-the search.
+items never matter again, so the value is a function of each item's
+status alone (unprobed, probed and not selected, or selected at a state),
+and backward induction fills one value per status vector, ``(S+2)^I`` in
+all, level by level from no unprobed item up to all of them.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CapacityError
 from .extension import value_table
-from .model import Instance, LatticeObjective
+from .model import ENUM_GUARD, Instance, LatticeObjective
 
-ORACLE_MAX_ITEMS = 5
-ORACLE_MAX_STATES = 3
 NONADAPTIVE_WORK_GUARD = 2_500_000
 
 
@@ -31,69 +32,51 @@ class OracleResult:
     first_probe: int | None  # None when stopping immediately is optimal
 
 
-def _guard(inst: Instance) -> None:
-    if inst.item_count > ORACLE_MAX_ITEMS or inst.state_count > ORACLE_MAX_STATES:
-        raise CapacityError(
-            f"oracle handles at most {ORACLE_MAX_ITEMS} items and {ORACLE_MAX_STATES} states "
-            f"(got {inst.item_count} x {inst.state_count})"
-        )
-
-
-def optimal_policy_value(inst: Instance, objective: LatticeObjective, *,
-                         memoize: bool = True) -> OracleResult:
+def optimal_policy_value(inst: Instance, objective: LatticeObjective) -> OracleResult:
     """Value of the best deterministic adaptive probing policy.
 
-    ``memoize=False`` re-derives every subtree recursively; it exists so
-    the memoized path can be cross-checked on very small instances.
+    A status vector has one digit per item: ``S+1`` unprobed, ``0`` probed
+    and not selected, ``s`` selected at state ``s``. Its value is the
+    larger of stopping, ``f`` of its selection, and probing each unprobed
+    item ``i`` in item order, ``sum_s p_is * (max(reject, select) if c_is
+    fits else reject)``; both options have one unprobed item fewer. What
+    fits is the budget minus the selection's costs, summed from scratch in
+    item order, so budget checks never accumulate rounding.
     """
-    _guard(inst)
     I, S = inst.item_count, inst.state_count
-    budget = inst.budget
-    cost = inst.cost
-    prob = inst.prob
-    values = value_table(objective).reshape((S + 1,) * I)
-    memo: dict[tuple, float] = {}
-
-    def spent_of(sel: tuple) -> float:
-        # recomputed from scratch so budget checks never accumulate rounding
-        return float(sum(cost[i, s - 1] for i, s in enumerate(sel) if s > 0))
-
-    def probe(i: int, probed: int, sel: tuple) -> float:
-        """Expected value of probing item ``i`` next, then continuing optimally."""
-        remaining = budget - spent_of(sel)
-        expected = 0.0
-        for s in range(1, S + 1):
-            p = prob[i, s - 1]
-            if p == 0.0:
-                continue
-            reject = best(probed | 1 << i, sel)
-            if cost[i, s - 1] <= remaining:
-                picked = sel[:i] + (s,) + sel[i + 1:]
-                expected += p * max(reject, best(probed | 1 << i, picked))
-            else:
-                expected += p * reject
-        return expected
-
-    def best(probed: int, sel: tuple) -> float:
-        key = (probed, sel)
-        if memoize and key in memo:
-            return memo[key]
-        value = values[sel]  # stopping is always allowed
+    n = (S + 2) ** I
+    if n > ENUM_GUARD:
+        raise CapacityError(f"(S+2)^I = {n} exceeds the enumeration guard {ENUM_GUARD}")
+    status = np.indices((S + 2,) * I, dtype=np.min_scalar_type(S + 1)).reshape(I, n)
+    unprobed = status == S + 1
+    sel = np.where(unprobed, 0, status)
+    stop = value_table(objective).take(np.ravel_multi_index(sel, (S + 1,) * I))
+    remaining = inst.budget - sum(np.pad(inst.cost[i], (1, 0)).take(sel[i]) for i in range(I))
+    weight = (S + 2) ** np.arange(I - 1, -1, -1)  # an item's weight in the rank of a status
+    level = unprobed.sum(axis=0)
+    values = np.empty(n)
+    for k in range(I + 1):
+        at = np.flatnonzero(level == k)
+        best = stop[at]
+        probes = []
         for i in range(I):
-            if not probed >> i & 1:
-                value = max(value, probe(i, probed, sel))
-        if memoize:
-            memo[key] = value
-        return value
-
-    root = (0,) * I
-    value = float(best(0, root))
-    first = None
-    for i in range(I):
-        expected = probe(i, 0, root)
-        if expected > values[root] and math.isclose(expected, value, rel_tol=0, abs_tol=1e-12):
-            first = i
-            break
+            mask = unprobed[i, at]
+            rejected = at[mask] - (S + 1) * weight[i]  # item i probed and not selected
+            reject, left = values[rejected], remaining[at[mask]]
+            expected = np.zeros(rejected.size)
+            for s in range(1, S + 1):
+                p = inst.prob[i, s - 1]
+                if p != 0.0:
+                    pick = values[rejected + s * weight[i]]
+                    take = (inst.cost[i, s - 1] <= left) & (pick > reject)
+                    expected += p * np.where(take, pick, reject)
+            best[mask] = np.where(expected > best[mask], expected, best[mask])
+            probes.append(expected)
+        values[at] = best
+    # the last level is the root alone, all items unprobed
+    value = float(values[-1])
+    first = next((i for i, expected in enumerate(probes) if expected[0] > stop[-1]
+                  and math.isclose(expected[0], value, rel_tol=0, abs_tol=1e-12)), None)
     return OracleResult(value=value, first_probe=first)
 
 
@@ -104,7 +87,6 @@ def exhaustive_nonadaptive_value(inst: Instance, objective: LatticeObjective) ->
     (item, state) is taken when affordable. Evaluation is exact over all
     state realizations. Always a lower bound on the adaptive optimum.
     """
-    _guard(inst)
     I, S = inst.item_count, inst.state_count
     work = math.factorial(I) * (2 ** (I * S)) * (S ** I)
     if work > NONADAPTIVE_WORK_GUARD:

@@ -32,13 +32,13 @@ when those are run too. Campaign statistics (:func:`simulate_policy`)
 and run records (:func:`scalar_runs`) are views of it: a
 :class:`RunRecord` is a row of a campaign, so records and statistics
 come from the same draws, and a single run is row 0.
-:func:`exact_policy_value` is the independent oracle and shares no code
-with the kernel but the value table.
+:func:`exact_policy_value` is the independent oracle: it carries the
+law of the selection forward over the arrival positions instead of
+drawing runs, and shares no code with the kernel but the value table.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -61,7 +61,7 @@ ACCEPTED = "accepted"
 ACTIONS = (DISCARDED, REJECTED, SKIPPED, ACCEPTED)  # indexed by the int8 action code
 DISCARD, REJECT, SKIP, ACCEPT = np.arange(len(ACTIONS), dtype=np.int8)
 
-EXACT_POLICY_GUARD = 1_000_000  # max S^I * 2^I for exact expectations
+EXACT_POLICY_GUARD = 1_000_000  # max I * S * (S+1)^I, the work of an exact expectation's pass
 CHUNK_RUNS = 65_536  # rows per block of a draw plan
 
 
@@ -420,58 +420,52 @@ def exact_policy_value(kind: str, inst: Instance, objective: LatticeObjective,
                        y: np.ndarray, order="identity") -> float:
     """Exact expected policy value over states and accept coins.
 
-    Enumerates every state realization and, per realization, the full
-    tree of accept-coin outcomes along the arrival order (the combined
-    policy averages its two branches). Guarded by S^I * 2^I <= 1e6.
+    A forward pass over the arrival positions carries the probability of
+    every selection, as an ``(S+1)^I`` tensor, and the spend of each,
+    accumulated in arrival order as the kernel accumulates it. When item
+    ``i`` arrives, each selection without it passes mass ``p_is * y_is /
+    (4 p_is)`` to the same selection with ``i`` at ``s``, wherever the
+    branch keeps ``s`` and the new spend is within the budget. The value is
+    that law against the value table; the combined policy averages its two
+    branches. Guarded by the pass's work, I * S * (S+1)^I <= 1e6.
     """
     _check_kind(kind)
     probs = acceptance_probabilities(inst, y)
     I, S = inst.item_count, inst.state_count
-    work = (S ** I) * (2 ** I)
+    work = I * S * (S + 1) ** I
     if work > EXACT_POLICY_GUARD:
         raise CapacityError(
-            f"S^I * 2^I = {work} exceeds guard {EXACT_POLICY_GUARD}; use simulate_policy"
+            f"I * S * (S+1)^I = {work} exceeds guard {EXACT_POLICY_GUARD}; use simulate_policy"
         )
     order = resolve_order(order, I)
     if order == "random":
         raise ValidationError("order", "an exact expectation needs a fixed order, not 'random'")
-    budget = inst.budget
-    half = budget / 2
-    values = value_table(objective).reshape((S + 1,) * I)
+    table = value_table(objective)
+    accept = inst.prob * probs  # item i arrives at s and its coin accepts it
 
-    def walk(pos: int, spent: float, sel: list, phi, keep_small: bool) -> float:
-        if pos == I:
-            return values[tuple(sel)]
-        i = order[pos]
-        s = phi[i]
-        cost = float(inst.cost[i, s - 1])
-        if (cost <= half) != keep_small or spent + cost > budget:
-            return walk(pos + 1, spent, sel, phi, keep_small)
-        q = float(probs[i, s - 1])
-        skip = walk(pos + 1, spent, sel, phi, keep_small)
-        if q == 0.0:
-            return skip
-        sel[i] = s
-        take = walk(pos + 1, spent + cost, sel, phi, keep_small)
-        sel[i] = 0
-        return q * take + (1.0 - q) * skip
+    def branch(keep_small: bool) -> float:
+        mass = np.zeros((S + 1,) * I)
+        mass.flat[0] = 1.0
+        spent = np.zeros_like(mass)
+        for i in order:
+            axis = (slice(None),) * i
+            without, spent_without = mass[axis + (0,)], spent[axis + (0,)]
+            stay = np.ones_like(without)
+            for s in range(1, S + 1):
+                cost = inst.cost[i, s - 1]
+                if (cost <= inst.budget / 2) != keep_small:
+                    continue
+                spent[axis + (s,)] = spent_without + cost
+                passed = np.where(spent[axis + (s,)] <= inst.budget, accept[i, s - 1], 0.0)
+                mass[axis + (s,)] = without * passed
+                stay -= passed
+            without *= stay
+        # an elementwise sum, not a BLAS dot, so the value does not depend on thread count
+        return float(np.sum(mass.reshape(-1) * table))
 
-    total = 0.0
-    for phi in itertools.product(range(1, S + 1), repeat=I):
-        p_phi = 1.0
-        for i in range(I):
-            p_phi *= inst.prob[i, phi[i] - 1]
-        if p_phi == 0.0:
-            continue
-        sel = [0] * I
-        if kind == "small":
-            v = walk(0, 0.0, sel, phi, True)
-        elif kind == "large":
-            v = walk(0, 0.0, sel, phi, False)
-        else:
-            v = 0.5 * walk(0, 0.0, sel, phi, True) + 0.5 * walk(0, 0.0, sel, phi, False)
-        total += p_phi * v
-    return float(total)
+    if kind == "stocan":
+        return 0.5 * branch(True) + 0.5 * branch(False)
+    return branch(kind == "small")
 
 
 def write_records(path, records: Iterable[RunRecord]) -> int:

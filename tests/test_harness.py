@@ -116,6 +116,17 @@ def test_optimize_oversized_exact_marginals_is_capacity_error(tmp_path):
     assert code == cli.EXIT_CAPACITY
 
 
+def test_optimize_capacity_error_names_the_sampled_marginals_flag(tmp_path, capsys):
+    # 13 x 2: (S+1)^I = 3^13 is past the enumeration guard, so exact marginals cannot run
+    path = write_payload(tmp_path, harness.generate_instance(13, 2, 1.0, seed=10))
+    code = cli.main(["optimize", "--instance", str(path), "--seed", "1", "--rounds", "3"])
+    assert code == cli.EXIT_CAPACITY
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("capacity error: (S+1)^I = 1594323 exceeds")
+    assert err[0].endswith("; use --marginals sampled")
+
+
 def test_optimize_oversized_sampled_marginals_estimates_H(tmp_path):
     path = write_payload(tmp_path, harness.generate_instance(21, 2, 1.0, seed=10))
     cfg = harness.ExperimentConfig(instance=str(path), seed=1, rounds=2,
@@ -471,7 +482,8 @@ def test_verify_fails_when_a_state_is_unaffordable(tmp_path):
 
 
 def test_verify_oversized_oracle_rows_skipped_not_failed(tmp_path):
-    path = write_payload(tmp_path, harness.generate_instance(6, 2, 1.0, seed=15))
+    # 10 x 2: (S+2)^I = 4^10 is past the oracle's guard, (S+1)^I = 3^10 within the table's
+    path = write_payload(tmp_path, harness.generate_instance(10, 2, 1.0, seed=15))
     cfg = harness.ExperimentConfig(instance=str(path), seed=4, rounds=60, runs=5000,
                                    order_checks=2)
     report = harness.run_verify(cfg)
@@ -479,6 +491,21 @@ def test_verify_oversized_oracle_rows_skipped_not_failed(tmp_path):
     assert by_name["fractional_vs_adaptive_oracle"]["status"] == "skipped"
     assert by_name["combined_policy_guarantee"]["status"] == "skipped"
     assert by_name["split_superadditivity"]["status"] == "pass"
+    assert report["status"] == "pass"
+
+
+@pytest.mark.parametrize("items, states, family", [(8, 2, "nested_coverage"),
+                                                    (6, 3, "concave_over_modular")])
+def test_verify_runs_the_oracle_checks_past_five_items_or_three_states(
+        tmp_path, items, states, family):
+    path = write_payload(tmp_path, harness.generate_instance(items, states, 1.0, family, seed=16))
+    cfg = harness.ExperimentConfig(instance=str(path), seed=5, rounds=100, runs=20_000,
+                                   order_checks=3)
+    report = harness.run_verify(cfg)
+    by_name = {c["name"]: c for c in report["checks"]}
+    for name in ("fractional_vs_adaptive_oracle", "combined_policy_guarantee",
+                 "order_robustness", "simulation_vs_exact"):
+        assert by_name[name]["status"] == "pass", name
     assert report["status"] == "pass"
 
 

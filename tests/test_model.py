@@ -185,10 +185,12 @@ def test_monotone_checker_nested_coverage_exhaustive():
 
 
 def test_monotone_capacity_guard_and_sampled_fallback():
+    # the checker has no sampled mode, so its capacity message names none
     f = TableObjective(12, 4, lambda u: float(sum(u)))
     with pytest.raises(CapacityError) as err:
         model.check_monotone(f)
-    assert "sampled" in str(err.value)
+    assert "exceeds the enumeration guard" in str(err.value)
+    assert "sampled" not in str(err.value)
 
 
 def test_submodular_checker_accepts_concave_of_coordinates():
@@ -214,7 +216,8 @@ def test_submodular_sampled_mode():
     f = TableObjective(12, 4, lambda u: float(np.sqrt(sum(u))))
     with pytest.raises(CapacityError) as err:
         model.check_lattice_submodular(f)
-    assert "sampled" in str(err.value)
+    assert "exceeds the enumeration guard" in str(err.value)
+    assert "sampled" not in str(err.value)
 
 
 def test_builtin_families_pass_both_checkers():

@@ -2,11 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stocan import model, optimizer, oracle, policies
 from stocan.errors import CapacityError
 
 from conftest import generated, make_instance, modular_objective
+from recursive_oracles import search_optimal_policy, walk_policy_value
 
 
 def brute_knapsack(values, costs, budget):
@@ -54,12 +56,34 @@ def test_slack_budget_collects_every_realization():
 
 
 def test_memoized_matches_pure_recursion():
+    # the backward induction against the recursive search in recursive_oracles
     for k in range(6):
         inst, f = generated(210 + k, 1 + k % 3, 2, ["separable_concave", "nested_coverage",
                                                     "concave_over_modular"][k % 3])
-        memo = oracle.optimal_policy_value(inst, f, memoize=True).value
-        pure = oracle.optimal_policy_value(inst, f, memoize=False).value
-        assert memo == pytest.approx(pure, abs=1e-12)
+        assert oracle.optimal_policy_value(inst, f) == search_optimal_policy(inst, f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(model.FAMILIES), items=st.integers(1, 5), states=st.integers(1, 3),
+       seed=st.integers(0, 10_000), greedy=st.booleans())
+def test_array_passes_match_the_recursions(family, items, states, seed, greedy):
+    """The forward pass equals the realization walk and the induction equals the
+    memoized search, for every policy kind under the identity and a random order."""
+    inst, f = generated(seed, items, states, family)
+    rng = np.random.default_rng(seed)
+    if greedy:
+        y = optimizer.continuous_greedy(inst, f, optimizer.GreedyConfig(rounds=20))
+    else:  # a random point of the LP polytope: below the caps, scaled into the budget
+        y = inst.prob * rng.random(inst.prob.shape)
+        spend = float(np.sum(y * inst.cost))
+        if spend > inst.budget:
+            y *= inst.budget / spend
+    for order in ("identity", rng.permutation(items)):
+        for kind in policies.KINDS:
+            walked = walk_policy_value(kind, inst, f, y, order=order)
+            exact = policies.exact_policy_value(kind, inst, f, y, order=order)
+            assert abs(exact - walked) <= 1e-12 * max(1.0, abs(walked)), (kind, order)
+    assert oracle.optimal_policy_value(inst, f) == search_optimal_policy(inst, f)
 
 
 def test_nonadaptive_never_beats_adaptive():
@@ -98,11 +122,12 @@ def test_adaptivity_strictly_helps_on_witness_instance():
 
 
 def test_capacity_guards():
-    probs = np.full((6, 2), 0.5)
-    costs = np.tile([[0.1, 0.2]], (6, 1))
+    # 10 items x 2 states: (S+2)^I = 4^10 is past the enumeration guard
+    probs = np.full((10, 2), 0.5)
+    costs = np.tile([[0.1, 0.2]], (10, 1))
     inst = make_instance(probs, costs, 1.0)
-    f = modular_objective([1.0] * 6, 2)
-    with pytest.raises(CapacityError):
+    f = modular_objective([1.0] * 10, 2)
+    with pytest.raises(CapacityError, match=r"\(S\+2\)\^I = 1048576"):
         oracle.optimal_policy_value(inst, f)
     inst43, f43 = generated(240, 4, 3)
     with pytest.raises(CapacityError):

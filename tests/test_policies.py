@@ -316,7 +316,7 @@ def test_exact_policy_agrees_with_simulation_random_instances():
 
 
 def test_exact_policy_capacity_guard():
-    # 12 items x 3 states: S^I * 2^I is far past the enumeration guard
+    # 12 items x 3 states: I * S * (S+1)^I is far past the exact-value guard
     probs = np.full((12, 3), 1 / 3)
     costs = np.tile(np.array([[0.1, 0.2, 0.3]]), (12, 1))
     big = make_instance(probs, costs, 1.0)
