@@ -27,7 +27,6 @@ from .model import (
     instance_from_dict,
     load_instance,
     make_objective,
-    save_instance,
 )
 from .optimizer import (
     GreedyConfig,
@@ -71,7 +70,6 @@ __all__ = [
     "make_objective",
     "optimal_policy_value",
     "sampled_marginals",
-    "save_instance",
     "simulate_policy",
     "split_solution",
 ]

@@ -102,7 +102,8 @@ def generate_instance(items: int, states: int, cost_scale: float = 1.0,
     the cost scale, placing realized costs on both sides of B/2 while
     keeping every state individually affordable (the large-policy floor
     needs cost <= B: a pair costing more than B can carry fractional
-    mass yet can never be accepted).
+    mass yet can never be accepted). Every object's keys are in sorted
+    order, the order in which ``gen`` writes them.
     """
     if items < 1 or states < 1:
         raise ValidationError("items/states", "must be positive")
@@ -110,21 +111,23 @@ def generate_instance(items: int, states: int, cost_scale: float = 1.0,
         raise ValidationError("family", f"unknown family {family!r} (choose from {FAMILIES})")
     if cost_scale <= 0:
         raise ValidationError("cost_scale", "must be positive")
+    if seed < 0:
+        raise ValidationError("seed", "a nonnegative master seed is required")
     rng = substream(seed, GENERATOR)
     budget = float(cost_scale)
     item_rows = []
     for _ in range(items):
         probs = rng.dirichlet(np.ones(states))
         costs = np.sort(rng.uniform(0.05, 1.0, size=states)) * cost_scale
-        item_rows.append({"probs": [float(v) for v in probs],
-                          "costs": [float(v) for v in costs]})
+        item_rows.append({"costs": [float(v) for v in costs],
+                          "probs": [float(v) for v in probs]})
 
     if family == "separable_concave":
         weights = rng.uniform(0.5, 1.5, size=items)
         increments = np.sort(rng.uniform(0.2, 1.0, size=states))[::-1]
         g = np.concatenate([[0.0], np.cumsum(increments)])
-        objective = {"family": family, "weights": [float(w) for w in weights],
-                     "g": [float(v) for v in g]}
+        objective = {"family": family, "g": [float(v) for v in g],
+                     "weights": [float(w) for w in weights]}
     elif family == "nested_coverage":
         m = max(int(elements), 2)
         weights = rng.uniform(0.3, 1.0, size=m)
@@ -138,15 +141,15 @@ def generate_instance(items: int, states: int, cost_scale: float = 1.0,
                         current.add(e)
                 levels.append(sorted(current))
             covers.append(levels)
-        objective = {"family": family, "covers": covers,
-                     "element_weights": [float(w) for w in weights]}
+        objective = {"covers": covers, "element_weights": [float(w) for w in weights],
+                     "family": family}
     else:
         a = np.cumsum(rng.uniform(0.2, 1.0, size=(items, states)), axis=1)
         cap = float(rng.uniform(0.3, 0.8) * a[:, -1].sum())
-        objective = {"family": family, "a": [[float(v) for v in row] for row in a],
-                     "g": {"kind": "cap", "cap": cap, "scale": 1.0}}
+        objective = {"a": [[float(v) for v in row] for row in a], "family": family,
+                     "g": {"cap": cap, "kind": "cap", "scale": 1.0}}
 
-    payload = {"items": item_rows, "budget": budget, "objective": objective}
+    payload = {"budget": budget, "items": item_rows, "objective": objective}
     model.instance_from_dict(payload)  # generated instances must always validate
     return payload
 
@@ -303,9 +306,11 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
 
     sims = policies.simulate_policies(inst, objective, y, cfg.runs,
                                       [(kind, False, cfg.order) for kind in policies.KINDS],
-                                      seed=cfg.seed, records=bool(cfg.records))
-    if cfg.records:
-        policies.write_records(cfg.records, itertools.chain.from_iterable(s.records for s in sims))
+                                      seed=cfg.seed)
+    if cfg.records:  # each policy's records, re-drawn block by block from the same seed
+        policies.write_records(cfg.records, itertools.chain.from_iterable(
+            policies.iter_records(kind, inst, objective, y, cfg.runs, cfg.order, cfg.seed)
+            for kind in policies.KINDS))
 
     report = {
         "command": "simulate",
@@ -341,7 +346,7 @@ def _policy_block(sim: policies.PolicySimulation) -> dict:
 def run_gen(items, states, cost_scale, family, seed, out, elements=6) -> dict:
     payload = generate_instance(items, states, cost_scale, family, seed, elements)
     if out:
-        model.write_json(out, payload)
+        write_report(payload, out)
     return payload
 
 

@@ -88,15 +88,6 @@ class Instance:
     def state_count(self) -> int:
         return self.prob.shape[1]
 
-    def to_dict(self) -> dict:
-        return {
-            "items": [
-                {"probs": [float(v) for v in self.prob[i]], "costs": [float(v) for v in self.cost[i]]}
-                for i in range(self.item_count)
-            ],
-            "budget": float(self.budget),
-        }
-
 
 def _validate_rows(prob: np.ndarray, cost: np.ndarray) -> None:
     for i in range(prob.shape[0]):
@@ -146,12 +137,6 @@ class LatticeObjective:
     def value_many(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def params_dict(self) -> dict:
-        raise NotImplementedError
-
-    def to_dict(self) -> dict:
-        return {"family": self.family, **self.params_dict()}
-
 
 class ConcaveCurve:
     """A concave nondecreasing scalar map with g(0) = 0, in declarative form."""
@@ -189,14 +174,6 @@ class ConcaveCurve:
         if self.kind == "power":
             return self.scale * np.power(t, self.exponent)
         return self.scale * np.log1p(t)
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind, "scale": self.scale}
-        if self.cap is not None:
-            out["cap"] = self.cap
-        if self.exponent is not None:
-            out["exponent"] = self.exponent
-        return out
 
     @classmethod
     def from_dict(cls, d: dict, path: str = "g") -> "ConcaveCurve":
@@ -237,17 +214,10 @@ class SeparableConcave(LatticeObjective):
             raise ValidationError(f"{path}.g", "expected g tabulated on states 0..S (length S+1)")
         _validate_concave_table(g, f"{path}.g")
         super().__init__(weights.size, g.size - 1)
-        weights.flags.writeable = False
-        g.flags.writeable = False
-        self.weights = weights
-        self.g_table = g
         self._terms = weights[:, None] * g  # _terms[i, s] = w_i * g(s)
 
     def value_many(self, u: np.ndarray) -> np.ndarray:
         return _sum_item_terms(self._terms, u)
-
-    def params_dict(self) -> dict:
-        return {"weights": self.weights.tolist(), "g": self.g_table.tolist()}
 
 
 def _validate_concave_table(g: np.ndarray, path: str) -> None:
@@ -317,7 +287,6 @@ class NestedCoverage(LatticeObjective):
             mask.flags.writeable = False
         self.element_weights = weights
         self.cover_masks = masks
-        self._covers = [[sorted(set(c)) for c in item] for item in covers]
 
     def value_many(self, u: np.ndarray) -> np.ndarray:
         covered = np.zeros((u.shape[0], self.element_weights.size), dtype=bool)
@@ -325,9 +294,6 @@ class NestedCoverage(LatticeObjective):
             covered |= self.cover_masks[i][u[:, i]]
         # covered is C-ordered whatever u's layout, so each row sums the same way
         return (covered * self.element_weights).sum(axis=1)
-
-    def params_dict(self) -> dict:
-        return {"covers": self._covers, "element_weights": self.element_weights.tolist()}
 
 
 class ConcaveOverModular(LatticeObjective):
@@ -357,9 +323,6 @@ class ConcaveOverModular(LatticeObjective):
 
     def value_many(self, u: np.ndarray) -> np.ndarray:
         return self.curve.apply(_sum_item_terms(self.a_tables, u))
-
-    def params_dict(self) -> dict:
-        return {"a": self.a_tables[:, 1:].tolist(), "g": self.curve.to_dict()}
 
 
 # family name -> (required parameter keys, constructor from the parameters and a path)
@@ -546,23 +509,6 @@ def read_json(path):
 
 def load_instance(path) -> tuple[Instance, LatticeObjective]:
     return instance_from_dict(read_json(path))
-
-
-def instance_payload(inst: Instance, objective: LatticeObjective) -> dict:
-    payload = inst.to_dict()
-    payload["objective"] = objective.to_dict()
-    return payload
-
-
-def write_json(path, payload: dict) -> None:
-    """Write an instance file: sorted keys, two-space indent, trailing newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def save_instance(path, inst: Instance, objective: LatticeObjective) -> None:
-    write_json(path, instance_payload(inst, objective))
 
 
 def instance_digest(payload: dict) -> str:

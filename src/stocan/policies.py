@@ -28,10 +28,10 @@ from ``value_many`` on the selection matrix. A
 command feeds all its campaigns from one plan
 (:func:`simulate_policies`); since the combined policy's run is the run
 of the branch its coin chose, it is read off the small and large rows
-when those are run too. Campaign statistics (:func:`simulate_policy`)
-and run records (:func:`scalar_runs`) are views of it: a
-:class:`RunRecord` is a row of a campaign, so records and statistics
-come from the same draws, and a single run is row 0.
+when those are run too. A campaign keeps statistics, not runs: run
+records (:func:`iter_records`) come from a pass of their own over the
+same seeded plan, one block at a time, so a :class:`RunRecord` is a row
+of the campaign of its seed, and a single run is row 0.
 :func:`exact_policy_value` is the independent oracle: it carries the
 law of the selection forward over the arrival positions instead of
 drawing runs, and shares no code with the kernel but the value table.
@@ -265,17 +265,16 @@ def _select(branch_small, small: _Rows, large: _Rows) -> _Rows:
                  np.stack((large.counts[:, 0], small.counts[:, 1]), axis=1))
 
 
-def _records(kind, block, rows: _Rows) -> list:
-    """A :class:`RunRecord` per row of one block."""
+def _records(kind, block, rows: _Rows):
+    """Yield a :class:`RunRecord` per row of one block."""
     phi, _, branch_small, orders = block
     orders = np.broadcast_to(np.array(orders), phi.shape)  # a fixed order is a tuple
     seen = np.take_along_axis(phi, orders, axis=1)  # states in arrival order
-    out = []
     for order, states, codes, spent, value, small in zip(
             orders.tolist(), seen.tolist(), rows.actions.tolist(), rows.spent.tolist(),
             rows.values.tolist(), branch_small.tolist()):
         events = tuple(zip(order, states, [ACTIONS[a] for a in codes]))
-        out.append(RunRecord(
+        yield RunRecord(
             kind=kind,
             order=tuple(order),
             events=events,
@@ -283,8 +282,7 @@ def _records(kind, block, rows: _Rows) -> list:
             total_cost=spent,
             value=value,
             branch=("small" if small else "large") if kind == "stocan" else None,
-        ))
-    return out
+        )
 
 
 @dataclass
@@ -297,9 +295,9 @@ class PolicySimulation:
     runs selected item ``i`` at state ``s``), the runs whose spend is not
     within the budget, and the most pairs one run selected, by branch
     coin (``largest_selection[0]`` over the runs whose coin chose large,
-    ``[1]`` over those whose coin chose small). Per-run states and
-    actions are kept only as ``records``, and only when the campaign was
-    asked for them. ``mean`` and ``stderr`` are set once the last block
+    ``[1]`` over those whose coin chose small). No per-run states or
+    actions are kept; :func:`iter_records` draws them again from the same
+    seed. ``mean`` and ``stderr`` are set once the last block
     is folded in (NaN until then; ``stderr`` stays NaN for a single run).
     """
 
@@ -311,7 +309,6 @@ class PolicySimulation:
     ignore_budget: bool
     budget_violations: int = 0
     largest_selection: np.ndarray = field(default_factory=lambda: np.zeros(2, dtype=np.int64))
-    records: list | None = None
     mean: float = math.nan
     stderr: float = math.nan
 
@@ -335,13 +332,10 @@ def _fold(sim: PolicySimulation, start: int, block, rows: _Rows, budget: float) 
     by_size = np.bincount(rows.sizes * 2 + branch_small, minlength=2 * top).reshape(top, 2)
     sim.largest_selection = np.maximum(sim.largest_selection,
                                        [np.flatnonzero(col).max(initial=0) for col in by_size.T])
-    if sim.records is not None:
-        sim.records += _records(sim.kind, block, rows)
 
 
 def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray, runs: int,
-                      variants, seed: int = 0, *,
-                      records: bool = False) -> list[PolicySimulation]:
+                      variants, seed: int = 0) -> list[PolicySimulation]:
     """Run ``(kind, ignore_budget, order)`` variants on one draw plan; one campaign each.
 
     Every variant sees the same runs: the same realized states, accept
@@ -358,7 +352,8 @@ def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray
     order at any chunk size; pair counts, budget violations and largest
     selections are reduced per block as integers. Memory is one block's
     arrays plus 8 bytes per run per campaign, and, within ``ENUM_GUARD``,
-    the objective's value table (8 bytes per lattice point).
+    the objective's value table (8 bytes per lattice point). No run
+    record is built; :func:`iter_records` gives a campaign's records.
     """
     if runs < 1:
         raise ValidationError("runs", "must be at least 1")
@@ -372,8 +367,7 @@ def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray
     requested = [(kind, bool(ignore), resolve_order(order, I)) for kind, ignore, order in variants]
     branch_small = np.empty(runs, dtype=bool)
     sims = {v: PolicySimulation(v[0], runs, np.empty(runs), np.zeros((I, S + 1), dtype=np.int64),
-                                branch_small if v[0] == "stocan" else None, v[1],
-                                records=[] if records else None)
+                                branch_small if v[0] == "stocan" else None, v[1])
             for v in requested}
     # stocan goes last, so it can be read off small and large of its budget mode and order
     passes = sorted(sims, key=lambda v: v[0] == "stocan")
@@ -435,7 +429,7 @@ def exact_policy_value(kind: str, inst: Instance, objective: LatticeObjective,
     work = I * S * (S + 1) ** I
     if work > EXACT_POLICY_GUARD:
         raise CapacityError(
-            f"I * S * (S+1)^I = {work} exceeds guard {EXACT_POLICY_GUARD}; use simulate_policy"
+            f"I * S * (S+1)^I = {work} exceeds guard {EXACT_POLICY_GUARD}"
         )
     order = resolve_order(order, I)
     if order == "random":
@@ -479,13 +473,29 @@ def write_records(path, records: Iterable[RunRecord]) -> int:
     return n
 
 
+def iter_records(kind: str, inst: Instance, objective: LatticeObjective, y: np.ndarray,
+                 runs: int, order="identity", seed: int = 0):
+    """Yield one record per run of the campaign :func:`simulate_policy` runs.
+
+    A pass of its own over the same draw plan, one block at a time: record
+    ``r`` is row ``r`` of the campaign, and depends only on
+    ``(seed, r, order, kind)``. ``stocan`` runs the kernel with the per-run
+    branch coins, which gives bit for bit the rows a campaign reads off the
+    small and large rows.
+    """
+    if runs < 1:
+        raise ValidationError("runs", "must be at least 1")
+    _check_kind(kind)
+    probs = acceptance_probabilities(inst, y)
+    order = resolve_order(order, inst.item_count)
+    for block in _draw_plan(inst, runs, order == "random", seed):
+        view = _arrivals(block, order)
+        keep_small = block[2] if kind == "stocan" else kind == "small"
+        yield from _records(kind, view, _kernel(inst, objective, probs, view, keep_small, False))
+        del block, view  # free this block's arrays before the plan draws the next
+
+
 def scalar_runs(kind: str, inst: Instance, objective: LatticeObjective, y: np.ndarray,
                 runs: int, order="identity", seed: int = 0) -> list[RunRecord]:
-    """One record per run of the campaign :func:`simulate_policy` runs.
-
-    Record ``r`` is a row view of the same draws, so its value is run
-    ``r``'s value in the campaign statistics, and it depends only on
-    ``(seed, r, order, kind)``: the same for every ``runs > r``.
-    """
-    sim, = simulate_policies(inst, objective, y, runs, [(kind, False, order)], seed, records=True)
-    return sim.records
+    """The records :func:`iter_records` yields, as a list."""
+    return list(iter_records(kind, inst, objective, y, runs, order, seed))

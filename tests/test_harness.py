@@ -56,6 +56,28 @@ def test_gen_cli_writes_identical_files_for_same_seed(tmp_path):
     assert b1 != b3
 
 
+@pytest.mark.parametrize("family", harness.FAMILIES)
+def test_gen_file_parses_back_to_the_generator_payload(tmp_path, family):
+    args = ["gen", "--items", "3", "--states", "2", "--family", family, "--seed", "11"]
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert cli.main(args + ["--out", str(first)]) == 0
+    assert cli.main(args + ["--out", str(second)]) == 0
+    payload = harness.generate_instance(3, 2, 1.0, family, seed=11)
+    written = model.read_json(first)
+    assert written == payload
+    assert model.instance_digest(written) == model.instance_digest(payload)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_gen_negative_seed_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code = cli.main(["gen", "--items", "2", "--states", "2", "--seed", "-1", "--out", str(out)])
+    assert code == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err == "error: seed: a nonnegative master seed is required\n"
+    assert not out.exists()
+
+
 def test_generator_parameter_validation():
     with pytest.raises(ValidationError):
         harness.generate_instance(0, 2, 1.0, "separable_concave", seed=1)
@@ -219,6 +241,35 @@ def run_cli(*args):
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "stocan.cli", *map(str, args)],
                           env=env, capture_output=True, text=True)
+
+
+def test_simulate_records_are_streamed_one_block_at_a_time(tmp_path, monkeypatch):
+    # a campaign keeps no records: they are built block by block as the writer consumes them
+    path = write_payload(tmp_path, harness.generate_instance(3, 2, 1.0, seed=31))
+    chunk, runs = 7, 50
+    monkeypatch.setattr(policies, "CHUNK_RUNS", chunk)
+    built, ahead = [0], []
+    init = policies.RunRecord.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    def consumed(records):
+        for n, rec in enumerate(records, start=1):
+            ahead.append(built[0] - n)  # records built but not yet handed to the writer
+            yield rec
+
+    write = policies.write_records
+    monkeypatch.setattr(policies.RunRecord, "__init__", counting_init)
+    monkeypatch.setattr(policies, "write_records",
+                        lambda out, records: write(out, consumed(records)))
+    records = tmp_path / "runs.jsonl"
+    assert cli.main(["simulate", "--instance", str(path), "--seed", "2", "--rounds", "20",
+                     "--runs", str(runs), "--records", str(records),
+                     "--out", str(tmp_path / "sim.json")]) == 0
+    assert len(records.read_text().splitlines()) == built[0] == len(ahead) == 3 * runs
+    assert max(ahead) < chunk
 
 
 def test_simulate_non_json_solution_is_input_error(tmp_path):
@@ -491,6 +542,9 @@ def test_verify_oversized_oracle_rows_skipped_not_failed(tmp_path):
     assert by_name["fractional_vs_adaptive_oracle"]["status"] == "skipped"
     assert by_name["combined_policy_guarantee"]["status"] == "skipped"
     assert by_name["split_superadditivity"]["status"] == "pass"
+    # 10 * 2 * 3^10 is past the exact-value guard too; the reason names no library function
+    assert by_name["simulation_vs_exact"]["skip_reason"] == (
+        "I * S * (S+1)^I = 1180980 exceeds guard 1000000")
     assert report["status"] == "pass"
 
 

@@ -321,8 +321,10 @@ def test_exact_policy_capacity_guard():
     costs = np.tile(np.array([[0.1, 0.2, 0.3]]), (12, 1))
     big = make_instance(probs, costs, 1.0)
     fbig = modular_objective([1.0] * 12, 3)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError) as err:
         policies.exact_policy_value("stocan", big, fbig, np.zeros((12, 3)))
+    # the message names the guard and no library function
+    assert str(err.value) == "I * S * (S+1)^I = 603979776 exceeds guard 1000000"
 
 
 def test_records_jsonl_roundtrip(tmp_path):
@@ -391,15 +393,18 @@ def test_stocan_selection_is_the_branch_kernel_bit_for_bit(order):
         a, b = getattr(chosen, field), getattr(combined, field)
         assert a.dtype == b.dtype and a.tobytes() == np.ascontiguousarray(b).tobytes(), field
 
-    # through the public views: stocan beside small and large, and stocan alone
+    # through the public views: stocan beside small and large, stocan alone, and its records
     by_plan = policies.simulate_policies(inst, f, y, 3000,
                                          [(k, False, order) for k in policies.KINDS],
-                                         seed=52, records=True)[2]
+                                         seed=52)[2]
     alone = policies.simulate_policy("stocan", inst, f, y, 3000, order=order, seed=52)
     for field in ("values", "pair_counts", "branch_small", "largest_selection"):
         assert getattr(by_plan, field).tobytes() == getattr(alone, field).tobytes(), field
     assert by_plan.budget_violations == alone.budget_violations == 0
-    assert by_plan.records == policies.scalar_runs("stocan", inst, f, y, 3000, order, seed=52)
+    records = policies.scalar_runs("stocan", inst, f, y, 3000, order, seed=52)
+    assert np.array([r.value for r in records]).tobytes() == by_plan.values.tobytes()
+    assert [r.total_cost for r in records] == chosen.spent.tolist()  # 3000 runs: one block
+    assert [r.branch == "small" for r in records] == by_plan.branch_small.tolist()
 
 
 def test_nan_spend_counts_as_a_budget_violation():
