@@ -7,7 +7,6 @@ plus a seeded harness that verifies every guarantee at desk scale.
 """
 
 from .errors import (
-    BudgetViolationError,
     CapacityError,
     PreconditionError,
     StocanError,
@@ -45,7 +44,6 @@ from .policies import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetViolationError",
     "CapacityError",
     "FactoredExtension",
     "GreedyConfig",

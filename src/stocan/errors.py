@@ -19,11 +19,3 @@ class CapacityError(StocanError):
 
 class PreconditionError(StocanError):
     """A documented call precondition does not hold."""
-
-
-class BudgetViolationError(StocanError):
-    """A policy run spent more than the budget (should be unreachable)."""
-
-    def __init__(self, record, message="budget exceeded"):
-        self.record = record
-        super().__init__(message)

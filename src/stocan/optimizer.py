@@ -151,10 +151,12 @@ def continuous_greedy(inst: Instance, objective: LatticeObjective,
     The inner LP's caps are the state probabilities clipped into [0, 1]
     (the loader admits them ``PROB_TOL`` outside), so ``y`` stays in
     [0, 1] and the rounds take exact marginals without re-validating it.
+    A pair costing more than the budget has cap 0: nothing can select it,
+    so the relaxation still bounds the adaptive optimum.
     """
     delta = 1.0 / config.rounds
     y = np.zeros_like(inst.prob)
-    caps = np.clip(inst.prob, 0.0, 1.0)
+    caps = np.where(inst.cost <= inst.budget, np.clip(inst.prob, 0.0, 1.0), 0.0)
     exact = config.marginal_mode == "exact"
     if exact and evaluator is None:
         evaluator = FactoredExtension(objective)

@@ -13,9 +13,8 @@ then decide immediately and irrevocably:
 * **stocan** flips a fair coin and runs one of the two.
 
 Cost is charged on acceptance only; rejected or skipped items are gone
-for good. ``ignore_budget`` drops the remaining-budget check; it exists
-purely as an analysis device for tests (the unbudgeted variant can
-overspend) and must never be used in production runs.
+for good. The unbudgeted small policy of the paper's analysis is never
+run: ``verify`` checks its floor with its exact expected value.
 
 A draw plan yields a campaign's realized states, accept coins, branch
 coins and arrival orders in blocks of at most ``CHUNK_RUNS`` runs, and
@@ -46,7 +45,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BudgetViolationError, CapacityError, PreconditionError, ValidationError
+from .errors import CapacityError, PreconditionError, ValidationError
 from .extension import value_table
 from .model import ENUM_GUARD, Instance, LatticeObjective, PROB_TOL
 from .optimizer import check_lp_feasible
@@ -183,7 +182,7 @@ def _arrivals(block, order):
     return phi, coins, branch_small, random_orders if order == "random" else order
 
 
-def _kernel(inst, objective, probs, block, keep_small, ignore_budget) -> _Rows:
+def _kernel(inst, objective, probs, block, keep_small) -> _Rows:
     """Execute the policy rule on every row of one plan block.
 
     ``keep_small`` is True for the small policy, False for the large one,
@@ -223,14 +222,10 @@ def _kernel(inst, objective, probs, block, keep_small, ignore_budget) -> _Rows:
         pair = items * S1 + states
         cost = cost_of.take(pair)
         keep = (cost <= half) == keep_small
-        accept = keep & (coins[:, t] < prob_of.take(pair))
+        fits = spent + cost <= budget
+        accept = keep & fits & (coins[:, t] < prob_of.take(pair))
         # action codes DISCARD..ACCEPT are 0..3: kept pairs reject (1), skip (2) or accept (3)
-        if ignore_budget:
-            code = 1 + 2 * accept.view(np.int8)
-        else:
-            fits = spent + cost <= budget
-            accept &= fits
-            code = 2 - fits.view(np.int8) + 2 * accept.view(np.int8)
+        code = 2 - fits.view(np.int8) + 2 * accept.view(np.int8)
         np.multiply(keep.view(np.int8), code, out=actions[:, t])
         np.add(spent, cost, out=spent, where=accept)
         sizes += accept
@@ -241,12 +236,6 @@ def _kernel(inst, objective, probs, block, keep_small, ignore_budget) -> _Rows:
         else:
             rank += chosen * radix[items]
 
-    over = ~(spent <= budget)  # a NaN spend is over budget too
-    if not ignore_budget and np.any(over):
-        bad = int(np.argmax(over))  # pragma: no cover
-        raise BudgetViolationError(  # pragma: no cover - structurally unreachable
-            {"run": bad, "total_cost": float(spent[bad])}
-        )
     values = (np.asarray(objective.value_many(selected), dtype=float) if table is None
               else table.take(rank))
     return _Rows(actions, spent, sizes, values, counts.reshape(I, 2, S1))
@@ -306,7 +295,6 @@ class PolicySimulation:
     values: np.ndarray
     pair_counts: np.ndarray
     branch_small: np.ndarray | None
-    ignore_budget: bool
     budget_violations: int = 0
     largest_selection: np.ndarray = field(default_factory=lambda: np.zeros(2, dtype=np.int64))
     mean: float = math.nan
@@ -336,7 +324,7 @@ def _fold(sim: PolicySimulation, start: int, block, rows: _Rows, budget: float) 
 
 def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray, runs: int,
                       variants, seed: int = 0) -> list[PolicySimulation]:
-    """Run ``(kind, ignore_budget, order)`` variants on one draw plan; one campaign each.
+    """Run ``(kind, order)`` variants on one draw plan; one campaign each.
 
     Every variant sees the same runs: the same realized states, accept
     coins and branch coins, drawn once in blocks of at most
@@ -345,9 +333,9 @@ def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray
     permutation (``"identity"`` is ``(0, ..., I-1)``), and variants equal
     after that run once: the result holds one campaign per requested
     variant, in request order, and equal variants share theirs. When the
-    small and the large policy of the same budget mode and order are
-    both asked for, the combined policy takes each run from the branch
-    its coin chose instead of a kernel pass of its own. Values are kept
+    small and the large policy of the same order are both asked for, the
+    combined policy takes each run from the branch its coin chose instead
+    of a kernel pass of its own. Values are kept
     whole, so ``mean`` and ``stderr`` sum the same vector in the same
     order at any chunk size; pair counts, budget violations and largest
     selections are reduced per block as integers. Memory is one block's
@@ -359,35 +347,34 @@ def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray
         raise ValidationError("runs", "must be at least 1")
     variants = list(variants)
     if not variants:
-        raise ValidationError("variants", "expected at least one (kind, ignore_budget, order)")
-    for kind, _, _ in variants:
+        raise ValidationError("variants", "expected at least one (kind, order)")
+    for kind, _ in variants:
         _check_kind(kind)
     probs = acceptance_probabilities(inst, y)
     I, S = inst.item_count, inst.state_count
-    requested = [(kind, bool(ignore), resolve_order(order, I)) for kind, ignore, order in variants]
+    requested = [(kind, resolve_order(order, I)) for kind, order in variants]
     branch_small = np.empty(runs, dtype=bool)
     sims = {v: PolicySimulation(v[0], runs, np.empty(runs), np.zeros((I, S + 1), dtype=np.int64),
-                                branch_small if v[0] == "stocan" else None, v[1])
+                                branch_small if v[0] == "stocan" else None)
             for v in requested}
-    # stocan goes last, so it can be read off small and large of its budget mode and order
+    # stocan goes last, so it can be read off small and large of its order
     passes = sorted(sims, key=lambda v: v[0] == "stocan")
-    read_off = {(ignore, order) for kind, ignore, order in passes if kind == "stocan"
-                and ("small", ignore, order) in sims and ("large", ignore, order) in sims}
+    read_off = {order for kind, order in passes if kind == "stocan"
+                and ("small", order) in sims and ("large", order) in sims}
     start = 0
-    for block in _draw_plan(inst, runs, any(v[2] == "random" for v in passes), seed):
+    for block in _draw_plan(inst, runs, any(v[1] == "random" for v in passes), seed):
         branch_small[start:start + len(block[2])] = block[2]
         done = {}  # this block's small and large rows, until stocan is read off them
-        for kind, ignore, order in passes:
+        for kind, order in passes:
             view = _arrivals(block, order)
-            if kind == "stocan" and (ignore, order) in read_off:
-                rows = _select(block[2], done.pop(("small", ignore, order)),
-                               done.pop(("large", ignore, order)))
+            if kind == "stocan" and order in read_off:
+                rows = _select(block[2], done.pop(("small", order)), done.pop(("large", order)))
             else:
                 keep_small = block[2] if kind == "stocan" else kind == "small"
-                rows = _kernel(inst, objective, probs, view, keep_small, ignore)
-                if (ignore, order) in read_off:
-                    done[kind, ignore, order] = rows
-            _fold(sims[kind, ignore, order], start, view, rows, inst.budget)
+                rows = _kernel(inst, objective, probs, view, keep_small)
+                if order in read_off:
+                    done[kind, order] = rows
+            _fold(sims[kind, order], start, view, rows, inst.budget)
         start += len(block[2])
         del block, view, rows  # free this block's arrays before the plan draws the next
     for sim in sims.values():
@@ -398,15 +385,14 @@ def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray
 
 
 def simulate_policy(kind: str, inst: Instance, objective: LatticeObjective, y: np.ndarray,
-                    runs: int, order="identity", seed: int = 0, *,
-                    ignore_budget: bool = False) -> PolicySimulation:
+                    runs: int, order="identity", seed: int = 0) -> PolicySimulation:
     """Run a vectorized simulation campaign, deterministic in ``seed``.
 
     One variant of :func:`simulate_policies`. State draws do not depend
     on ``kind``, so campaigns with the same seed are paired across
     policies.
     """
-    sim, = simulate_policies(inst, objective, y, runs, [(kind, ignore_budget, order)], seed)
+    sim, = simulate_policies(inst, objective, y, runs, [(kind, order)], seed)
     return sim
 
 
@@ -491,7 +477,7 @@ def iter_records(kind: str, inst: Instance, objective: LatticeObjective, y: np.n
     for block in _draw_plan(inst, runs, order == "random", seed):
         view = _arrivals(block, order)
         keep_small = block[2] if kind == "stocan" else kind == "small"
-        yield from _records(kind, view, _kernel(inst, objective, probs, view, keep_small, False))
+        yield from _records(kind, view, _kernel(inst, objective, probs, view, keep_small))
         del block, view  # free this block's arrays before the plan draws the next
 
 

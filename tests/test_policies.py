@@ -24,7 +24,7 @@ def plan_spent(kind, inst, f, y, runs, order="identity", seed=0):
     for block in policies._draw_plan(inst, runs, order == "random", seed):
         view = policies._arrivals(block, order)
         keep_small = view[2] if kind == "stocan" else kind == "small"
-        spent.append(policies._kernel(inst, f, probs, view, keep_small, False).spent)
+        spent.append(policies._kernel(inst, f, probs, view, keep_small).spent)
     return np.concatenate(spent)
 
 
@@ -152,27 +152,17 @@ def test_large_accept_frequency_quarter():
     assert abs(sim.pair_inclusion_frequency(0, 1) - 0.25) <= 0.006
 
 
-def test_unbudgeted_small_inclusion_matches_quarter_scaled_y():
-    inst, f = generated(124, 3, 2)
-    y = greedy_y(inst, f)
-    runs = 100_000
-    sim = policies.simulate_policy("small", inst, f, y, runs, seed=33, ignore_budget=True)
-    for i in range(3):
-        for s in (1, 2):
-            if inst.cost[i, s - 1] > inst.budget / 2:
-                continue
-            target = y[i, s - 1] / 4
-            stderr = math.sqrt(target * (1 - target) / runs)
-            assert abs(sim.pair_inclusion_frequency(i, s) - target) <= 4 * stderr + 1e-12
-
-
-def test_unbudgeted_value_floors_at_quarter_of_small_H():
-    inst, f = generated(125, 3, 2, "concave_over_modular")
-    y = greedy_y(inst, f)
-    y_small, _ = optimizer.split_solution(y, inst)
-    H_small = extension.FactoredExtension(f).H(y_small)
-    sim = policies.simulate_policy("small", inst, f, y, 100_000, seed=34, ignore_budget=True)
-    assert sim.mean >= H_small / 4 - 4 * sim.stderr
+# derandomized: each example makes 4-sigma comparisons, so a fixed sequence of draws
+# keeps their small false-alarm rate from making the test flaky
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(family=st.sampled_from(model.FAMILIES), items=st.integers(1, 4), states=st.integers(1, 3),
+       seed=st.integers(0, 10_000))
+def test_unbudgeted_small_device_matches_its_exact_value(family, items, states, seed):
+    inst, f = generated(seed, items, states, family)
+    y = greedy_y(inst, f, rounds=50)
+    value_slack, pair_slack, floor_margin = device_slacks(inst, f, y, 20_000, seed)
+    assert floor_margin >= -1e-12  # exact E[device] >= H(y_small)/4
+    assert value_slack >= 0 and pair_slack >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +376,7 @@ def test_stocan_selection_is_the_branch_kernel_bit_for_bit(order):
     block = policies._arrivals(next(policies._draw_plan(inst, 3000, order == "random", 52)),
                                policies.resolve_order(order, inst.item_count))
     branch = block[2]
-    small, large, combined = (policies._kernel(inst, f, probs, block, keep, False)
+    small, large, combined = (policies._kernel(inst, f, probs, block, keep)
                               for keep in (True, False, branch))
     chosen = policies._select(branch, small, large)
     for field in ("actions", "spent", "sizes", "values", "counts"):
@@ -395,7 +385,7 @@ def test_stocan_selection_is_the_branch_kernel_bit_for_bit(order):
 
     # through the public views: stocan beside small and large, stocan alone, and its records
     by_plan = policies.simulate_policies(inst, f, y, 3000,
-                                         [(k, False, order) for k in policies.KINDS],
+                                         [(k, order) for k in policies.KINDS],
                                          seed=52)[2]
     alone = policies.simulate_policy("stocan", inst, f, y, 3000, order=order, seed=52)
     for field in ("values", "pair_counts", "branch_small", "largest_selection"):
@@ -410,7 +400,7 @@ def test_stocan_selection_is_the_branch_kernel_bit_for_bit(order):
 def test_nan_spend_counts_as_a_budget_violation():
     sim = policies.PolicySimulation(
         kind="small", runs=2, values=np.zeros(2), pair_counts=np.zeros((1, 2), dtype=np.int64),
-        branch_small=None, ignore_budget=True)
+        branch_small=None)
     rows = policies._Rows(actions=np.zeros((2, 1), dtype=np.int8), spent=np.array([0.5, math.nan]),
                           sizes=np.zeros(2, dtype=np.int64), values=np.zeros(2),
                           counts=np.zeros((1, 2, 2), dtype=np.int64))
@@ -421,20 +411,19 @@ def test_nan_spend_counts_as_a_budget_violation():
 def test_one_campaign_per_requested_variant_in_request_order(monkeypatch):
     inst, f = generated(140, 3, 2, "nested_coverage")
     y = greedy_y(inst, f)
-    variants = [("stocan", False, "identity"), ("small", True, [2, 0, 1]),
-                ("stocan", False, (0, 1, 2)), ("large", False, "random"),
-                ("stocan", False, "identity")]
+    variants = [("stocan", "identity"), ("small", [2, 0, 1]), ("stocan", (0, 1, 2)),
+                ("large", "random"), ("stocan", "identity")]
     passes = []
     kernel = policies._kernel
     monkeypatch.setattr(policies, "_kernel", lambda *a: passes.append(a) or kernel(*a))
     sims = policies.simulate_policies(inst, f, y, 500, variants, seed=53)
     assert len(passes) == 3  # the three equal stocan variants run once
-    assert [(s.kind, s.ignore_budget) for s in sims] == [v[:2] for v in variants]
+    assert [s.kind for s in sims] == [kind for kind, _ in variants]
     assert sims[0] is sims[2] is sims[4]
     monkeypatch.undo()
-    for sim, (kind, ignore, order) in zip(sims, variants):
-        alone = policies.simulate_policy(kind, inst, f, y, 500, order, 53, ignore_budget=ignore)
-        assert sim.values.tobytes() == alone.values.tobytes(), (kind, ignore, order)
+    for sim, (kind, order) in zip(sims, variants):
+        alone = policies.simulate_policy(kind, inst, f, y, 500, order, 53)
+        assert sim.values.tobytes() == alone.values.tobytes(), (kind, order)
 
 
 @pytest.mark.parametrize("main", ["identity", "random"])
@@ -443,11 +432,10 @@ def test_order_variants_equal_lone_campaigns_bit_for_bit(monkeypatch, chunk, mai
     inst, f = generated(141, 3, 2, "nested_coverage")
     y = greedy_y(inst, f)
     runs = 100  # a multiple of neither 7 nor 45
-    variants = [("small", False, main), ("large", False, main), ("stocan", False, main),
-                ("small", True, main)]
-    variants += [("stocan", False, perm) for perm in itertools.permutations(range(3))]
-    alone = [policies.simulate_policy(kind, inst, f, y, runs, order, 54, ignore_budget=ignore)
-             for kind, ignore, order in variants]
+    variants = [("small", main), ("large", main), ("stocan", main)]
+    variants += [("stocan", perm) for perm in itertools.permutations(range(3))]
+    alone = [policies.simulate_policy(kind, inst, f, y, runs, order, 54)
+             for kind, order in variants]
     monkeypatch.setattr(policies, "CHUNK_RUNS", chunk)
     folded = policies.simulate_policies(inst, f, y, runs, variants, seed=54)
     assert len(folded) == len(variants)
@@ -501,14 +489,42 @@ def reference_kernel(inst, objective, probs, block, keep_small, ignore_budget) -
                           counts.reshape(I, 2, S1))
 
 
+def device_slacks(inst, objective, y, runs, seed) -> tuple[float, float, float]:
+    """The unbudgeted small policy, simulated by :func:`reference_kernel`, against its exact value.
+
+    The device runs over the draw plan of ``seed`` in identity order. Returns
+    the least slack of the simulated mean against the exact device value
+    (``harness._device_value``) at 4 standard errors, the least slack of a
+    cheap pair's inclusion frequency against ``y/4`` at 4 binomial standard
+    errors (inf without a cheap pair), and the exact value's margin over
+    ``H(y_small)/4``. Each tolerance also allows 1e-12 for rounding.
+    """
+    probs = policies.acceptance_probabilities(inst, y)
+    order = policies.resolve_order("identity", inst.item_count)
+    values, counts = [], 0
+    for block in policies._draw_plan(inst, runs, False, seed):
+        rows = reference_kernel(inst, objective, probs, policies._arrivals(block, order), True, True)
+        values.append(rows.values)
+        counts = counts + rows.counts.sum(axis=1)
+    values = np.concatenate(values)
+    y_small, _ = optimizer.split_solution(y, inst)
+    exact = harness._device_value(objective, y_small)
+    stderr = float(np.std(values, ddof=1)) / math.sqrt(runs)
+    value_slack = 4 * stderr + 1e-12 - abs(float(np.mean(values)) - exact)
+    target = y / 4
+    allowance = 4 * np.sqrt(target * (1 - target) / runs) + 1e-12
+    slack = allowance - np.abs(counts[:, 1:] / runs - target)
+    pair_slack = float(np.min(slack[inst.cost <= inst.budget / 2], initial=math.inf))
+    return value_slack, pair_slack, exact - extension.FactoredExtension(objective).H(y_small) / 4
+
 @settings(max_examples=120, deadline=None)
 @given(data=st.data(), family=st.sampled_from(model.FAMILIES), items=st.integers(1, 6),
        states=st.integers(1, 3), seed=st.integers(0, 10_000), runs=st.integers(1, 300),
        order=st.sampled_from(["identity", "perm", "random"]),
-       keep=st.sampled_from(["small", "large", "coins"]), ignore_budget=st.booleans(),
-       with_table=st.booleans(), grid_costs=st.booleans())
+       keep=st.sampled_from(["small", "large", "coins"]), with_table=st.booleans(),
+       grid_costs=st.booleans())
 def test_kernel_equals_its_oracle_bit_for_bit(data, family, items, states, seed, runs, order, keep,
-                                             ignore_budget, with_table, grid_costs):
+                                             with_table, grid_costs):
     payload = harness.generate_instance(items, states, 1.0, family, seed)
     if grid_costs:  # costs on a grid holding 0 and B/2, so ties with the size threshold occur
         for row in payload["items"]:
@@ -531,8 +547,8 @@ def test_kernel_equals_its_oracle_bit_for_bit(data, family, items, states, seed,
     with pytest.MonkeyPatch.context() as mp:
         # without the table, the guard is lowered so that run values come from value_many
         mp.setattr(policies, "ENUM_GUARD", model.ENUM_GUARD if with_table else 0)
-        got = policies._kernel(inst, f, probs, block, keep_small, ignore_budget)
-    want = reference_kernel(inst, f, probs, block, keep_small, ignore_budget)
+        got = policies._kernel(inst, f, probs, block, keep_small)
+    want = reference_kernel(inst, f, probs, block, keep_small, False)
     for name in ("actions", "spent", "sizes", "values", "counts"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
