@@ -165,6 +165,31 @@ def test_unbudgeted_small_device_matches_its_exact_value(family, items, states, 
     assert value_slack >= 0 and pair_slack >= 0
 
 
+def test_unbudgeted_small_inclusion_matches_quarter_scaled_y():
+    inst, f = generated(124, 3, 2)
+    y = greedy_y(inst, f)
+    runs = 100_000
+    _, counts = simulate_device(inst, f, y, runs, seed=33)
+    for i in range(3):
+        for s in (1, 2):
+            if inst.cost[i, s - 1] > inst.budget / 2:
+                continue
+            target = y[i, s - 1] / 4
+            stderr = math.sqrt(target * (1 - target) / runs)
+            assert abs(counts[i, s] / runs - target) <= 4 * stderr + 1e-12
+
+
+def test_unbudgeted_value_floors_at_quarter_of_small_H():
+    inst, f = generated(125, 3, 2, "concave_over_modular")
+    y = greedy_y(inst, f)
+    y_small, _ = optimizer.split_solution(y, inst)
+    H_small = extension.FactoredExtension(f).H(y_small)
+    runs = 100_000
+    values, _ = simulate_device(inst, f, y, runs, seed=34)
+    stderr = float(np.std(values, ddof=1)) / math.sqrt(runs)
+    assert float(np.mean(values)) >= H_small / 4 - 4 * stderr
+
+
 # ---------------------------------------------------------------------------
 # the combined policy
 
@@ -489,6 +514,22 @@ def reference_kernel(inst, objective, probs, block, keep_small, ignore_budget) -
                           counts.reshape(I, 2, S1))
 
 
+def simulate_device(inst, objective, y, runs, seed) -> tuple[np.ndarray, np.ndarray]:
+    """The unbudgeted small policy run by :func:`reference_kernel` over the draw plan of ``seed``.
+
+    Items arrive in identity order. Returns the run values and the ``(I, S+1)``
+    counts of runs that end with each item in each state (state 0 = unselected).
+    """
+    probs = policies.acceptance_probabilities(inst, y)
+    order = policies.resolve_order("identity", inst.item_count)
+    values, counts = [], 0
+    for block in policies._draw_plan(inst, runs, False, seed):
+        rows = reference_kernel(inst, objective, probs, policies._arrivals(block, order), True, True)
+        values.append(rows.values)
+        counts = counts + rows.counts.sum(axis=1)
+    return np.concatenate(values), counts
+
+
 def device_slacks(inst, objective, y, runs, seed) -> tuple[float, float, float]:
     """The unbudgeted small policy, simulated by :func:`reference_kernel`, against its exact value.
 
@@ -499,14 +540,7 @@ def device_slacks(inst, objective, y, runs, seed) -> tuple[float, float, float]:
     errors (inf without a cheap pair), and the exact value's margin over
     ``H(y_small)/4``. Each tolerance also allows 1e-12 for rounding.
     """
-    probs = policies.acceptance_probabilities(inst, y)
-    order = policies.resolve_order("identity", inst.item_count)
-    values, counts = [], 0
-    for block in policies._draw_plan(inst, runs, False, seed):
-        rows = reference_kernel(inst, objective, probs, policies._arrivals(block, order), True, True)
-        values.append(rows.values)
-        counts = counts + rows.counts.sum(axis=1)
-    values = np.concatenate(values)
+    values, counts = simulate_device(inst, objective, y, runs, seed)
     y_small, _ = optimizer.split_solution(y, inst)
     exact = harness._device_value(objective, y_small)
     stderr = float(np.std(values, ddof=1)) / math.sqrt(runs)
