@@ -68,6 +68,11 @@ class ExperimentConfig:
         for path in (self.out, self.records):
             if path:
                 _check_writable(path)
+        if self.records:  # a records file is never a valid instance, solution or report
+            for name in ("out", "instance", "solution"):
+                other = getattr(self, name)
+                if other and os.path.realpath(other) == os.path.realpath(self.records):
+                    raise ValidationError(str(self.records), f"names the same file as {name}")
 
     def greedy_config(self) -> GreedyConfig:
         return GreedyConfig(rounds=self.rounds, marginal_mode=self.marginals,
@@ -403,7 +408,7 @@ def run_verify(cfg: ExperimentConfig) -> dict:
         seed=cfg.seed)
     sims = {"small": small, "large": large, "stocan": stocan_sim}
     violations = sum(s.budget_violations for s in sims.values())
-    large_sizes = [_max_large_selection(large), _max_large_selection(stocan_sim)]
+    large_sizes = [large.largest_large, stocan_sim.largest_large]
 
     if opt is not None:
         checks.append(floor("combined_policy_guarantee", stocan_sim, "stocan",
@@ -437,7 +442,7 @@ def run_verify(cfg: ExperimentConfig) -> dict:
     if opt is not None:
         for perm, sim_k in zip(perms, by_order):
             violations += sim_k.budget_violations
-            large_sizes.append(_max_large_selection(sim_k))
+            large_sizes.append(sim_k.largest_large)
             bound = GUARANTEE_RATIO * opt - (SIGMA * sim_k.stderr + SPLIT_TOL)
             order_rows.append({"order": [int(v) for v in perm], "mean": sim_k.mean,
                                "stderr": sim_k.stderr, "bound": bound,
@@ -476,12 +481,6 @@ def run_verify(cfg: ExperimentConfig) -> dict:
         "status": "fail" if failed else "pass",
         "failed_checks": failed,
     }
-
-
-def _max_large_selection(sim) -> int:
-    """Most pairs selected by one large-policy run of ``sim`` (for stocan, of its large branch)."""
-    return int(sim.largest_selection.max() if sim.branch_small is None
-               else sim.largest_selection[0])
 
 
 def _device_value(objective, y_small) -> float:

@@ -27,10 +27,10 @@ from ``value_many`` on the selection matrix. A
 command feeds all its campaigns from one plan
 (:func:`simulate_policies`); since the combined policy's run is the run
 of the branch its coin chose, it is read off the small and large rows
-when those are run too. A campaign keeps statistics, not runs: run
-records (:func:`iter_records`) come from a pass of their own over the
-same seeded plan, one block at a time, so a :class:`RunRecord` is a row
-of the campaign of its seed, and a single run is row 0.
+when those are run too. A campaign keeps only what a command reads;
+run records (:func:`iter_records`) come from a pass of their own over
+the same seeded plan, one block at a time, so a :class:`RunRecord` is a
+row of the campaign of its seed, and a single run is row 0.
 :func:`exact_policy_value` is the independent oracle: it carries the
 law of the selection forward over the arrival positions instead of
 drawing runs, and shares no code with the kernel but the value table.
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -130,7 +130,6 @@ class _Rows:
     spent: np.ndarray  # (n,) accumulated cost
     sizes: np.ndarray  # (n,) accepted pairs per run
     values: np.ndarray  # (n,) objective value of the run's selection
-    counts: np.ndarray  # (I, 2, S + 1) runs selecting item i at state s, by branch coin large/small
 
 
 def _check_kind(kind: str) -> None:
@@ -194,7 +193,7 @@ def _kernel(inst, objective, probs, block, keep_small) -> _Rows:
     at the mixed-radix rank of its selection, and no selection matrix is
     built; either way the value has the bits ``value_many`` gives.
     """
-    phi, coins, branch_small, order = block
+    phi, coins, _, order = block
     n, I = phi.shape
     S1 = inst.state_count + 1
     table = value_table(objective) if S1 ** I <= ENUM_GUARD else None
@@ -208,10 +207,6 @@ def _kernel(inst, objective, probs, block, keep_small) -> _Rows:
     actions = np.empty((n, I), dtype=np.int8, order="F")
     spent = np.zeros(n)
     sizes = np.zeros(n, dtype=np.int64)
-    # flat (I, 2, S+1) pair counts split by the branch coin, so the combined
-    # policy's can be taken half by half
-    counts = np.zeros(I * 2 * S1, dtype=np.int64)
-    branch_key = branch_small * S1
     if table is None:
         selected = np.zeros((n, I), dtype=np.int64, order="F")  # value_many reads columns
     else:
@@ -230,7 +225,6 @@ def _kernel(inst, objective, probs, block, keep_small) -> _Rows:
         np.add(spent, cost, out=spent, where=accept)
         sizes += accept
         chosen = states * accept
-        counts += np.bincount(items * (2 * S1) + branch_key + chosen, minlength=counts.size)
         if table is None:
             selected[rows, items] = chosen  # a run visits each item once
         else:
@@ -238,7 +232,7 @@ def _kernel(inst, objective, probs, block, keep_small) -> _Rows:
 
     values = (np.asarray(objective.value_many(selected), dtype=float) if table is None
               else table.take(rank))
-    return _Rows(actions, spent, sizes, values, counts.reshape(I, 2, S1))
+    return _Rows(actions, spent, sizes, values)
 
 
 def _select(branch_small, small: _Rows, large: _Rows) -> _Rows:
@@ -250,8 +244,7 @@ def _select(branch_small, small: _Rows, large: _Rows) -> _Rows:
     return _Rows(np.where(branch_small[:, None], small.actions, large.actions),
                  np.where(branch_small, small.spent, large.spent),
                  np.where(branch_small, small.sizes, large.sizes),
-                 np.where(branch_small, small.values, large.values),
-                 np.stack((large.counts[:, 0], small.counts[:, 1]), axis=1))
+                 np.where(branch_small, small.values, large.values))
 
 
 def _records(kind, block, rows: _Rows):
@@ -278,25 +271,22 @@ def _records(kind, block, rows: _Rows):
 class PolicySimulation:
     """Aggregate of a seeded simulation campaign.
 
-    Holds one value per run and, for the combined policy, the coin
-    outcome ``branch_small`` of every run. The rest is reduced per block
-    to exact integers: per-pair inclusion counts (``pair_counts[i, s]``
-    runs selected item ``i`` at state ``s``), the runs whose spend is not
-    within the budget, and the most pairs one run selected, by branch
-    coin (``largest_selection[0]`` over the runs whose coin chose large,
-    ``[1]`` over those whose coin chose small). No per-run states or
-    actions are kept; :func:`iter_records` draws them again from the same
-    seed. ``mean`` and ``stderr`` are set once the last block
-    is folded in (NaN until then; ``stderr`` stays NaN for a single run).
+    Holds one value per run. The rest is reduced per block to two exact
+    integers: the runs whose spend is not within the budget, and
+    ``largest_large``, the most pairs selected by one run that followed
+    the large rule (every run of a large campaign, the runs of a combined
+    campaign whose coin chose large, none of a small campaign's). No
+    per-run states, coins or actions are kept; :func:`iter_records` draws
+    them again from the same seed. ``mean`` and ``stderr`` are set once
+    the last block is folded in (NaN until then; ``stderr`` stays NaN for
+    a single run).
     """
 
     kind: str
     runs: int
     values: np.ndarray
-    pair_counts: np.ndarray
-    branch_small: np.ndarray | None
     budget_violations: int = 0
-    largest_selection: np.ndarray = field(default_factory=lambda: np.zeros(2, dtype=np.int64))
+    largest_large: int = 0
     mean: float = math.nan
     stderr: float = math.nan
 
@@ -304,22 +294,14 @@ class PolicySimulation:
     def is_single_run(self) -> bool:
         return self.runs == 1
 
-    def pair_inclusion_frequency(self, item: int, state: int) -> float:
-        return float(self.pair_counts[item, state] / self.runs)
 
-
-def _fold(sim: PolicySimulation, start: int, block, rows: _Rows, budget: float) -> None:
-    """Write one block's rows into the campaign ``sim``."""
-    branch_small = block[2]
+def _fold(sim: PolicySimulation, start: int, keep_small, rows: _Rows, budget: float) -> None:
+    """Write one block's rows, run with the kernel's ``keep_small``, into the campaign ``sim``."""
     sim.values[start:start + len(rows.values)] = rows.values
-    sim.pair_counts += rows.counts.sum(axis=1)
     # exact comparison on the accumulated spend; no tolerance, and NaN counts
     sim.budget_violations += int(np.count_nonzero(~(rows.spent <= budget)))
-    # runs by (selection size 0..I, branch coin), then the largest size each coin saw
-    top = rows.actions.shape[1] + 1
-    by_size = np.bincount(rows.sizes * 2 + branch_small, minlength=2 * top).reshape(top, 2)
-    sim.largest_selection = np.maximum(sim.largest_selection,
-                                       [np.flatnonzero(col).max(initial=0) for col in by_size.T])
+    large = int(rows.sizes.max(initial=0, where=np.logical_not(keep_small)))
+    sim.largest_large = max(sim.largest_large, large)
 
 
 def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray, runs: int,
@@ -337,8 +319,8 @@ def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray
     combined policy takes each run from the branch its coin chose instead
     of a kernel pass of its own. Values are kept
     whole, so ``mean`` and ``stderr`` sum the same vector in the same
-    order at any chunk size; pair counts, budget violations and largest
-    selections are reduced per block as integers. Memory is one block's
+    order at any chunk size; budget violations and the largest large-rule
+    selection are reduced per block as integers. Memory is one block's
     arrays plus 8 bytes per run per campaign, and, within ``ENUM_GUARD``,
     the objective's value table (8 bytes per lattice point). No run
     record is built; :func:`iter_records` gives a campaign's records.
@@ -351,30 +333,25 @@ def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray
     for kind, _ in variants:
         _check_kind(kind)
     probs = acceptance_probabilities(inst, y)
-    I, S = inst.item_count, inst.state_count
-    requested = [(kind, resolve_order(order, I)) for kind, order in variants]
-    branch_small = np.empty(runs, dtype=bool)
-    sims = {v: PolicySimulation(v[0], runs, np.empty(runs), np.zeros((I, S + 1), dtype=np.int64),
-                                branch_small if v[0] == "stocan" else None)
-            for v in requested}
+    requested = [(kind, resolve_order(order, inst.item_count)) for kind, order in variants]
+    sims = {v: PolicySimulation(v[0], runs, np.empty(runs)) for v in requested}
     # stocan goes last, so it can be read off small and large of its order
     passes = sorted(sims, key=lambda v: v[0] == "stocan")
     read_off = {order for kind, order in passes if kind == "stocan"
                 and ("small", order) in sims and ("large", order) in sims}
     start = 0
     for block in _draw_plan(inst, runs, any(v[1] == "random" for v in passes), seed):
-        branch_small[start:start + len(block[2])] = block[2]
         done = {}  # this block's small and large rows, until stocan is read off them
         for kind, order in passes:
             view = _arrivals(block, order)
+            keep_small = block[2] if kind == "stocan" else kind == "small"
             if kind == "stocan" and order in read_off:
-                rows = _select(block[2], done.pop(("small", order)), done.pop(("large", order)))
+                rows = _select(keep_small, done.pop(("small", order)), done.pop(("large", order)))
             else:
-                keep_small = block[2] if kind == "stocan" else kind == "small"
                 rows = _kernel(inst, objective, probs, view, keep_small)
                 if order in read_off:
                     done[kind, order] = rows
-            _fold(sims[kind, order], start, view, rows, inst.budget)
+            _fold(sims[kind, order], start, keep_small, rows, inst.budget)
         start += len(block[2])
         del block, view, rows  # free this block's arrays before the plan draws the next
     for sim in sims.values():

@@ -136,9 +136,8 @@ def test_criterion_5_hard_feasibility(simulations):
             total_runs += sim.runs
             violations += sim.budget_violations
             assert sim.budget_violations == 0  # runs whose spend is not <= budget, exactly
-        max_large = max(max_large, int(sims["large"].largest_selection.max()))
-        # the combined policy's runs whose coin chose the large branch
-        max_large = max(max_large, int(sims["stocan"].largest_selection[0]))
+        # the large campaign, and the combined policy's runs whose coin chose the large branch
+        max_large = max(max_large, sims["large"].largest_large, sims["stocan"].largest_large)
     ok = total_runs >= 1_000_000 and violations == 0 and max_large <= 1
     announce(5, "zero budget violations, large policy selects at most one",
              ok, f"{total_runs} total runs, {violations} violations, "

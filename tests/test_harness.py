@@ -50,7 +50,7 @@ def test_gen_cli_writes_identical_files_for_same_seed(tmp_path):
     assert cli.main(["gen", "--items", "2", "--states", "2", "--seed", "7", "--out", out1]) == 0
     assert cli.main(["gen", "--items", "2", "--states", "2", "--seed", "7", "--out", out2]) == 0
     assert cli.main(["gen", "--items", "2", "--states", "2", "--seed", "8", "--out", out3]) == 0
-    b1, b2, b3 = (open(p, "rb").read() for p in (out1, out2, out3))
+    b1, b2, b3 = (Path(p).read_bytes() for p in (out1, out2, out3))
     assert b1 == b2
     assert b1 != b3
 
@@ -737,6 +737,26 @@ def test_unwritable_output_fails_before_any_campaign(tmp_path, monkeypatch, caps
     assert code == cli.EXIT_INVALID
     assert str(target(tmp_path)) in capsys.readouterr().err
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("shared", ["out", "instance", "solution", "instance-link"])
+def test_records_naming_another_file_of_the_command_is_input_error(tmp_path, shared):
+    inst_path = write_payload(tmp_path, harness.generate_instance(2, 2, 1.0, seed=30))
+    opt = tmp_path / "opt.json"
+    assert cli.main(["optimize", "--instance", str(inst_path), "--seed", "1", "--rounds", "20",
+                     "--out", str(opt)]) == 0
+    link = tmp_path / "link.json"
+    link.symlink_to(inst_path)  # another name of the instance file
+    paths = {"out": tmp_path / "sim.json", "instance": inst_path, "solution": opt,
+             "instance-link": link}
+    before = {p: p.read_bytes() for p in (inst_path, opt)}
+    done = run_cli("simulate", "--instance", inst_path, "--seed", 1, "--runs", 10,
+                   "--solution", opt, "--out", tmp_path / "sim.json", "--records", paths[shared])
+    assert done.returncode == cli.EXIT_INVALID
+    assert done.stderr.splitlines() == [f"error: {paths[shared]}: names the same file as "
+                                        f"{shared.split('-')[0]}"]
+    assert {p: p.read_bytes() for p in (inst_path, opt)} == before
+    assert not (tmp_path / "sim.json").exists()
 
 
 def test_out_may_overwrite_the_solution_it_reads(tmp_path):

@@ -86,7 +86,8 @@ def test_zero_y_selects_nothing():
         assert rec.total_cost == 0.0
     sim = policies.simulate_policy("small", inst, f, y, 20, seed=1)
     assert np.all(sim.values == f.value([0, 0, 0]))
-    assert not sim.pair_counts[:, 1:].any()
+    assert not plan_spent("small", inst, f, y, 20, seed=1).any()  # every cost is positive
+    assert policies.simulate_policy("large", inst, f, y, 20, seed=1).largest_large == 0
 
 
 def test_record_structure_and_determinism():
@@ -96,7 +97,8 @@ def test_record_structure_and_determinism():
     b = policies.scalar_runs("stocan", inst, f, y, 40, order=[2, 0, 1], seed=12)
     assert a == b
     sim = policies.simulate_policy("stocan", inst, f, y, 40, order=[2, 0, 1], seed=12)
-    for rec, value, small in zip(a, sim.values, sim.branch_small):
+    branch_small = next(policies._draw_plan(inst, 40, False, 12))[2]
+    for rec, value, small in zip(a, sim.values, branch_small):
         assert rec.order == (2, 0, 1)
         assert [e[0] for e in rec.events] == [2, 0, 1]  # events follow the arrival order
         assert rec.branch == ("small" if small else "large")
@@ -120,7 +122,7 @@ def test_small_policy_never_keeps_large_items():
             assert inst.cost[i, s - 1] > inst.budget / 2
         assert len(rec_l.selected) <= 1
     assert any(rec.selected for rec in large)
-    assert policies.simulate_policy("large", inst, f, y, 200, seed=13).largest_selection.max() <= 1
+    assert policies.simulate_policy("large", inst, f, y, 200, seed=13).largest_large <= 1
 
 
 def test_large_policy_discards_everything_when_all_small():
@@ -129,7 +131,7 @@ def test_large_policy_discards_everything_when_all_small():
     y = inst.prob * 0.9
     sim = policies.simulate_policy("large", inst, f, y, 2000, seed=5)
     assert np.all(sim.values == f.value([0, 0]))
-    assert sim.largest_selection.tolist() == [0, 0]
+    assert sim.largest_large == 0
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +143,7 @@ def test_small_accept_frequency_quarter():
     f = modular_objective([1.0], 1)
     y = np.array([[1.0]])  # equals the cap, so accept prob is exactly 1/4
     sim = policies.simulate_policy("small", inst, f, y, 100_000, seed=31)
-    assert abs(sim.pair_inclusion_frequency(0, 1) - 0.25) <= 0.006
+    assert abs(np.mean(sim.values == f.value([1])) - 0.25) <= 0.006  # runs that selected (0, 1)
 
 
 def test_large_accept_frequency_quarter():
@@ -149,7 +151,7 @@ def test_large_accept_frequency_quarter():
     f = modular_objective([1.0], 1)
     y = np.array([[1.0]])
     sim = policies.simulate_policy("large", inst, f, y, 100_000, seed=32)
-    assert abs(sim.pair_inclusion_frequency(0, 1) - 0.25) <= 0.006
+    assert abs(np.mean(sim.values == f.value([1])) - 0.25) <= 0.006
 
 
 # derandomized: each example makes 4-sigma comparisons, so a fixed sequence of draws
@@ -195,10 +197,9 @@ def test_unbudgeted_value_floors_at_quarter_of_small_H():
 
 
 def test_branch_frequency_fair():
-    inst, f = generated(126, 2, 2)
-    y = greedy_y(inst, f)
-    sim = policies.simulate_policy("stocan", inst, f, y, 100_000, seed=35)
-    freq = float(np.mean(sim.branch_small))
+    inst, _ = generated(126, 2, 2)
+    plan = policies._draw_plan(inst, 100_000, False, 35)
+    freq = float(np.mean(np.concatenate([block[2] for block in plan])))
     assert abs(freq - 0.5) <= 0.0064  # four binomial standard errors
 
 
@@ -242,7 +243,7 @@ def test_simulation_deterministic_and_paired_states():
     # state and coin streams are independent of the policy kind, so the
     # combined policy's small-branch runs replay the small policy exactly
     combined = policies.simulate_policy("stocan", inst, f, y, 5000, seed=41)
-    mask = combined.branch_small
+    mask = next(policies._draw_plan(inst, 5000, False, 41))[2]  # the campaign's branch coins
     assert np.array_equal(combined.values[mask], a.values[mask])
     small_runs = policies.scalar_runs("small", inst, f, y, 5000, seed=41)
     combined_runs = policies.scalar_runs("stocan", inst, f, y, 5000, seed=41)
@@ -389,6 +390,27 @@ def test_records_are_rows_of_the_campaign(family):
                               plan_spent(kind, inst, f, y, 300, "random", 51))
 
 
+@pytest.mark.parametrize("order", ["identity", "random"])
+@pytest.mark.parametrize("case", ["generated", "all-small"])
+def test_largest_large_is_the_largest_large_rule_record(monkeypatch, case, order):
+    if case == "generated":
+        inst, f = generated(139, 5, 2, "nested_coverage")
+        y = greedy_y(inst, f)
+    else:  # the large rule discards everything, while small runs select several pairs
+        inst = make_instance([[0.5, 0.5]] * 3, [[0.1, 0.2]] * 3, 1.0)
+        f, y = modular_objective([1.0] * 3, 2), inst.prob * 0.9
+    monkeypatch.setattr(policies, "CHUNK_RUNS", 128)  # the field is reduced across blocks
+    runs, biggest = 1000, {}
+    for kind in policies.KINDS:
+        sim = policies.simulate_policy(kind, inst, f, y, runs, order=order, seed=55)
+        records = policies.scalar_runs(kind, inst, f, y, runs, order=order, seed=55)
+        want = max((len(r.selected) for r in records if "large" in (r.kind, r.branch)), default=0)
+        assert sim.largest_large == want, kind
+        biggest[kind] = max(len(r.selected) for r in records)
+    assert biggest["small"] >= 2  # a reduction over the small-rule runs would differ
+    assert biggest["large"] == (1 if case == "generated" else 0)
+
+
 # ---------------------------------------------------------------------------
 # one draw plan: chunking and the combined policy as a row selection
 
@@ -404,7 +426,7 @@ def test_stocan_selection_is_the_branch_kernel_bit_for_bit(order):
     small, large, combined = (policies._kernel(inst, f, probs, block, keep)
                               for keep in (True, False, branch))
     chosen = policies._select(branch, small, large)
-    for field in ("actions", "spent", "sizes", "values", "counts"):
+    for field in ("actions", "spent", "sizes", "values"):
         a, b = getattr(chosen, field), getattr(combined, field)
         assert a.dtype == b.dtype and a.tobytes() == np.ascontiguousarray(b).tobytes(), field
 
@@ -413,23 +435,20 @@ def test_stocan_selection_is_the_branch_kernel_bit_for_bit(order):
                                          [(k, order) for k in policies.KINDS],
                                          seed=52)[2]
     alone = policies.simulate_policy("stocan", inst, f, y, 3000, order=order, seed=52)
-    for field in ("values", "pair_counts", "branch_small", "largest_selection"):
-        assert getattr(by_plan, field).tobytes() == getattr(alone, field).tobytes(), field
+    assert by_plan.values.tobytes() == alone.values.tobytes()
+    assert by_plan.largest_large == alone.largest_large
     assert by_plan.budget_violations == alone.budget_violations == 0
     records = policies.scalar_runs("stocan", inst, f, y, 3000, order, seed=52)
     assert np.array([r.value for r in records]).tobytes() == by_plan.values.tobytes()
     assert [r.total_cost for r in records] == chosen.spent.tolist()  # 3000 runs: one block
-    assert [r.branch == "small" for r in records] == by_plan.branch_small.tolist()
+    assert [r.branch == "small" for r in records] == branch.tolist()
 
 
 def test_nan_spend_counts_as_a_budget_violation():
-    sim = policies.PolicySimulation(
-        kind="small", runs=2, values=np.zeros(2), pair_counts=np.zeros((1, 2), dtype=np.int64),
-        branch_small=None)
+    sim = policies.PolicySimulation(kind="small", runs=2, values=np.zeros(2))
     rows = policies._Rows(actions=np.zeros((2, 1), dtype=np.int8), spent=np.array([0.5, math.nan]),
-                          sizes=np.zeros(2, dtype=np.int64), values=np.zeros(2),
-                          counts=np.zeros((1, 2, 2), dtype=np.int64))
-    policies._fold(sim, 0, (None, None, np.array([True, False]), None), rows, budget=1.0)
+                          sizes=np.zeros(2, dtype=np.int64), values=np.zeros(2))
+    policies._fold(sim, 0, True, rows, budget=1.0)
     assert sim.budget_violations == 1
 
 
@@ -465,26 +484,25 @@ def test_order_variants_equal_lone_campaigns_bit_for_bit(monkeypatch, chunk, mai
     folded = policies.simulate_policies(inst, f, y, runs, variants, seed=54)
     assert len(folded) == len(variants)
     for a, b, variant in zip(folded, alone, variants):
-        for field in ("values", "pair_counts", "largest_selection"):
-            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), (variant, field)
+        assert a.values.tobytes() == b.values.tobytes(), variant
+        assert a.largest_large == b.largest_large, variant
         assert a.budget_violations == b.budget_violations, variant
-        assert (a.branch_small is None) == (b.branch_small is None), variant
-        if a.branch_small is not None:
-            assert np.array_equal(a.branch_small, b.branch_small), variant
 
 
 # ---------------------------------------------------------------------------
 # the kernel against its oracle
 
 
-def reference_kernel(inst, objective, probs, block, keep_small, ignore_budget) -> policies._Rows:
+def reference_kernel(inst, objective, probs, block, keep_small, ignore_budget):
     """The policy rule over an ``(n, I)`` order matrix and selection matrix: the kernel's oracle.
 
     Action codes by nested ``where``, each row's item and state gathered
-    by row, run values by ``value_many`` on the selection, sizes and pair
-    counts read off it at the end.
+    by row, run values by ``value_many`` on the selection, sizes read off
+    it at the end. Returns the rows and, beside them, the ``(I, S+1)``
+    counts of runs that end with each item in each state (state 0 =
+    unselected).
     """
-    phi, coins, branch_small, orders = block
+    phi, coins, _, orders = block
     orders = np.broadcast_to(np.array(orders), phi.shape)  # a fixed order is a tuple
     n, I = phi.shape
     budget = inst.budget
@@ -506,12 +524,9 @@ def reference_kernel(inst, objective, probs, block, keep_small, ignore_budget) -
                                           policies.SKIP))
         spent += np.where(accept, cost, 0.0)
         selected[rows, items] = np.where(accept, states, 0)
-    S1 = inst.state_count + 1
-    counts = np.array([np.bincount(col + S1 * branch_small, minlength=2 * S1)
-                       for col in selected.T])
+    counts = np.array([np.bincount(col, minlength=inst.state_count + 1) for col in selected.T])
     return policies._Rows(actions, spent, np.count_nonzero(selected, axis=1),
-                          np.asarray(objective.value_many(selected), dtype=float),
-                          counts.reshape(I, 2, S1))
+                          np.asarray(objective.value_many(selected), dtype=float)), counts
 
 
 def simulate_device(inst, objective, y, runs, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -524,9 +539,10 @@ def simulate_device(inst, objective, y, runs, seed) -> tuple[np.ndarray, np.ndar
     order = policies.resolve_order("identity", inst.item_count)
     values, counts = [], 0
     for block in policies._draw_plan(inst, runs, False, seed):
-        rows = reference_kernel(inst, objective, probs, policies._arrivals(block, order), True, True)
+        rows, block_counts = reference_kernel(inst, objective, probs,
+                                              policies._arrivals(block, order), True, True)
         values.append(rows.values)
-        counts = counts + rows.counts.sum(axis=1)
+        counts = counts + block_counts
     return np.concatenate(values), counts
 
 
@@ -582,8 +598,8 @@ def test_kernel_equals_its_oracle_bit_for_bit(data, family, items, states, seed,
         # without the table, the guard is lowered so that run values come from value_many
         mp.setattr(policies, "ENUM_GUARD", model.ENUM_GUARD if with_table else 0)
         got = policies._kernel(inst, f, probs, block, keep_small)
-    want = reference_kernel(inst, f, probs, block, keep_small, False)
-    for name in ("actions", "spent", "sizes", "values", "counts"):
+    want, _ = reference_kernel(inst, f, probs, block, keep_small, False)
+    for name in ("actions", "spent", "sizes", "values"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
