@@ -85,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the full guarantee battery")
     _common_flags(ver)
     ver.add_argument("--order-checks", type=int, default=ExperimentConfig.order_checks,
-                     help="number of random arrival orders for the robustness check")
+                     help="arrival orders the robustness check evaluates exactly: every "
+                          "permutation if there are at most this many, else this many random ones")
 
     return parser
 

@@ -14,7 +14,9 @@ then decide immediately and irrevocably:
 
 Cost is charged on acceptance only; rejected or skipped items are gone
 for good. The unbudgeted small policy of the paper's analysis is never
-run: ``verify`` checks its floor with its exact expected value.
+run: ``verify`` checks its floor with its exact expected value, and the
+combined policy's floor at each checked arrival order with
+:func:`exact_policy_value`.
 
 A draw plan yields a campaign's realized states, accept coins, branch
 coins and arrival orders in blocks of at most ``CHUNK_RUNS`` runs, and
@@ -24,10 +26,10 @@ recording an int8 action code per run and position. Within
 ``ENUM_GUARD`` a run's value is read from the objective's value table
 (:func:`~stocan.extension.value_table`, built once per objective), else
 from ``value_many`` on the selection matrix. A
-command feeds all its campaigns from one plan
+command runs its three campaigns, at one arrival order, on one plan
 (:func:`simulate_policies`); since the combined policy's run is the run
-of the branch its coin chose, it is read off the small and large rows
-when those are run too. A campaign keeps only what a command reads;
+of the branch its coin chose, it is read off the small and large rows.
+A campaign keeps only what a command reads;
 run records (:func:`iter_records`) come from a pass of their own over
 the same seeded plan, one block at a time, so a :class:`RunRecord` is a
 row of the campaign of its seed, and a single run is row 0.
@@ -45,7 +47,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import CapacityError, PreconditionError, ValidationError
+from .errors import PreconditionError, ValidationError
 from .extension import value_table
 from .model import ENUM_GUARD, Instance, LatticeObjective, PROB_TOL
 from .optimizer import check_lp_feasible
@@ -60,7 +62,6 @@ ACCEPTED = "accepted"
 ACTIONS = (DISCARDED, REJECTED, SKIPPED, ACCEPTED)  # indexed by the int8 action code
 DISCARD, REJECT, SKIP, ACCEPT = np.arange(len(ACTIONS), dtype=np.int8)
 
-EXACT_POLICY_GUARD = 1_000_000  # max I * S * (S+1)^I, the work of an exact expectation's pass
 CHUNK_RUNS = 65_536  # rows per block of a draw plan
 
 
@@ -175,7 +176,7 @@ def _draw_plan(inst: Instance, runs: int, random_order: bool, seed: int):
 
 
 def _arrivals(block, order):
-    """``block`` as a variant of resolved ``order`` sees it: a fixed order stays its
+    """``block`` as a campaign at resolved ``order`` sees it: a fixed order stays its
     permutation tuple, ``"random"`` takes the block's ``(n, I)`` arrival orders."""
     phi, coins, branch_small, random_orders = block
     return phi, coins, branch_small, random_orders if order == "random" else order
@@ -305,72 +306,53 @@ def _fold(sim: PolicySimulation, start: int, keep_small, rows: _Rows, budget: fl
 
 
 def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray, runs: int,
-                      variants, seed: int = 0) -> list[PolicySimulation]:
-    """Run ``(kind, order)`` variants on one draw plan; one campaign each.
+                      order="identity", seed: int = 0) -> list[PolicySimulation]:
+    """Run the small, large and combined policies on one draw plan: ``[small, large, stocan]``.
 
-    Every variant sees the same runs: the same realized states, accept
-    coins and branch coins, drawn once in blocks of at most
-    ``CHUNK_RUNS`` rows, and every ``"random"`` variant the same per-run
-    arrival orders. A fixed order is normalized to the tuple of its
-    permutation (``"identity"`` is ``(0, ..., I-1)``), and variants equal
-    after that run once: the result holds one campaign per requested
-    variant, in request order, and equal variants share theirs. When the
-    small and the large policy of the same order are both asked for, the
-    combined policy takes each run from the branch its coin chose instead
-    of a kernel pass of its own. Values are kept
-    whole, so ``mean`` and ``stderr`` sum the same vector in the same
-    order at any chunk size; budget violations and the largest large-rule
-    selection are reduced per block as integers. Memory is one block's
-    arrays plus 8 bytes per run per campaign, and, within ``ENUM_GUARD``,
-    the objective's value table (8 bytes per lattice point). No run
-    record is built; :func:`iter_records` gives a campaign's records.
+    The three campaigns see the same runs: the same realized states,
+    accept coins and, under ``"random"``, per-run arrival orders, drawn
+    once in blocks of at most ``CHUNK_RUNS`` rows. Each block takes two
+    kernel passes, small and large; the combined policy takes each run
+    from the branch its coin chose. Values are kept whole, so ``mean``
+    and ``stderr`` sum the same vector in the same order at any chunk
+    size; budget violations and the largest large-rule selection are
+    reduced per block as integers. Memory is one block's arrays plus 8
+    bytes per run per campaign, and, within ``ENUM_GUARD``, the
+    objective's value table (8 bytes per lattice point). No run record
+    is built; :func:`iter_records` gives a campaign's records.
     """
     if runs < 1:
         raise ValidationError("runs", "must be at least 1")
-    variants = list(variants)
-    if not variants:
-        raise ValidationError("variants", "expected at least one (kind, order)")
-    for kind, _ in variants:
-        _check_kind(kind)
     probs = acceptance_probabilities(inst, y)
-    requested = [(kind, resolve_order(order, inst.item_count)) for kind, order in variants]
-    sims = {v: PolicySimulation(v[0], runs, np.empty(runs)) for v in requested}
-    # stocan goes last, so it can be read off small and large of its order
-    passes = sorted(sims, key=lambda v: v[0] == "stocan")
-    read_off = {order for kind, order in passes if kind == "stocan"
-                and ("small", order) in sims and ("large", order) in sims}
+    order = resolve_order(order, inst.item_count)
+    sims = [PolicySimulation(kind, runs, np.empty(runs)) for kind in KINDS]
     start = 0
-    for block in _draw_plan(inst, runs, any(v[1] == "random" for v in passes), seed):
-        done = {}  # this block's small and large rows, until stocan is read off them
-        for kind, order in passes:
-            view = _arrivals(block, order)
-            keep_small = block[2] if kind == "stocan" else kind == "small"
-            if kind == "stocan" and order in read_off:
-                rows = _select(keep_small, done.pop(("small", order)), done.pop(("large", order)))
-            else:
-                rows = _kernel(inst, objective, probs, view, keep_small)
-                if order in read_off:
-                    done[kind, order] = rows
-            _fold(sims[kind, order], start, keep_small, rows, inst.budget)
-        start += len(block[2])
-        del block, view, rows  # free this block's arrays before the plan draws the next
-    for sim in sims.values():
+    for block in _draw_plan(inst, runs, order == "random", seed):
+        view = _arrivals(block, order)
+        branch_small = block[2]
+        small, large = (_kernel(inst, objective, probs, view, keep) for keep in (True, False))
+        for sim, keep_small, rows in zip(sims, (True, False, branch_small),
+                                         (small, large, _select(branch_small, small, large))):
+            _fold(sim, start, keep_small, rows, inst.budget)
+        start += len(branch_small)
+        del block, view, small, large, rows  # free this block before the plan draws the next
+    for sim in sims:
         sim.mean = float(np.mean(sim.values))
         if runs > 1:
             sim.stderr = float(np.std(sim.values, ddof=1) / math.sqrt(runs))
-    return [sims[v] for v in requested]
+    return sims
 
 
 def simulate_policy(kind: str, inst: Instance, objective: LatticeObjective, y: np.ndarray,
                     runs: int, order="identity", seed: int = 0) -> PolicySimulation:
     """Run a vectorized simulation campaign, deterministic in ``seed``.
 
-    One variant of :func:`simulate_policies`. State draws do not depend
-    on ``kind``, so campaigns with the same seed are paired across
-    policies.
+    The ``kind`` campaign of :func:`simulate_policies`. State draws do
+    not depend on ``kind``, so campaigns with the same seed are paired
+    across policies.
     """
-    sim, = simulate_policies(inst, objective, y, runs, [(kind, order)], seed)
-    return sim
+    _check_kind(kind)
+    return simulate_policies(inst, objective, y, runs, order, seed)[KINDS.index(kind)]
 
 
 def exact_policy_value(kind: str, inst: Instance, objective: LatticeObjective,
@@ -384,16 +366,11 @@ def exact_policy_value(kind: str, inst: Instance, objective: LatticeObjective,
     (4 p_is)`` to the same selection with ``i`` at ``s``, wherever the
     branch keeps ``s`` and the new spend is within the budget. The value is
     that law against the value table; the combined policy averages its two
-    branches. Guarded by the pass's work, I * S * (S+1)^I <= 1e6.
+    branches. Bounded, like the table, by ``ENUM_GUARD``.
     """
     _check_kind(kind)
     probs = acceptance_probabilities(inst, y)
     I, S = inst.item_count, inst.state_count
-    work = I * S * (S + 1) ** I
-    if work > EXACT_POLICY_GUARD:
-        raise CapacityError(
-            f"I * S * (S+1)^I = {work} exceeds guard {EXACT_POLICY_GUARD}"
-        )
     order = resolve_order(order, I)
     if order == "random":
         raise ValidationError("order", "an exact expectation needs a fixed order, not 'random'")
@@ -404,19 +381,21 @@ def exact_policy_value(kind: str, inst: Instance, objective: LatticeObjective,
         mass = np.zeros((S + 1,) * I)
         mass.flat[0] = 1.0
         spent = np.zeros_like(mass)
+        at = [0] * I + [...]  # where mass can be: items yet to arrive at 0; ``...`` keeps views
         for i in order:
-            axis = (slice(None),) * i
-            without, spent_without = mass[axis + (0,)], spent[axis + (0,)]
+            without, spent_without = mass[tuple(at)], spent[tuple(at)]
             stay = np.ones_like(without)
             for s in range(1, S + 1):
                 cost = inst.cost[i, s - 1]
                 if (cost <= inst.budget / 2) != keep_small:
                     continue
-                spent[axis + (s,)] = spent_without + cost
-                passed = np.where(spent[axis + (s,)] <= inst.budget, accept[i, s - 1], 0.0)
-                mass[axis + (s,)] = without * passed
+                at[i] = s
+                spent[tuple(at)] = spent_without + cost
+                passed = np.where(spent[tuple(at)] <= inst.budget, accept[i, s - 1], 0.0)
+                mass[tuple(at)] = without * passed
                 stay -= passed
             without *= stay
+            at[i] = slice(None)
         # an elementwise sum, not a BLAS dot, so the value does not depend on thread count
         return float(np.sum(mass.reshape(-1) * table))
 

@@ -56,15 +56,9 @@ def suite():
 @pytest.fixture(scope="module")
 def simulations(suite):
     """One seeded campaign per policy per instance, paired by state stream."""
-    sims = []
-    for entry in suite:
-        sims.append({
-            kind: policies.simulate_policy(
-                kind, entry["inst"], entry["objective"], entry["y"], RUNS,
-                seed=MASTER_SEED)
-            for kind in policies.KINDS
-        })
-    return sims
+    return [{sim.kind: sim for sim in policies.simulate_policies(
+                entry["inst"], entry["objective"], entry["y"], RUNS, seed=MASTER_SEED)}
+            for entry in suite]
 
 
 def test_criterion_1_split_superadditivity():

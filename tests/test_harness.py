@@ -1,6 +1,7 @@
 import ast
 import functools
 import importlib
+import itertools
 import json
 import math
 import operator
@@ -569,25 +570,54 @@ def test_verify_oversized_oracle_rows_skipped_not_failed(tmp_path):
     assert by_name["fractional_vs_adaptive_oracle"]["status"] == "skipped"
     assert by_name["combined_policy_guarantee"]["status"] == "skipped"
     assert by_name["split_superadditivity"]["status"] == "pass"
-    # 10 * 2 * 3^10 is past the exact-value guard too; the reason names no library function
-    assert by_name["simulation_vs_exact"]["skip_reason"] == (
-        "I * S * (S+1)^I = 1180980 exceeds guard 1000000")
+    assert by_name["order_robustness"]["status"] == "skipped"
+    # the exact policy values need only the table
+    for name in ("simulation_vs_exact", "small_simulation_vs_exact", "large_simulation_vs_exact"):
+        assert by_name[name]["status"] == "pass", name
     assert report["status"] == "pass"
 
 
 @pytest.mark.parametrize("items, states, family", [(8, 2, "nested_coverage"),
-                                                    (6, 3, "concave_over_modular")])
+                                                    (6, 3, "concave_over_modular"),
+                                                    (8, 3, "nested_coverage")])
 def test_verify_runs_the_oracle_checks_past_five_items_or_three_states(
         tmp_path, items, states, family):
+    # up to (S+2)^I = 5^8 for the oracle; the exact policy values need only (S+1)^I
     path = write_payload(tmp_path, harness.generate_instance(items, states, 1.0, family, seed=16))
     cfg = harness.ExperimentConfig(instance=str(path), seed=5, rounds=100, runs=20_000,
                                    order_checks=3)
     report = harness.run_verify(cfg)
     by_name = {c["name"]: c for c in report["checks"]}
     for name in ("fractional_vs_adaptive_oracle", "combined_policy_guarantee",
-                 "order_robustness", "simulation_vs_exact"):
+                 "order_robustness", "simulation_vs_exact", "small_simulation_vs_exact",
+                 "large_simulation_vs_exact"):
         assert by_name[name]["status"] == "pass", name
     assert report["status"] == "pass"
+
+
+@pytest.mark.parametrize("order_checks", [4, 10])
+def test_verify_order_rows_are_exact_values_and_run_no_campaign(monkeypatch, order_checks):
+    path = harness.reference_suite_paths()[7]  # 3 items, 2 states: 6 orders
+    passes = []
+    kernel = policies._kernel
+    monkeypatch.setattr(policies, "_kernel", lambda *a: passes.append(a) or kernel(*a))
+    report = harness.run_verify(harness.ExperimentConfig(instance=str(path), seed=1, rounds=50,
+                                                         runs=2000, order_checks=order_checks))
+    assert len(passes) == 2  # small and large on one block; no pass per checked order
+    row = next(c for c in report["checks"] if c["name"] == "order_robustness")
+    orders = row["detail"]["orders"]
+    if order_checks >= 6:  # every order, each once
+        assert [tuple(r["order"]) for r in orders] == list(itertools.permutations(range(3)))
+    else:
+        assert len(orders) == order_checks
+    inst, f = model.load_instance(path)
+    y = np.array(report["solution"]["y"])
+    bound = harness.GUARANTEE_RATIO * report["oracle"]["adaptive_optimum"] - harness.SPLIT_TOL
+    for r in orders:
+        assert r["value"] == policies.exact_policy_value("stocan", inst, f, y, order=r["order"])
+        assert r["bound"] == bound and r["pass"] == (r["value"] >= bound)
+    assert row["lhs"] == min(r["value"] - r["bound"] for r in orders)
+    assert row["lhs_source"] == "min over orders of exact_value[stocan] - bound"
 
 
 def test_verify_random_order_mode_skips_exact_comparison(tmp_path):
@@ -757,6 +787,22 @@ def test_records_naming_another_file_of_the_command_is_input_error(tmp_path, sha
                                         f"{shared.split('-')[0]}"]
     assert {p: p.read_bytes() for p in (inst_path, opt)} == before
     assert not (tmp_path / "sim.json").exists()
+
+
+@pytest.mark.parametrize("via", ["path", "symlink"])
+@pytest.mark.parametrize("command", ["optimize", "simulate", "verify"])
+def test_out_naming_the_instance_is_input_error(tmp_path, capsys, command, via):
+    inst_path = write_payload(tmp_path, harness.generate_instance(2, 2, 1.0, seed=32))
+    out = inst_path
+    if via == "symlink":
+        out = tmp_path / "link.json"
+        out.symlink_to(inst_path)  # another name of the instance file
+    before = inst_path.read_bytes()
+    code = cli.main([command, "--instance", str(inst_path), "--seed", "1", "--rounds", "5",
+                     "--runs", "100", "--out", str(out)])
+    assert code == cli.EXIT_INVALID
+    assert capsys.readouterr().err.splitlines() == [f"error: {out}: names the same file as instance"]
+    assert inst_path.read_bytes() == before
 
 
 def test_out_may_overwrite_the_solution_it_reads(tmp_path):

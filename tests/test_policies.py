@@ -332,7 +332,7 @@ def test_exact_policy_agrees_with_simulation_random_instances():
 
 
 def test_exact_policy_capacity_guard():
-    # 12 items x 3 states: I * S * (S+1)^I is far past the exact-value guard
+    # 12 items x 3 states: the value table's (S+1)^I = 4^12 lattice points are past its guard
     probs = np.full((12, 3), 1 / 3)
     costs = np.tile(np.array([[0.1, 0.2, 0.3]]), (12, 1))
     big = make_instance(probs, costs, 1.0)
@@ -340,7 +340,7 @@ def test_exact_policy_capacity_guard():
     with pytest.raises(CapacityError) as err:
         policies.exact_policy_value("stocan", big, fbig, np.zeros((12, 3)))
     # the message names the guard and no library function
-    assert str(err.value) == "I * S * (S+1)^I = 603979776 exceeds guard 1000000"
+    assert str(err.value) == "(S+1)^I = 16777216 exceeds the enumeration guard 1000000"
 
 
 def test_records_jsonl_roundtrip(tmp_path):
@@ -431,9 +431,7 @@ def test_stocan_selection_is_the_branch_kernel_bit_for_bit(order):
         assert a.dtype == b.dtype and a.tobytes() == np.ascontiguousarray(b).tobytes(), field
 
     # through the public views: stocan beside small and large, stocan alone, and its records
-    by_plan = policies.simulate_policies(inst, f, y, 3000,
-                                         [(k, order) for k in policies.KINDS],
-                                         seed=52)[2]
+    by_plan = policies.simulate_policies(inst, f, y, 3000, order, seed=52)[2]
     alone = policies.simulate_policy("stocan", inst, f, y, 3000, order=order, seed=52)
     assert by_plan.values.tobytes() == alone.values.tobytes()
     assert by_plan.largest_large == alone.largest_large
@@ -452,41 +450,39 @@ def test_nan_spend_counts_as_a_budget_violation():
     assert sim.budget_violations == 1
 
 
-def test_one_campaign_per_requested_variant_in_request_order(monkeypatch):
+def test_two_kernel_passes_per_block_one_campaign_per_kind(monkeypatch):
     inst, f = generated(140, 3, 2, "nested_coverage")
     y = greedy_y(inst, f)
-    variants = [("stocan", "identity"), ("small", [2, 0, 1]), ("stocan", (0, 1, 2)),
-                ("large", "random"), ("stocan", "identity")]
+    alone = [policies.simulate_policy(kind, inst, f, y, 500, [2, 0, 1], 53)
+             for kind in policies.KINDS]
     passes = []
     kernel = policies._kernel
-    monkeypatch.setattr(policies, "_kernel", lambda *a: passes.append(a) or kernel(*a))
-    sims = policies.simulate_policies(inst, f, y, 500, variants, seed=53)
-    assert len(passes) == 3  # the three equal stocan variants run once
-    assert [s.kind for s in sims] == [kind for kind, _ in variants]
-    assert sims[0] is sims[2] is sims[4]
-    monkeypatch.undo()
-    for sim, (kind, order) in zip(sims, variants):
-        alone = policies.simulate_policy(kind, inst, f, y, 500, order, 53)
-        assert sim.values.tobytes() == alone.values.tobytes(), (kind, order)
+    monkeypatch.setattr(policies, "_kernel", lambda *a: passes.append(a[-1]) or kernel(*a))
+    monkeypatch.setattr(policies, "CHUNK_RUNS", 200)
+    sims = policies.simulate_policies(inst, f, y, 500, [2, 0, 1], seed=53)
+    assert passes == [True, False] * 3  # small and large per block; stocan is read off them
+    assert [s.kind for s in sims] == list(policies.KINDS)
+    for sim, lone in zip(sims, alone):
+        assert sim.values.tobytes() == lone.values.tobytes(), sim.kind
+        assert sim.largest_large == lone.largest_large, sim.kind
+        assert sim.budget_violations == lone.budget_violations, sim.kind
 
 
-@pytest.mark.parametrize("main", ["identity", "random"])
+@pytest.mark.parametrize("order", ["identity", "random", *itertools.permutations(range(3))],
+                         ids=lambda o: o if isinstance(o, str) else "perm" + "".join(map(str, o)))
 @pytest.mark.parametrize("chunk", [1, 7, 45])
-def test_order_variants_equal_lone_campaigns_bit_for_bit(monkeypatch, chunk, main):
+def test_order_variants_equal_lone_campaigns_bit_for_bit(monkeypatch, chunk, order):
+    # the three campaigns at any order are the same at any block size
     inst, f = generated(141, 3, 2, "nested_coverage")
     y = greedy_y(inst, f)
     runs = 100  # a multiple of neither 7 nor 45
-    variants = [("small", main), ("large", main), ("stocan", main)]
-    variants += [("stocan", perm) for perm in itertools.permutations(range(3))]
-    alone = [policies.simulate_policy(kind, inst, f, y, runs, order, 54)
-             for kind, order in variants]
+    whole = policies.simulate_policies(inst, f, y, runs, order, seed=54)
     monkeypatch.setattr(policies, "CHUNK_RUNS", chunk)
-    folded = policies.simulate_policies(inst, f, y, runs, variants, seed=54)
-    assert len(folded) == len(variants)
-    for a, b, variant in zip(folded, alone, variants):
-        assert a.values.tobytes() == b.values.tobytes(), variant
-        assert a.largest_large == b.largest_large, variant
-        assert a.budget_violations == b.budget_violations, variant
+    folded = policies.simulate_policies(inst, f, y, runs, order, seed=54)
+    for a, b in zip(folded, whole):
+        assert a.values.tobytes() == b.values.tobytes(), a.kind
+        assert a.largest_large == b.largest_large, a.kind
+        assert a.budget_violations == b.budget_violations, a.kind
 
 
 # ---------------------------------------------------------------------------
