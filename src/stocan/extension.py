@@ -12,17 +12,21 @@ Two exact evaluators are provided and cross-validate each other:
 
       q_i(s) = x_is * prod_{s' > s} (1 - x_is'),   q_i(0) = prod_s (1 - x_is)
 
-  so ``H(x) = sum_u f(u) * prod_i q_i(u_i)`` over ``u in {0..S}^I``. The
-  objective is tabulated once as the ``(S+1)^I`` value tensor, and ``H`` is
-  that tensor contracted with ``q_0, ..., q_{I-1}``, one item axis at a
-  time. Marginal weights need, for every item ``i``, the tensor contracted
-  with every law but ``q_i``; one divide-and-conquer pass (variable
-  elimination) yields all ``I`` of these leave-one-out vectors.
+  so ``H(x) = sum_u f(u) * prod_i q_i(u_i)`` over ``u in {0..S}^I``. For
+  ``separable_concave`` and ``nested_coverage`` that sum has a closed form
+  in the family's parameters, at any size and with no table. Any other
+  objective is tabulated once as the ``(S+1)^I`` value tensor, and ``H``
+  is that tensor contracted with ``q_0, ..., q_{I-1}``, one item axis at
+  a time. Marginal weights need, for every item ``i``, the expectation
+  with every law but ``q_i``: closed forms again, or one
+  divide-and-conquer pass over the tensor (variable elimination) that
+  yields all ``I`` of these leave-one-out vectors.
 
-Every contraction sums ``S+1`` terms in a fixed order with elementwise
-numpy operations, never a long dot product, so results do not depend on
-how a threaded BLAS would split a sum. The factored form is the production
-path; the brute force is its oracle.
+Every contraction is elementwise numpy, ``np.sum``/``cumsum``/``cumprod``
+or ``einsum`` over a few short axes, never a BLAS call, so results do not
+depend on how a threaded BLAS would split a sum. The factored form is the
+production path; the brute force is its oracle, and the tensor path is
+the closed forms' oracle in the tests.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import math
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .model import LatticeObjective, enumerate_state_vectors
+from .model import LatticeObjective, NestedCoverage, SeparableConcave, enumerate_state_vectors
 from .rng import ESTIMATE, substream
 
 BRUTEFORCE_GUARD = 20  # max I*S for subset enumeration
@@ -141,17 +145,21 @@ def value_table(objective: LatticeObjective) -> np.ndarray:
 
     Built on first use and kept on the objective, read-only, so the exact
     evaluator, the oracles and the policy kernel share one table per
-    objective. Filled in chunks of rows, with no stored ``(N, I)`` grid;
-    the first chunk raises CapacityError beyond ``ENUM_GUARD``.
+    objective. Filled in place, one chunk of rows at a time, with no stored
+    ``(N, I)`` grid and no second copy; the first chunk raises
+    CapacityError beyond ``ENUM_GUARD``, before the table is allocated.
     ``value_many`` rounds every row the same way in any batch, so
     ``value_table(f).reshape((S+1,) * I)[u] == f.value(u)`` bit for bit.
     """
     table = getattr(objective, "_value_table", None)
     if table is None:
         I, S = objective.item_count, objective.state_count
-        chunks = [objective.value_many(enumerate_state_vectors(I, S, start, start + _CHUNK))
-                  for start in range(0, (S + 1) ** I, _CHUNK)]
-        table = np.concatenate(chunks).astype(float, copy=False)
+        first = objective.value_many(enumerate_state_vectors(I, S, 0, _CHUNK))
+        table = np.empty((S + 1) ** I)
+        table[:_CHUNK] = first
+        for start in range(_CHUNK, table.size, _CHUNK):
+            table[start:start + _CHUNK] = objective.value_many(
+                enumerate_state_vectors(I, S, start, start + _CHUNK))
         table.flags.writeable = False
         objective._value_table = table
     return table
@@ -160,30 +168,74 @@ def value_table(objective: LatticeObjective) -> np.ndarray:
 class FactoredExtension:
     """Cached exact evaluator for one objective.
 
-    Tabulates the objective once as the ``(S+1)^I`` value tensor
-    (:func:`value_table`). ``H`` contracts it with the per-item laws
-    ``q_i`` one item at a time. ``marginals`` gets every item's
-    leave-one-out vector ``W_i`` (the tensor contracted with all laws but
-    ``q_i``) from one divide-and-conquer pass. Forcing pair ``(i, s)`` in
-    moves the item's maximum state to ``s`` exactly when it was below
-    ``s`` (probability ``suffix_i(s-1)``) and changes nothing otherwise, so
+    :meth:`expect` is ``f``'s expectation when each item's state is drawn
+    independently from its own law, and ``H`` is that expectation under
+    the max-state laws ``q_i``. ``marginals`` needs each item's
+    leave-one-out vector ``W_i[s]``, the expectation with item ``i`` fixed
+    at state ``s``. Forcing pair ``(i, s)`` in moves the item's maximum
+    state to ``s`` exactly when it was below ``s`` (probability
+    ``suffix_i(s-1) = sum_{u < s} q_i(u)``) and changes nothing otherwise, so
 
         omega[i, s-1] = W_i[s] * suffix_i(s-1) - sum_{u < s} W_i[u] * q_i(u),
 
-    which equals ``H(x with x_is = 1) - H(x)`` without computing ``H``.
+    which equals ``H(x with x_is = 1) - H(x)`` without computing ``H``. A
+    constant added to ``W_i`` cancels here, so the closed forms drop it.
+    By family:
+
+    * ``separable_concave``, ``f(u) = sum_i t_i(u_i)`` with ``t_i = w_i g``:
+      the expectation is ``sum_i sum_s law_i(s) t_i(s)``, and
+      ``W_i = t_i``, without the constant ``sum_{j != i} E[t_j]``.
+    * ``nested_coverage``: item ``i`` misses element ``e`` with probability
+      ``miss_i(e) = sum_s law_i(s) [e not in C_i(s)]``, the expectation is
+      ``sum_e w_e (1 - prod_i miss_i(e))``, and ``W_i[s] = -sum_e w_e
+      [e not in C_i(s)] prod_{j != i} miss_j(e)``, without the constant
+      ``sum_e w_e``. The products over ``j != i`` are prefix times suffix
+      products.
+    * every other objective: the ``(S+1)^I`` value tensor
+      (:func:`value_table`) contracted with the laws one item axis at a
+      time, and the exact ``W_i`` from one divide-and-conquer pass over it.
+      Only this path builds a table, so only it raises CapacityError
+      beyond ``ENUM_GUARD``.
     """
 
     def __init__(self, objective: LatticeObjective):
         self.objective = objective
-        self.values = value_table(objective)
-        # finite parameters whose sums overflow; min and max need no table-sized temporary
-        if not (np.isfinite(self.values.min()) and np.isfinite(self.values.max())):
+        if isinstance(objective, (SeparableConcave, NestedCoverage)):
+            # monotone by validation: f(0) = 0 is the least value and the all-S vector's the largest
+            finite = math.isfinite(objective.value(np.full(objective.item_count,
+                                                           objective.state_count)))
+        else:
+            self.values = value_table(objective)
+            # min and max need no table-sized temporary
+            finite = np.isfinite(self.values.min()) and np.isfinite(self.values.max())
+        # finite parameters whose sums overflow
+        if not finite:
             raise ValidationError("objective", "a value overflowed the float range; "
                                                "rescale the instance's numbers")
+        if isinstance(objective, SeparableConcave):
+            self._terms = objective._terms  # (I, S+1): _terms[i, s] = w_i * g(s)
+            self._expect, self._W = self._separable_expect, self._separable_W
+        elif isinstance(objective, NestedCoverage):
+            covers = np.array(objective.cover_masks)  # covers[i, s, e] = [e in C_i(s)]
+            keep = covers[:, -1].any(axis=0)  # an element no item covers adds 0 to every value
+            self._misses = (~covers[:, :, keep]).astype(float)
+            self._weights = objective.element_weights[keep]
+            self._lost = -self._misses * self._weights  # weight that (i, s) leaves uncovered, negated
+            self._expect, self._W = self._coverage_expect, self._coverage_W
+        else:
+            self._expect, self._W = self._table_expect, self._table_W
 
     def H(self, x: np.ndarray) -> float:
         q, _ = _max_state_laws(check_fractional(x, self.objective))
-        return float(_contract_leading(self.values, q)[0])
+        return self._expect(q)
+
+    def expect(self, laws: np.ndarray) -> float:
+        """``sum_u f(u) prod_i laws[i, u_i]``: ``f`` under independent per-item state laws.
+
+        ``laws`` has shape ``(I, S+1)``, one probability law over the
+        states ``0..S`` per row; the closed forms take each row's sum to be 1.
+        """
+        return self._expect(np.asarray(laws, dtype=float))
 
     def marginals(self, x: np.ndarray) -> np.ndarray:
         """omega[i, s-1] = H(x with pair (i,s) forced in) - H(x)."""
@@ -192,10 +244,37 @@ class FactoredExtension:
     def _marginals(self, x: np.ndarray) -> np.ndarray:
         """:meth:`marginals` of a float ``x`` known to have the objective's shape and lie in [0, 1]."""
         q, suffix = _max_state_laws(x)
-        W = np.empty_like(q)
-        _leave_one_out(self.values, q, W, 0)
+        W = self._W(q)
         below = np.cumsum(W * q, axis=1)  # below[:, u] = sum_{u' <= u} W_i[u'] * q_i(u')
         return W[:, 1:] * suffix[:, :-1] - below[:, :-1]
+
+    # per family: _expect(laws) as expect, and _W(laws), the (I, S+1) leave-one-out vectors
+    # up to a constant per item
+
+    def _separable_expect(self, laws: np.ndarray) -> float:
+        return float(np.einsum("is,is->", laws, self._terms))
+
+    def _separable_W(self, laws: np.ndarray) -> np.ndarray:
+        return self._terms
+
+    def _coverage_expect(self, laws: np.ndarray) -> float:
+        miss = np.einsum("is,ise->ie", laws, self._misses)
+        return float(np.einsum("e,e->", self._weights, 1.0 - np.prod(miss, axis=0)))
+
+    def _coverage_W(self, laws: np.ndarray) -> np.ndarray:
+        miss = np.einsum("is,ise->ie", laws, self._misses)
+        others = np.ones_like(miss)  # others[i] = prod_{j != i} miss[j]
+        np.cumprod(miss[:-1], axis=0, out=others[1:])
+        others[:-1] *= np.cumprod(miss[:0:-1], axis=0)[::-1]
+        return np.einsum("ise,ie->is", self._lost, others)
+
+    def _table_expect(self, laws: np.ndarray) -> float:
+        return float(_contract_leading(self.values, laws)[0])
+
+    def _table_W(self, laws: np.ndarray) -> np.ndarray:
+        W = np.empty_like(laws)
+        _leave_one_out(self.values, laws, W, 0)
+        return W
 
 
 def _draw_max_states(x: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:

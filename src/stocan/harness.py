@@ -246,13 +246,15 @@ def _config_header(cfg: ExperimentConfig, **extra) -> dict:
 
 
 def _solve(cfg, inst, objective, y=None):
-    """y (by continuous greedy unless given) and its solution block.
+    """y (by continuous greedy unless given), its solution block and the exact evaluator.
 
-    The block holds y, its split, and H values: exact when the value
-    tensor fits the enumeration guard, else estimated. One exact evaluator
-    serves the greedy and the H values; the value table it reads stays
-    on the objective, and the campaigns that follow read run values
-    from it.
+    The block holds y, its split, and H values: exact for
+    ``separable_concave`` and ``nested_coverage`` at any size, whose
+    evaluator builds no value table, and for ``concave_over_modular``
+    when its value tensor fits the enumeration guard; else estimated, and
+    the evaluator is None. One exact evaluator serves the greedy and the
+    H values. A value table it reads stays on the objective, and the
+    campaigns that follow read run values from it.
     """
     try:
         ext = extension.FactoredExtension(objective)
@@ -270,7 +272,7 @@ def _solve(cfg, inst, objective, y=None):
         H = block["H"] = {"method": "estimate", "samples": int(cfg.samples)}
         for key, part in parts.items():
             H[key], H[f"{key}_stderr"] = extension.estimate_H(part, objective, cfg.samples, cfg.seed)
-    return y, block
+    return y, block, ext
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +281,7 @@ def _solve(cfg, inst, objective, y=None):
 
 def run_optimize(cfg: ExperimentConfig) -> dict:
     payload, inst, objective = _load(cfg)
-    _, block = _solve(cfg, inst, objective)
+    _, block, _ = _solve(cfg, inst, objective)
     return {
         "command": "optimize",
         "instance": _instance_header(cfg, payload, inst, objective),
@@ -309,7 +311,7 @@ def _given_solution(cfg, payload, inst) -> np.ndarray | None:
 
 def run_simulate(cfg: ExperimentConfig) -> dict:
     payload, inst, objective = _load(cfg)
-    y, block = _solve(cfg, inst, objective, _given_solution(cfg, payload, inst))
+    y, block, _ = _solve(cfg, inst, objective, _given_solution(cfg, payload, inst))
 
     sims = policies.simulate_policies(inst, objective, y, cfg.runs, cfg.order, seed=cfg.seed)
     if cfg.records:  # each policy's records, re-drawn block by block from the same seed
@@ -375,7 +377,7 @@ def run_verify(cfg: ExperimentConfig) -> dict:
     if cfg.runs < 2:
         raise ValidationError("runs", "verify needs at least 2 simulation runs")
     payload, inst, objective = _load(cfg)
-    y, block = _solve(cfg, inst, objective)
+    y, block, ext = _solve(cfg, inst, objective)
 
     # the exact H values gate four checks; an estimate skips them
     H = block["H"] if block["H"]["method"] == "exact" else None
@@ -415,7 +417,7 @@ def run_verify(cfg: ExperimentConfig) -> dict:
                       else _skip(name, EXACT_SKIP))
 
     checks.append(_check("unbudgeted_small_value", "ge",
-                         _device_value(objective, split_solution(y, inst)[0]),
+                         _device_value(ext, split_solution(y, inst)[0]),
                          "exact_value[unbudgeted small]", H["y_small"] / 4.0, "H(y_small) / 4",
                          SPLIT_TOL) if H
                   else _skip("unbudgeted_small_value", EXACT_SKIP))
@@ -483,13 +485,12 @@ def run_verify(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _device_value(objective, y_small) -> float:
+def _device_value(ext: extension.FactoredExtension, y_small) -> float:
     """Exact expected value of the unbudgeted small policy, the paper's analysis device.
 
     It keeps item ``i`` at cheap state ``s`` with probability ``a_is = y_small[i, s-1] / 4``,
-    one state per item at most, independently across items: the value table
-    contracted with the laws ``(1 - sum_s a_is, a_i1, ..., a_iS)``.
+    one state per item at most, independently across items: the objective's
+    expectation under the laws ``(1 - sum_s a_is, a_i1, ..., a_iS)``.
     """
     a = np.asarray(y_small, dtype=float) / 4.0
-    laws = np.column_stack((1.0 - a.sum(axis=1), a))
-    return float(extension._contract_leading(extension.value_table(objective), laws)[0])
+    return ext.expect(np.column_stack((1.0 - a.sum(axis=1), a)))

@@ -325,6 +325,10 @@ def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray
         raise ValidationError("runs", "must be at least 1")
     probs = acceptance_probabilities(inst, y)
     order = resolve_order(order, inst.item_count)
+    if (inst.state_count + 1) ** inst.item_count <= ENUM_GUARD:
+        # the kernel's table, built before the campaign arrays so that its
+        # temporaries add nothing to their peak
+        value_table(objective)
     sims = [PolicySimulation(kind, runs, np.empty(runs)) for kind in KINDS]
     start = 0
     for block in _draw_plan(inst, runs, order == "random", seed):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from stocan import extension, harness, model
 from stocan.errors import CapacityError, ValidationError
 from stocan.rng import OPTIMIZER, substream
 
-from conftest import generated, modular_objective
+from conftest import TableObjective, generated, modular_objective
 
 
 def random_point(objective, rng):
@@ -206,6 +207,65 @@ def test_marginals_match_bruteforce_oracle(case):
             forced[i, s - 1] = 1.0
             expected = extension.exact_H_bruteforce(forced, f) - base
             assert omega[i, s - 1] == pytest.approx(expected, abs=1e-12)
+
+
+@st.composite
+def closed_form_case(draw):
+    """Parameters of a separable or coverage objective with (S+1)^I <= 1024, a point x and laws.
+
+    Weights may be 0, covers empty or full, and x and the laws may hold 0/1 entries.
+    """
+    family = draw(st.sampled_from(["separable_concave", "nested_coverage"]))
+    items = draw(st.integers(1, 6))
+    states = draw(st.integers(1, max(s for s in range(1, 5) if (s + 1) ** items <= 1024)))
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+    if family == "separable_concave":
+        steps = sorted(draw(st.lists(weight, min_size=states, max_size=states)), reverse=True)
+        params = {"weights": draw(st.lists(weight, min_size=items, max_size=items)),
+                  "g": [0.0, *itertools.accumulate(steps)]}
+    else:
+        m = draw(st.integers(1, 5))
+        # the state from which item i covers element e; states + 1 is never
+        enters = draw(st.lists(st.lists(st.integers(1, states + 1), min_size=m, max_size=m),
+                               min_size=items, max_size=items))
+        params = {"element_weights": draw(st.lists(weight, min_size=m, max_size=m)),
+                  "covers": [[[e for e in range(m) if row[e] <= s] for s in range(1, states + 1)]
+                             for row in enters]}
+    entry = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    x = draw(st.lists(entry, min_size=items * states, max_size=items * states))
+    laws = draw(st.lists(entry, min_size=items * (states + 1), max_size=items * (states + 1)))
+    return family, params, x, laws
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=closed_form_case())
+@example(case=("separable_concave", {"weights": [0.7], "g": [0.0, 1.3]}, [0.4], [0.5, 0.5]))
+@example(case=("nested_coverage", {"element_weights": [0.6], "covers": [[[0]]]}, [1.0], [0.0, 1.0]))
+@example(case=("separable_concave", {"weights": [0.0, 1.5, 0.0], "g": [0.0, 1.0, 1.5]},
+               [0.0, 1.0, 0.3, 1.0, 0.2, 0.0], [1.0, 0.0, 0.0, 0.2, 0.3, 0.5, 0.0, 0.0, 1.0]))
+@example(case=("nested_coverage", {"element_weights": [0.0, 0.8, 1.2],
+                                   "covers": [[[], []], [[], [0, 1, 2]], [[0, 1, 2], [0, 1, 2]]]},
+               [0.5, 1.0, 0.0, 0.7, 1.0, 1.0], [0.2, 0.3, 0.5, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]))
+@example(case=("nested_coverage", {"element_weights": [1.0, 2.0], "covers": [[[]], [[]]]},
+               [0.5, 0.5], [0.5, 0.5, 0.0, 1.0]))
+def test_closed_forms_match_the_tensor_path(case):
+    family, params, entries, law_entries = case
+    f = model.make_objective(family, params)
+    I, S = f.item_count, f.state_count
+    x = np.array(entries).reshape(I, S)
+    laws = np.array(law_entries).reshape(I, S + 1)
+    laws[laws.sum(axis=1) == 0, 0] = 1.0  # an all-zero row becomes a point mass on state 0
+    laws /= laws.sum(axis=1, keepdims=True)
+    # the same f under a family with no closed form takes the tensor path: value_table,
+    # _contract_leading and _leave_one_out
+    closed = extension.FactoredExtension(f)
+    tensor = extension.FactoredExtension(TableObjective(I, S, f.value))
+    assert np.allclose(closed.marginals(x), tensor.marginals(x), rtol=0.0, atol=1e-12)
+    assert closed.H(x) == pytest.approx(tensor.H(x), abs=1e-12)
+    assert closed.expect(laws) == pytest.approx(tensor.expect(laws), abs=1e-12)
+    assert getattr(f, "_value_table", None) is None  # the closed forms read no table
+    # I * S <= 16, within the subset enumeration's guard
+    assert closed.H(x) == pytest.approx(extension.exact_H_bruteforce(x, f), abs=1e-12)
 
 
 def test_marginals_nonnegative_for_monotone():

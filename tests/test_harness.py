@@ -118,29 +118,36 @@ def test_optimize_report_bytes_reproducible(tmp_path):
 
 
 def test_optimize_report_bytes_independent_of_blas_threads(tmp_path):
-    path = write_payload(tmp_path, harness.generate_instance(9, 3, 1.0, "nested_coverage", seed=101))
     src = str(Path(stocan.__file__).resolve().parents[1])
-    outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads_{threads}.json"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        subprocess.run([sys.executable, "-m", "stocan.cli", "optimize", "--instance", str(path),
-                        "--seed", "1", "--rounds", "8", "--out", str(out)],
-                       env=env, check=True, capture_output=True)
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    # a closed-form family and the value-tensor path
+    for family in ("nested_coverage", "concave_over_modular"):
+        path = write_payload(tmp_path, harness.generate_instance(9, 3, 1.0, family, seed=101))
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}.json"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            subprocess.run([sys.executable, "-m", "stocan.cli", "optimize", "--instance", str(path),
+                            "--seed", "1", "--rounds", "8", "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1], family
+
+
+# concave_over_modular is the one family whose exact evaluator needs the value table
 
 
 def test_optimize_oversized_exact_marginals_is_capacity_error(tmp_path):
-    path = write_payload(tmp_path, harness.generate_instance(21, 2, 1.0, seed=10))
+    path = write_payload(tmp_path, harness.generate_instance(21, 2, 1.0, "concave_over_modular",
+                                                             seed=10))
     code = cli.main(["optimize", "--instance", str(path), "--seed", "1", "--rounds", "3"])
     assert code == cli.EXIT_CAPACITY
 
 
 def test_optimize_capacity_error_names_the_sampled_marginals_flag(tmp_path, capsys):
     # 13 x 2: (S+1)^I = 3^13 is past the enumeration guard, so exact marginals cannot run
-    path = write_payload(tmp_path, harness.generate_instance(13, 2, 1.0, seed=10))
+    path = write_payload(tmp_path, harness.generate_instance(13, 2, 1.0, "concave_over_modular",
+                                                             seed=10))
     code = cli.main(["optimize", "--instance", str(path), "--seed", "1", "--rounds", "3"])
     assert code == cli.EXIT_CAPACITY
     err = capsys.readouterr().err.splitlines()
@@ -150,12 +157,48 @@ def test_optimize_capacity_error_names_the_sampled_marginals_flag(tmp_path, caps
 
 
 def test_optimize_oversized_sampled_marginals_estimates_H(tmp_path):
-    path = write_payload(tmp_path, harness.generate_instance(21, 2, 1.0, seed=10))
+    path = write_payload(tmp_path, harness.generate_instance(21, 2, 1.0, "concave_over_modular",
+                                                             seed=10))
     cfg = harness.ExperimentConfig(instance=str(path), seed=1, rounds=2,
                                    marginals="sampled", samples=300)
     report = harness.run_optimize(cfg)
     assert report["solution"]["H"]["method"] == "estimate"
     assert report["solution"]["H"]["y_stderr"] >= 0.0
+
+
+@pytest.mark.parametrize("family", ["separable_concave", "nested_coverage"])
+@pytest.mark.parametrize("items", [13, 21])
+def test_optimize_closed_form_families_exact_past_the_guard(tmp_path, items, family):
+    # (S+1)^I = 3^13 and 3^21 are past the enumeration guard; these families need no table
+    path = write_payload(tmp_path, harness.generate_instance(items, 2, 1.0, family, seed=10))
+    out = tmp_path / "opt.json"
+    code = cli.main(["optimize", "--instance", str(path), "--seed", "1", "--rounds", "20",
+                     "--out", str(out)])
+    assert code == cli.EXIT_OK
+    H = json.loads(out.read_text())["solution"]["H"]
+    assert H["method"] == "exact"
+    assert H["y_small"] + H["y_large"] >= H["y"] - harness.SPLIT_TOL
+
+
+@pytest.mark.parametrize("family", ["separable_concave", "nested_coverage"])
+def test_verify_sampled_marginals_past_the_guard_runs_the_exact_H_checks(tmp_path, family):
+    # 13 x 2: no value table, so the oracle and the exact policy values are skipped, but H is
+    # exact and every check it gates runs, the unbudgeted small device among them
+    path = write_payload(tmp_path, harness.generate_instance(13, 2, 1.0, family, seed=10))
+    out = tmp_path / "verify.json"
+    code = cli.main(["verify", "--instance", str(path), "--seed", "1", "--rounds", "3",
+                     "--marginals", "sampled", "--samples", "200", "--runs", "2000",
+                     "--out", str(out)])
+    assert code == cli.EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["solution"]["H"]["method"] == "exact"
+    status = {c["name"]: c["status"] for c in report["checks"]}
+    for name in ("split_superadditivity", "small_policy_floor", "large_policy_floor",
+                 "unbudgeted_small_value"):
+        assert status[name] == "pass", name
+    for name in ("fractional_vs_adaptive_oracle", "combined_policy_guarantee", "order_robustness",
+                 "simulation_vs_exact", "small_simulation_vs_exact", "large_simulation_vs_exact"):
+        assert status[name] == "skipped", name
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +372,18 @@ def test_overflowing_objective_values_are_an_input_error(tmp_path):
     # finite parameters, but w_i * g(1) overflows to inf, and inf * 0 to NaN in H
     payload = harness.generate_instance(2, 1, 1.0, "separable_concave", seed=0)
     payload["objective"]["g"][1] = 1e308
+    path = write_payload(tmp_path, payload)
+    for command in ("optimize", "simulate", "verify"):
+        done = run_cli(command, "--instance", path, "--seed", 1, "--runs", 20, "--rounds", 2)
+        assert done.returncode == cli.EXIT_INVALID
+        assert done.stderr == ("error: objective: a value overflowed the float range; "
+                               "rescale the instance's numbers\n")
+
+
+def test_overflowing_objective_values_past_the_guard_are_an_input_error(tmp_path):
+    # 13 x 2 needs no value table; the largest value, at the all-S vector, still overflows
+    payload = harness.generate_instance(13, 2, 1.0, "separable_concave", seed=0)
+    payload["objective"]["weights"] = [1e308] * 13
     path = write_payload(tmp_path, payload)
     for command in ("optimize", "simulate", "verify"):
         done = run_cli(command, "--instance", path, "--seed", 1, "--runs", 20, "--rounds", 2)

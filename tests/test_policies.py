@@ -554,14 +554,15 @@ def device_slacks(inst, objective, y, runs, seed) -> tuple[float, float, float]:
     """
     values, counts = simulate_device(inst, objective, y, runs, seed)
     y_small, _ = optimizer.split_solution(y, inst)
-    exact = harness._device_value(objective, y_small)
+    ext = extension.FactoredExtension(objective)
+    exact = harness._device_value(ext, y_small)
     stderr = float(np.std(values, ddof=1)) / math.sqrt(runs)
     value_slack = 4 * stderr + 1e-12 - abs(float(np.mean(values)) - exact)
     target = y / 4
     allowance = 4 * np.sqrt(target * (1 - target) / runs) + 1e-12
     slack = allowance - np.abs(counts[:, 1:] / runs - target)
     pair_slack = float(np.min(slack[inst.cost <= inst.budget / 2], initial=math.inf))
-    return value_slack, pair_slack, exact - extension.FactoredExtension(objective).H(y_small) / 4
+    return value_slack, pair_slack, exact - ext.H(y_small) / 4
 
 @settings(max_examples=120, deadline=None)
 @given(data=st.data(), family=st.sampled_from(model.FAMILIES), items=st.integers(1, 6),
