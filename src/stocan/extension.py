@@ -14,19 +14,23 @@ Two exact evaluators are provided and cross-validate each other:
 
   so ``H(x) = sum_u f(u) * prod_i q_i(u_i)`` over ``u in {0..S}^I``. For
   ``separable_concave`` and ``nested_coverage`` that sum has a closed form
-  in the family's parameters, at any size and with no table. Any other
-  objective is tabulated once as the ``(S+1)^I`` value tensor, and ``H``
-  is that tensor contracted with ``q_0, ..., q_{I-1}``, one item axis at
-  a time. Marginal weights need, for every item ``i``, the expectation
-  with every law but ``q_i``: closed forms again, or one
-  divide-and-conquer pass over the tensor (variable elimination) that
-  yields all ``I`` of these leave-one-out vectors.
+  in the family's parameters, at any size and with no table. For
+  ``concave_over_modular`` with the ``cap`` curve it is a meet in the
+  middle over the sums of two halves of the items (Horowitz and Sahni,
+  1974), at ``O(I (S+1)^(I/2))`` work and with no table. Any other objective is
+  tabulated once as the ``(S+1)^I`` value tensor, and ``H`` is that
+  tensor contracted with ``q_0, ..., q_{I-1}``, one item axis at a time.
+  Marginal weights need, for every item ``i``, the expectation with every
+  law but ``q_i``: closed forms again, or one divide-and-conquer pass
+  (variable elimination) over the value tensor, or over each half's
+  tensor of expectations in the meet in the middle, that yields all ``I``
+  of these leave-one-out vectors.
 
 Every contraction is elementwise numpy, ``np.sum``/``cumsum``/``cumprod``
 or ``einsum`` over a few short axes, never a BLAS call, so results do not
 depend on how a threaded BLAS would split a sum. The factored form is the
 production path; the brute force is its oracle, and the tensor path is
-the closed forms' oracle in the tests.
+the closed forms' and the meet in the middle's oracle in the tests.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ import math
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .model import LatticeObjective, NestedCoverage, SeparableConcave, enumerate_state_vectors
+from .model import (ENUM_GUARD, ConcaveOverModular, LatticeObjective, NestedCoverage, SeparableConcave,
+                    enumerate_state_vectors)
 from .rng import ESTIMATE, substream
 
 BRUTEFORCE_GUARD = 20  # max I*S for subset enumeration
@@ -140,6 +145,27 @@ def _leave_one_out(t: np.ndarray, laws: np.ndarray, out: np.ndarray, first: int)
     _leave_one_out(_contract_leading(t, laws[:mid]), laws[mid:], out, first + mid)
 
 
+def _law_product(laws: np.ndarray) -> np.ndarray:
+    """The joint law of one or more items' states, flat in mixed-radix order (first item slowest)."""
+    p = laws[0]
+    for q in laws[1:]:
+        p = np.multiply.outer(p, q).ravel()
+    return p
+
+
+def _capped_sums(a: np.ndarray, cap: float) -> np.ndarray:
+    """``min(sum_i a[i, u_i], cap)`` over ``u in {0..S}^n``, flat in mixed-radix order.
+
+    Added one item at a time in item order, and clipped after each:
+    ``min(min(t, cap) + b, cap) == min(t + b, cap)`` for ``b >= 0``, also in
+    floating point, and no sum overflows. With no items the one sum is 0.
+    """
+    t = np.zeros(1)
+    for row in a:
+        t = np.minimum(np.add.outer(t, row).ravel(), cap)
+    return t
+
+
 def value_table(objective: LatticeObjective) -> np.ndarray:
     """``f`` at every vector of ``{0..S}^I``, flat in mixed-radix rank order.
 
@@ -191,16 +217,34 @@ class FactoredExtension:
       [e not in C_i(s)] prod_{j != i} miss_j(e)``, without the constant
       ``sum_e w_e``. The products over ``j != i`` are prefix times suffix
       products.
-    * every other objective: the ``(S+1)^I`` value tensor
-      (:func:`value_table`) contracted with the laws one item axis at a
-      time, and the exact ``W_i`` from one divide-and-conquer pass over it.
-      Only this path builds a table, so only it raises CapacityError
-      beyond ``ENUM_GUARD``.
+    * ``concave_over_modular`` with the ``cap`` curve, ``f(u) = scale *
+      min(sum_i a_i(u_i), cap)``: a meet in the middle. Split the items
+      into halves A = ``[:m]`` and B = ``[m:]``, ``m = ceil(I/2)``. Each
+      half's ``(S+1)^m`` or fewer sums are fixed, clipped at ``cap`` and
+      sorted once. For an A-sum ``a`` the B-sums ``b <= cap - a`` are a
+      prefix of B's sorted sums, of fixed length ``k(a)``. With the prefix
+      sums ``P`` of B's probabilities and ``V`` of its probability-weighted
+      sums in that order, and the suffix sums ``Q`` of its probabilities,
+
+          h(a) = E[f | A's sum is a] = scale * (a P[k] + V[k] + cap Q[k]),
+
+      a sum of nonnegative terms, with no cancellation. The expectation is
+      ``h`` contracted with A's laws, ``W_i`` for A's items is the
+      leave-one-out pass over the tensor ``h``, and B's items take the
+      same steps with the halves swapped. The work per call is
+      ``O(I (S+1)^(I/2))``; past ``ENUM_GUARD`` atoms in a half it raises
+      CapacityError.
+    * every other objective, among them the ``sqrt``, ``power`` and
+      ``log1p`` curves: the ``(S+1)^I`` value tensor (:func:`value_table`)
+      contracted with the laws one item axis at a time, and the exact
+      ``W_i`` from one divide-and-conquer pass over it. Only this path
+      builds a table, and it raises CapacityError beyond ``ENUM_GUARD``.
     """
 
     def __init__(self, objective: LatticeObjective):
         self.objective = objective
-        if isinstance(objective, (SeparableConcave, NestedCoverage)):
+        capped = isinstance(objective, ConcaveOverModular) and objective.curve.kind == "cap"
+        if capped or isinstance(objective, (SeparableConcave, NestedCoverage)):
             # monotone by validation: f(0) = 0 is the least value and the all-S vector's the largest
             finite = math.isfinite(objective.value(np.full(objective.item_count,
                                                            objective.state_count)))
@@ -222,6 +266,14 @@ class FactoredExtension:
             self._weights = objective.element_weights[keep]
             self._lost = -self._misses * self._weights  # weight that (i, s) leaves uncovered, negated
             self._expect, self._W = self._coverage_expect, self._coverage_W
+        elif capped:
+            self._half = m = (objective.item_count + 1) // 2
+            if (objective.state_count + 1) ** m > ENUM_GUARD:
+                raise CapacityError(f"(S+1)^ceil(I/2) = {(objective.state_count + 1) ** m} "
+                                    f"exceeds the enumeration guard {ENUM_GUARD}")
+            self._meet_in_the_middle(objective.a_tables, objective.curve.scale,
+                                     objective.curve.cap)
+            self._expect, self._W = self._cap_expect, self._cap_W
         else:
             self._expect, self._W = self._table_expect, self._table_W
 
@@ -267,6 +319,59 @@ class FactoredExtension:
         np.cumprod(miss[:-1], axis=0, out=others[1:])
         others[:-1] *= np.cumprod(miss[:0:-1], axis=0)[::-1]
         return np.einsum("ise,ie->is", self._lost, others)
+
+    def _meet_in_the_middle(self, a: np.ndarray, scale: float, cap: float) -> None:
+        """Fix what :meth:`_cap_h` reads: every index, every weight and the running-sum buffer.
+
+        Rows ``3h .. 3h+2`` of the running sums, whose column 0 stays 0, are
+        ``P``, ``scale * V`` and, from the last atom back, ``scale * cap * Q``
+        over the atoms of the half other than ``h``, in sorted order. They are
+        as long as the larger half, and a shorter half's rows end in zero
+        weights. Each atom of half ``h`` reads its three terms there at flat
+        indices fixed by its ``k``.
+        """
+        m = self._half
+        sums = (_capped_sums(a[:m], cap), _capped_sums(a[m:], cap))
+        self._split = n_a = sums[0].size  # h lists A's atoms, then B's
+        width = max(n_a, sums[1].size) + 1
+        self._gather = np.zeros((6, width - 1), dtype=np.intp)  # into A's law, then B's
+        self._scales = np.zeros((6, width - 1))
+        fit = []
+        for half, other in ((0, 1), (1, 0)):
+            order = np.argsort(sums[other], kind="stable")
+            ranked, n = sums[other][order], order.size
+            rows = slice(3 * half, 3 * half + 3)
+            self._gather[rows, :n] = np.stack([order, order, order[::-1]]) + other * n_a
+            self._scales[rows, :n] = np.stack([np.ones(n), scale * ranked, np.full(n, scale * cap)])
+            k = np.searchsorted(ranked, cap - sums[half], "right")
+            fit.append(np.stack([k, k, n - k]) + np.arange(3 * half, 3 * half + 3)[:, None] * width)
+        self._fit = np.concatenate(fit, axis=1)
+        self._scaled = scale * np.concatenate(sums)
+        self._runs = np.zeros((6, width))
+
+    def _cap_h(self, laws: np.ndarray) -> np.ndarray:
+        """``h`` over A's atoms, then over B's, each with the other half drawn from ``laws``."""
+        m = self._half
+        if m == len(laws):  # I = 1: B is empty, and h is f on A's atoms
+            return self._scaled
+        rows = np.concatenate((_law_product(laws[:m]), _law_product(laws[m:]))).take(self._gather)
+        rows *= self._scales
+        np.add.accumulate(rows, axis=1, out=self._runs[:, 1:])
+        terms = self._runs.take(self._fit)
+        terms[0] *= self._scaled
+        return np.add.reduce(terms, axis=0)
+
+    def _cap_expect(self, laws: np.ndarray) -> float:
+        return float(_contract_leading(self._cap_h(laws)[:self._split], laws[:self._half])[0])
+
+    def _cap_W(self, laws: np.ndarray) -> np.ndarray:
+        m, n_a = self._half, self._split
+        h = self._cap_h(laws)
+        W = np.empty_like(laws)
+        _leave_one_out(h[:n_a], laws[:m], W, 0)
+        if m < len(laws):  # B is empty when I = 1
+            _leave_one_out(h[n_a:], laws[m:], W, m)
+        return W
 
     def _table_expect(self, laws: np.ndarray) -> float:
         return float(_contract_leading(self.values, laws)[0])

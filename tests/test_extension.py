@@ -209,6 +209,12 @@ def test_marginals_match_bruteforce_oracle(case):
             assert omega[i, s - 1] == pytest.approx(expected, abs=1e-12)
 
 
+def _normalized_laws(law_entries, I, S):
+    laws = np.array(law_entries).reshape(I, S + 1)
+    laws[laws.sum(axis=1) == 0, 0] = 1.0  # an all-zero row becomes a point mass on state 0
+    return laws / laws.sum(axis=1, keepdims=True)
+
+
 @st.composite
 def closed_form_case(draw):
     """Parameters of a separable or coverage objective with (S+1)^I <= 1024, a point x and laws.
@@ -253,9 +259,7 @@ def test_closed_forms_match_the_tensor_path(case):
     f = model.make_objective(family, params)
     I, S = f.item_count, f.state_count
     x = np.array(entries).reshape(I, S)
-    laws = np.array(law_entries).reshape(I, S + 1)
-    laws[laws.sum(axis=1) == 0, 0] = 1.0  # an all-zero row becomes a point mass on state 0
-    laws /= laws.sum(axis=1, keepdims=True)
+    laws = _normalized_laws(law_entries, I, S)
     # the same f under a family with no closed form takes the tensor path: value_table,
     # _contract_leading and _leave_one_out
     closed = extension.FactoredExtension(f)
@@ -266,6 +270,94 @@ def test_closed_forms_match_the_tensor_path(case):
     assert getattr(f, "_value_table", None) is None  # the closed forms read no table
     # I * S <= 16, within the subset enumeration's guard
     assert closed.H(x) == pytest.approx(extension.exact_H_bruteforce(x, f), abs=1e-12)
+
+
+@st.composite
+def cap_curve_case(draw):
+    """A ``cap``-curve ``concave_over_modular`` objective with (S+1)^I <= 1024, a point x and laws.
+
+    I = 1 and odd I split the items unequally, scale is never 1, the cap lies below every
+    positive sum, above the largest, on a sum of an A-part and a B-part, or anywhere, and x and
+    the laws may hold 0/1 entries.
+    """
+    items = draw(st.integers(1, 6))
+    states = draw(st.integers(1, max(s for s in range(1, 5) if (s + 1) ** items <= 1024)))
+    step = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+    a = [list(itertools.accumulate(draw(st.lists(step, min_size=states, max_size=states))))
+         for _ in range(items)]
+    m = (items + 1) // 2
+    u = draw(st.lists(st.integers(0, states - 1), min_size=items, max_size=items))
+    split = sum(a[i][u[i]] for i in range(m)) + sum(a[i][u[i]] for i in range(m, items))
+    cap = draw(st.sampled_from([
+        min([v for row in a for v in row if v > 0], default=1.0) / 2,
+        sum(row[-1] for row in a) + 1.0,
+        split if split > 0 else 1.0,
+        draw(st.floats(1e-3, 1.5 * sum(row[-1] for row in a) + 1e-3))]))
+    scale = draw(st.floats(0.1, 4.0).filter(lambda v: v != 1.0))
+    entry = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    x = draw(st.lists(entry, min_size=items * states, max_size=items * states))
+    laws = draw(st.lists(entry, min_size=items * (states + 1), max_size=items * (states + 1)))
+    return {"a": a, "g": {"kind": "cap", "cap": cap, "scale": scale}}, x, laws
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=cap_curve_case())
+# one item; the cap below every positive sum; above the largest
+@example(case=({"a": [[0.4, 1.1]], "g": {"kind": "cap", "cap": 0.7, "scale": 2.5}},
+               [0.3, 0.6], [0.2, 0.5, 0.3]))
+@example(case=({"a": [[0.5], [0.25], [0.75]], "g": {"kind": "cap", "cap": 0.125, "scale": 3.0}},
+               [0.5, 1.0, 0.0], [0.5, 0.5, 0.0, 1.0, 1.0, 0.0]))
+@example(case=({"a": [[0.5, 1.0], [0.25, 0.5], [0.75, 1.0]],
+                "g": {"kind": "cap", "cap": 9.0, "scale": 0.5}},
+               [0.5, 1.0, 0.2, 0.0, 1.0, 0.7], [0.2, 0.3, 0.5, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0]))
+# the cap equals an A-sum plus a B-sum exactly: 0.5 + 0.25 (A) + 0.75 (B) = 1.5
+@example(case=({"a": [[0.5, 1.0], [0.25, 0.5], [0.75, 1.0]],
+                "g": {"kind": "cap", "cap": 1.5, "scale": 1.5}},
+               [0.5, 0.5, 0.5, 0.5, 0.5, 0.5], [0.3, 0.3, 0.4, 0.1, 0.6, 0.3, 0.5, 0.25, 0.25]))
+def test_cap_curve_matches_the_tensor_path(case):
+    params, entries, law_entries = case
+    f = model.make_objective("concave_over_modular", params)
+    I, S = f.item_count, f.state_count
+    x = np.array(entries).reshape(I, S)
+    laws = _normalized_laws(law_entries, I, S)
+    mitm = extension.FactoredExtension(f)
+    tensor = extension.FactoredExtension(TableObjective(I, S, f.value))
+    q, _ = extension._max_state_laws(x)
+    assert np.allclose(mitm._W(q), tensor._W(q), rtol=0.0, atol=1e-12)
+    assert np.allclose(mitm.marginals(x), tensor.marginals(x), rtol=0.0, atol=1e-12)
+    assert mitm.H(x) == pytest.approx(tensor.H(x), abs=1e-12)
+    assert mitm.expect(laws) == pytest.approx(tensor.expect(laws), abs=1e-12)
+    assert getattr(f, "_value_table", None) is None  # the meet in the middle reads no table
+
+
+@pytest.mark.parametrize("a, cap, scale", [
+    ([[1e308, 1.5e308], [1.7e308, 1.7e308], [0.5, 1e308]], 2.0, 3.0),  # sums overflow past the cap
+    ([[0.5, 1.0], [0.25, 1.5]], 1.5e308, 2.0),  # the values stay below a cap that scale overflows
+    ([[1e308], [1e308]], 1e308, 1.0),  # every value near the float range
+])
+def test_cap_curve_with_huge_numbers_stays_finite_like_the_tensor_path(a, cap, scale):
+    f = model.make_objective("concave_over_modular",
+                             {"a": a, "g": {"kind": "cap", "cap": cap, "scale": scale}})
+    I, S = f.item_count, f.state_count
+    x = np.linspace(0.1, 0.9, I * S).reshape(I, S)
+    with np.errstate(over="ignore", invalid="ignore"):  # the guarded overflows are expected
+        mitm = extension.FactoredExtension(f)
+        tensor = extension.FactoredExtension(TableObjective(I, S, f.value))
+        got, want = mitm.marginals(x), tensor.marginals(x)
+        H = mitm.H(x)
+    assert np.all(np.isfinite(got)) and math.isfinite(H)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert H == pytest.approx(tensor.H(x), rel=1e-12)
+
+
+def test_cap_curve_overflowing_value_is_an_input_error_like_the_tensor_path():
+    # scale * cap overflows, and the all-S sum passes the cap
+    f = model.make_objective("concave_over_modular",
+                             {"a": [[1e308], [1e308]], "g": {"kind": "cap", "cap": 1e308, "scale": 2.0}})
+    with np.errstate(over="ignore"):
+        for objective in (f, TableObjective(2, 1, f.value)):
+            with pytest.raises(ValidationError, match="a value overflowed the float range"):
+                extension.FactoredExtension(objective)
 
 
 def test_marginals_nonnegative_for_monotone():

@@ -117,11 +117,24 @@ def test_optimize_report_bytes_reproducible(tmp_path):
     assert outs[0] == outs[1]
 
 
+def sqrt_curve_payload(items, states, seed):
+    """A generated ``concave_over_modular`` instance with its ``cap`` curve swapped for ``sqrt``.
+
+    ``cap`` curves take the meet in the middle; ``sqrt`` keeps the value-tensor path.
+    """
+    payload = harness.generate_instance(items, states, 1.0, "concave_over_modular", seed=seed)
+    payload["objective"]["g"] = {"kind": "sqrt", "scale": 1.0}
+    return payload
+
+
 def test_optimize_report_bytes_independent_of_blas_threads(tmp_path):
     src = str(Path(stocan.__file__).resolve().parents[1])
-    # a closed-form family and the value-tensor path
-    for family in ("nested_coverage", "concave_over_modular"):
-        path = write_payload(tmp_path, harness.generate_instance(9, 3, 1.0, family, seed=101))
+    # a closed form, the meet in the middle and the value-tensor path
+    payloads = {family: harness.generate_instance(9, 3, 1.0, family, seed=101)
+                for family in ("nested_coverage", "concave_over_modular")}
+    payloads["concave_over_modular sqrt"] = sqrt_curve_payload(9, 3, seed=101)
+    for label, payload in payloads.items():
+        path = write_payload(tmp_path, payload)
         outs = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads_{threads}.json"
@@ -131,23 +144,22 @@ def test_optimize_report_bytes_independent_of_blas_threads(tmp_path):
                             "--seed", "1", "--rounds", "8", "--out", str(out)],
                            env=env, check=True, capture_output=True)
             outs.append(out.read_bytes())
-        assert outs[0] == outs[1], family
+        assert outs[0] == outs[1], label
 
 
-# concave_over_modular is the one family whose exact evaluator needs the value table
+# concave_over_modular with a curve other than cap is the one objective whose exact evaluator
+# needs the value table
 
 
 def test_optimize_oversized_exact_marginals_is_capacity_error(tmp_path):
-    path = write_payload(tmp_path, harness.generate_instance(21, 2, 1.0, "concave_over_modular",
-                                                             seed=10))
+    path = write_payload(tmp_path, sqrt_curve_payload(21, 2, seed=10))
     code = cli.main(["optimize", "--instance", str(path), "--seed", "1", "--rounds", "3"])
     assert code == cli.EXIT_CAPACITY
 
 
 def test_optimize_capacity_error_names_the_sampled_marginals_flag(tmp_path, capsys):
     # 13 x 2: (S+1)^I = 3^13 is past the enumeration guard, so exact marginals cannot run
-    path = write_payload(tmp_path, harness.generate_instance(13, 2, 1.0, "concave_over_modular",
-                                                             seed=10))
+    path = write_payload(tmp_path, sqrt_curve_payload(13, 2, seed=10))
     code = cli.main(["optimize", "--instance", str(path), "--seed", "1", "--rounds", "3"])
     assert code == cli.EXIT_CAPACITY
     err = capsys.readouterr().err.splitlines()
@@ -157,8 +169,7 @@ def test_optimize_capacity_error_names_the_sampled_marginals_flag(tmp_path, caps
 
 
 def test_optimize_oversized_sampled_marginals_estimates_H(tmp_path):
-    path = write_payload(tmp_path, harness.generate_instance(21, 2, 1.0, "concave_over_modular",
-                                                             seed=10))
+    path = write_payload(tmp_path, sqrt_curve_payload(21, 2, seed=10))
     cfg = harness.ExperimentConfig(instance=str(path), seed=1, rounds=2,
                                    marginals="sampled", samples=300)
     report = harness.run_optimize(cfg)
@@ -166,10 +177,11 @@ def test_optimize_oversized_sampled_marginals_estimates_H(tmp_path):
     assert report["solution"]["H"]["y_stderr"] >= 0.0
 
 
-@pytest.mark.parametrize("family", ["separable_concave", "nested_coverage"])
+@pytest.mark.parametrize("family", ["separable_concave", "nested_coverage", "concave_over_modular"])
 @pytest.mark.parametrize("items", [13, 21])
 def test_optimize_closed_form_families_exact_past_the_guard(tmp_path, items, family):
-    # (S+1)^I = 3^13 and 3^21 are past the enumeration guard; these families need no table
+    # (S+1)^I = 3^13 and 3^21 are past the enumeration guard; these families need no table, and
+    # concave_over_modular's cap curve enumerates at most 3^11 sums per half
     path = write_payload(tmp_path, harness.generate_instance(items, 2, 1.0, family, seed=10))
     out = tmp_path / "opt.json"
     code = cli.main(["optimize", "--instance", str(path), "--seed", "1", "--rounds", "20",
@@ -180,7 +192,17 @@ def test_optimize_closed_form_families_exact_past_the_guard(tmp_path, items, fam
     assert H["y_small"] + H["y_large"] >= H["y"] - harness.SPLIT_TOL
 
 
-@pytest.mark.parametrize("family", ["separable_concave", "nested_coverage"])
+def test_optimize_cap_curve_past_the_half_guard_is_capacity_error(tmp_path, capsys):
+    # 27 x 2: each half of the meet in the middle would hold 3^14 sums, past the guard
+    path = write_payload(tmp_path, harness.generate_instance(27, 2, 1.0, "concave_over_modular",
+                                                             seed=10))
+    code = cli.main(["optimize", "--instance", str(path), "--seed", "1", "--rounds", "3"])
+    assert code == cli.EXIT_CAPACITY
+    assert capsys.readouterr().err == ("capacity error: (S+1)^ceil(I/2) = 4782969 exceeds the "
+                                       "enumeration guard 1000000; use --marginals sampled\n")
+
+
+@pytest.mark.parametrize("family", ["separable_concave", "nested_coverage", "concave_over_modular"])
 def test_verify_sampled_marginals_past_the_guard_runs_the_exact_H_checks(tmp_path, family):
     # 13 x 2: no value table, so the oracle and the exact policy values are skipped, but H is
     # exact and every check it gates runs, the unbudgeted small device among them
