@@ -321,56 +321,71 @@ class FactoredExtension:
         return np.einsum("ise,ie->is", self._lost, others)
 
     def _meet_in_the_middle(self, a: np.ndarray, scale: float, cap: float) -> None:
-        """Fix what :meth:`_cap_h` reads: every index, every weight and the running-sum buffer.
+        """Fix what :meth:`_cap_h` reads: each half's sort order and ``k``, and its buffers.
 
-        Rows ``3h .. 3h+2`` of the running sums, whose column 0 stays 0, are
-        ``P``, ``scale * V`` and, from the last atom back, ``scale * cap * Q``
-        over the atoms of the half other than ``h``, in sorted order. They are
-        as long as the larger half, and a shorter half's rows end in zero
-        weights. Each atom of half ``h`` reads its three terms there at flat
-        indices fixed by its ``k``.
+        For half ``h``, ``_sorted[h]`` orders the other half's atoms by sum and
+        ``_fit[h]`` is ``k`` of each of ``h``'s atoms. The three rows of
+        ``_runs``, shared by the halves and one longer than the larger half,
+        take the running sums over the other half's sorted atoms: ``P`` and
+        ``scale * V`` after a leading 0, and ``scale * cap * Q``, summed from
+        the last atom back, before a trailing 0, so that an atom reads all
+        three at its ``k``. ``h`` is written to ``_h``, each read to ``_read``.
         """
         m = self._half
         sums = (_capped_sums(a[:m], cap), _capped_sums(a[m:], cap))
-        self._split = n_a = sums[0].size  # h lists A's atoms, then B's
-        width = max(n_a, sums[1].size) + 1
-        self._gather = np.zeros((6, width - 1), dtype=np.intp)  # into A's law, then B's
-        self._scales = np.zeros((6, width - 1))
-        fit = []
+        self._split = sums[0].size  # h lists A's atoms, then B's
+        self._sorted, self._fit = [], []
         for half, other in ((0, 1), (1, 0)):
             order = np.argsort(sums[other], kind="stable")
-            ranked, n = sums[other][order], order.size
-            rows = slice(3 * half, 3 * half + 3)
-            self._gather[rows, :n] = np.stack([order, order, order[::-1]]) + other * n_a
-            self._scales[rows, :n] = np.stack([np.ones(n), scale * ranked, np.full(n, scale * cap)])
-            k = np.searchsorted(ranked, cap - sums[half], "right")
-            fit.append(np.stack([k, k, n - k]) + np.arange(3 * half, 3 * half + 3)[:, None] * width)
-        self._fit = np.concatenate(fit, axis=1)
+            self._sorted.append(order)
+            self._fit.append(np.searchsorted(sums[other][order], cap - sums[half], "right"))
+        self._capped = scale * cap
         self._scaled = scale * np.concatenate(sums)
-        self._runs = np.zeros((6, width))
+        self._h = np.empty_like(self._scaled)
+        width = max(sums[0].size, sums[1].size) + 1
+        self._runs = np.zeros((3, width))
+        self._read = np.empty(width)
 
-    def _cap_h(self, laws: np.ndarray) -> np.ndarray:
-        """``h`` over A's atoms, then over B's, each with the other half drawn from ``laws``."""
-        m = self._half
+    def _cap_h(self, laws: np.ndarray, half: int) -> np.ndarray:
+        """``h`` over half ``half``'s atoms, with the other half drawn from ``laws``.
+
+        A view of the buffer ``_h``, which the next call for the same half overwrites.
+        """
+        m, n_a = self._half, self._split
         if m == len(laws):  # I = 1: B is empty, and h is f on A's atoms
-            return self._scaled
-        rows = np.concatenate((_law_product(laws[:m]), _law_product(laws[m:]))).take(self._gather)
-        rows *= self._scales
-        np.add.accumulate(rows, axis=1, out=self._runs[:, 1:])
-        terms = self._runs.take(self._fit)
-        terms[0] *= self._scaled
-        return np.add.reduce(terms, axis=0)
+            return self._scaled[:n_a]
+        halves = (slice(0, n_a), slice(n_a, None))
+        atoms, others = halves[half], halves[1 - half]
+        h, scaled, fit = self._h[atoms], self._scaled[atoms], self._fit[half]
+        order = self._sorted[half]
+        n = order.size
+        P, V, Q = self._runs[:, :n + 1]
+        # gathered into sorted order: the other half's law once, and its scaled sums; mode
+        # "clip" writes to the rows directly (every index is in range), "raise" would buffer
+        np.take(_law_product(laws[m:] if half == 0 else laws[:m]), order, out=P[1:], mode="clip")
+        np.take(self._scaled[others], order, out=V[1:], mode="clip")
+        V[1:] *= P[1:]
+        np.multiply(P[1:], self._capped, out=Q[:n])
+        Q[n] = 0.0  # the larger half may have written there
+        for run in (P[1:], V[1:], Q[n - 1::-1]):  # Q from the last atom back
+            np.add.accumulate(run, out=run)
+        read = self._read[:h.size]
+        np.take(P, fit, out=h, mode="clip")
+        h *= scaled
+        for run in (V, Q):
+            np.take(run, fit, out=read, mode="clip")
+            h += read
+        return h
 
     def _cap_expect(self, laws: np.ndarray) -> float:
-        return float(_contract_leading(self._cap_h(laws)[:self._split], laws[:self._half])[0])
+        return float(_contract_leading(self._cap_h(laws, 0), laws[:self._half])[0])
 
     def _cap_W(self, laws: np.ndarray) -> np.ndarray:
-        m, n_a = self._half, self._split
-        h = self._cap_h(laws)
+        m = self._half
         W = np.empty_like(laws)
-        _leave_one_out(h[:n_a], laws[:m], W, 0)
+        _leave_one_out(self._cap_h(laws, 0), laws[:m], W, 0)
         if m < len(laws):  # B is empty when I = 1
-            _leave_one_out(h[n_a:], laws[m:], W, m)
+            _leave_one_out(self._cap_h(laws, 1), laws[m:], W, m)
         return W
 
     def _table_expect(self, laws: np.ndarray) -> float:

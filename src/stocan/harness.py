@@ -314,11 +314,6 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
     y, block, _ = _solve(cfg, inst, objective, _given_solution(cfg, payload, inst))
 
     sims = policies.simulate_policies(inst, objective, y, cfg.runs, cfg.order, seed=cfg.seed)
-    if cfg.records:  # each policy's records, re-drawn block by block from the same seed
-        policies.write_records(cfg.records, itertools.chain.from_iterable(
-            policies.iter_records(kind, inst, objective, y, cfg.runs, cfg.order, cfg.seed)
-            for kind in policies.KINDS))
-
     report = {
         "command": "simulate",
         "instance": _instance_header(cfg, payload, inst, objective),
@@ -327,6 +322,11 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
         "policies": {s.kind: _policy_block(s) for s in sims},
         "budget_violations": sum(s.budget_violations for s in sims),
     }
+    del sims  # the campaigns' run values are read; free them before the records and exact passes
+    if cfg.records:  # each policy's records, re-drawn block by block from the same seed
+        policies.write_records(cfg.records, itertools.chain.from_iterable(
+            policies.iter_records(kind, inst, objective, y, cfg.runs, cfg.order, cfg.seed)
+            for kind in policies.KINDS))
     # exact expectations need a fixed order; "random" falls back to identity
     exact_order = "identity" if cfg.order == "random" else cfg.order
     try:

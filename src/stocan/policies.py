@@ -21,8 +21,9 @@ combined policy's floor at each checked arrival order with
 A draw plan yields a campaign's realized states, accept coins, branch
 coins and arrival orders in blocks of at most ``CHUNK_RUNS`` runs, and
 one vectorized kernel executes this rule for every run of a block at
-once, one arrival position (one column of states and coins) at a time,
-recording an int8 action code per run and position. Within
+once, one arrival position (one column of states and coins) at a time.
+Only run records read the int8 action code of each run and position, so
+only their pass builds it. Within
 ``ENUM_GUARD`` a run's value is read from the objective's value table
 (:func:`~stocan.extension.value_table`, built once per objective), else
 from ``value_many`` on the selection matrix. A
@@ -62,7 +63,7 @@ ACCEPTED = "accepted"
 ACTIONS = (DISCARDED, REJECTED, SKIPPED, ACCEPTED)  # indexed by the int8 action code
 DISCARD, REJECT, SKIP, ACCEPT = np.arange(len(ACTIONS), dtype=np.int8)
 
-CHUNK_RUNS = 65_536  # rows per block of a draw plan
+CHUNK_RUNS = 8_192  # rows per block of a draw plan
 
 
 def resolve_order(order, item_count: int):
@@ -127,10 +128,35 @@ class RunRecord:
 class _Rows:
     """What the kernel decided for one block of runs."""
 
-    actions: np.ndarray  # (n, I) action code per arrival position
+    actions: np.ndarray | None  # (n, I) action code per arrival position, if asked for
     spent: np.ndarray  # (n,) accumulated cost
     sizes: np.ndarray  # (n,) accepted pairs per run
     values: np.ndarray  # (n,) objective value of the run's selection
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """The policy rule's constants for one campaign: built once, read by every block."""
+
+    budget: float
+    half: float
+    S1: int  # S + 1: an item's states, 0 (unselected) included
+    cost_of: np.ndarray  # by padded pair index item * (S+1) + state, so a state indexes its row
+    prob_of: np.ndarray  # accept probability, by the same index
+    radix: np.ndarray  # an item's weight in the rank of a selection
+    table: np.ndarray | None  # the objective's value table, within ENUM_GUARD
+    objective: LatticeObjective
+
+
+def _rule(inst: Instance, objective: LatticeObjective, probs: np.ndarray) -> _Rule:
+    """The :class:`_Rule` of campaigns on ``inst`` at accept probabilities ``probs``."""
+    S1, I = inst.state_count + 1, inst.item_count
+    return _Rule(budget=inst.budget, half=inst.budget / 2, S1=S1,
+                 cost_of=np.pad(inst.cost, ((0, 0), (1, 0))).ravel(),
+                 prob_of=np.pad(probs, ((0, 0), (1, 0))).ravel(),
+                 radix=S1 ** np.arange(I - 1, -1, -1),
+                 table=value_table(objective) if S1 ** I <= ENUM_GUARD else None,
+                 objective=objective)
 
 
 def _check_kind(kind: str) -> None:
@@ -141,16 +167,20 @@ def _check_kind(kind: str) -> None:
 def sample_states(inst: Instance, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw ``n`` independent state realizations, shape ``(n, I)``.
 
-    The array is column-major, because the kernel reads it one arrival
-    position (one column) at a time; the layout does not change the draws.
+    Item ``i`` takes state ``1 + #{k < S-1 : u >= cum_i[k]}`` for a uniform
+    ``u``, where ``cum_i`` is the cumulative sum of its state law: since
+    ``cum_i`` is nondecreasing, that is ``searchsorted(cum_i, u, "right")``
+    clipped to ``S-1``, plus one, and a rounded last sum below 1 cannot
+    yield state ``S+1``. The array is column-major, because the kernel
+    reads it one arrival position (one column) at a time; the layout does
+    not change the draws.
     """
-    u = rng.random((n, inst.item_count))
-    out = np.empty((n, inst.item_count), dtype=np.int64, order="F")
-    for i in range(inst.item_count):
-        cum = np.cumsum(inst.prob[i])
-        out[:, i] = np.searchsorted(cum, u[:, i], side="right")
-    np.clip(out, 0, inst.state_count - 1, out=out)
-    return out + 1
+    u = rng.random((n, inst.item_count)).T  # u[i] is item i's column of the (n, I) draw
+    out = np.ones((inst.item_count, n), dtype=np.int64)  # out.T is column-major
+    cum = np.cumsum(inst.prob, axis=1)
+    for k in range(inst.state_count - 1):
+        out += u >= cum[:, k, None]
+    return out.T
 
 
 def _draw_plan(inst: Instance, runs: int, random_order: bool, seed: int):
@@ -182,74 +212,70 @@ def _arrivals(block, order):
     return phi, coins, branch_small, random_orders if order == "random" else order
 
 
-def _kernel(inst, objective, probs, block, keep_small) -> _Rows:
+def _kernel(rule: _Rule, block, keep_small, codes: bool = False) -> _Rows:
     """Execute the policy rule on every row of one plan block.
 
     ``keep_small`` is True for the small policy, False for the large one,
     and the block's per-run branch coins for the combined policy. Every
-    decision of every run is made here. The item at arrival position
-    ``t`` is a Python int under a fixed order and an ``(n,)`` array under
-    random orders; every formula below takes either. Within
+    decision of every run is made here; with ``codes`` each is also kept
+    as an action code, which only run records read. The item at arrival
+    position ``t`` is a Python int under a fixed order and an ``(n,)``
+    array under random orders; every formula below takes either. Within
     ``ENUM_GUARD`` a run's value is read from the objective's value table
     at the mixed-radix rank of its selection, and no selection matrix is
     built; either way the value has the bits ``value_many`` gives.
     """
     phi, coins, _, order = block
     n, I = phi.shape
-    S1 = inst.state_count + 1
-    table = value_table(objective) if S1 ** I <= ENUM_GUARD else None
-    budget, half = inst.budget, inst.budget / 2
-    # by padded pair index item * (S+1) + state, so a realized state indexes its item's row
-    cost_of = np.pad(inst.cost, ((0, 0), (1, 0))).ravel()
-    prob_of = np.pad(probs, ((0, 0), (1, 0))).ravel()
-    radix = S1 ** np.arange(I - 1, -1, -1)  # an item's weight in the rank of a selection
     fixed = isinstance(order, tuple)
     rows = slice(None) if fixed else np.arange(n)  # phi[rows, items]: a column, or a gather
-    actions = np.empty((n, I), dtype=np.int8, order="F")
+    actions = np.empty((n, I), dtype=np.int8, order="F") if codes else None
     spent = np.zeros(n)
     sizes = np.zeros(n, dtype=np.int64)
-    if table is None:
+    if rule.table is None:
         selected = np.zeros((n, I), dtype=np.int64, order="F")  # value_many reads columns
     else:
         rank = np.zeros(n, dtype=np.int64)
     for t in range(I):
         items = order[t] if fixed else order[:, t]
         states = phi[rows, items]
-        pair = items * S1 + states
-        cost = cost_of.take(pair)
-        keep = (cost <= half) == keep_small
-        fits = spent + cost <= budget
-        accept = keep & fits & (coins[:, t] < prob_of.take(pair))
-        # action codes DISCARD..ACCEPT are 0..3: kept pairs reject (1), skip (2) or accept (3)
-        code = 2 - fits.view(np.int8) + 2 * accept.view(np.int8)
-        np.multiply(keep.view(np.int8), code, out=actions[:, t])
+        pair = items * rule.S1 + states
+        cost = rule.cost_of.take(pair)
+        keep = (cost <= rule.half) == keep_small
+        fits = spent + cost <= rule.budget
+        accept = keep & fits & (coins[:, t] < rule.prob_of.take(pair))
+        if codes:
+            # action codes DISCARD..ACCEPT are 0..3: kept pairs reject (1), skip (2) or accept (3)
+            code = 2 - fits.view(np.int8) + 2 * accept.view(np.int8)
+            np.multiply(keep.view(np.int8), code, out=actions[:, t])
         np.add(spent, cost, out=spent, where=accept)
         sizes += accept
         chosen = states * accept
-        if table is None:
+        if rule.table is None:
             selected[rows, items] = chosen  # a run visits each item once
         else:
-            rank += chosen * radix[items]
+            rank += chosen * rule.radix[items]
 
-    values = (np.asarray(objective.value_many(selected), dtype=float) if table is None
-              else table.take(rank))
+    values = (np.asarray(rule.objective.value_many(selected), dtype=float) if rule.table is None
+              else rule.table.take(rank))
     return _Rows(actions, spent, sizes, values)
 
 
 def _select(branch_small, small: _Rows, large: _Rows) -> _Rows:
-    """The combined policy's rows: small's where its coin chose small, large's elsewhere.
+    """The combined policy's campaign rows: small's where its coin chose small, large's elsewhere.
 
     Bit for bit the kernel's rows with ``keep_small=branch_small``: each
-    run makes the same decisions as the branch its coin chose.
+    run makes the same decisions as the branch its coin chose. Like every
+    campaign's rows, they carry no action codes.
     """
-    return _Rows(np.where(branch_small[:, None], small.actions, large.actions),
+    return _Rows(None,
                  np.where(branch_small, small.spent, large.spent),
                  np.where(branch_small, small.sizes, large.sizes),
                  np.where(branch_small, small.values, large.values))
 
 
 def _records(kind, block, rows: _Rows):
-    """Yield a :class:`RunRecord` per row of one block."""
+    """Yield a :class:`RunRecord` per row of one block, from rows the kernel ran with ``codes``."""
     phi, _, branch_small, orders = block
     orders = np.broadcast_to(np.array(orders), phi.shape)  # a fixed order is a tuple
     seen = np.take_along_axis(phi, orders, axis=1)  # states in arrival order
@@ -316,25 +342,24 @@ def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray
     from the branch its coin chose. Values are kept whole, so ``mean``
     and ``stderr`` sum the same vector in the same order at any chunk
     size; budget violations and the largest large-rule selection are
-    reduced per block as integers. Memory is one block's arrays plus 8
-    bytes per run per campaign, and, within ``ENUM_GUARD``, the
-    objective's value table (8 bytes per lattice point). No run record
-    is built; :func:`iter_records` gives a campaign's records.
+    reduced per block as integers. Memory is 8 bytes per run per
+    campaign, one block's draws and kernel columns (no action codes:
+    about 2.4 MB at 12 items), and, within ``ENUM_GUARD``, the
+    objective's value table (8 bytes per lattice point); taking ``stderr``
+    adds one campaign's deviations, 8 bytes per run, at the end. No run
+    record is built; :func:`iter_records` gives a campaign's records.
     """
     if runs < 1:
         raise ValidationError("runs", "must be at least 1")
-    probs = acceptance_probabilities(inst, y)
     order = resolve_order(order, inst.item_count)
-    if (inst.state_count + 1) ** inst.item_count <= ENUM_GUARD:
-        # the kernel's table, built before the campaign arrays so that its
-        # temporaries add nothing to their peak
-        value_table(objective)
+    # built before the campaign arrays, so that the value table's temporaries add nothing to their peak
+    rule = _rule(inst, objective, acceptance_probabilities(inst, y))
     sims = [PolicySimulation(kind, runs, np.empty(runs)) for kind in KINDS]
     start = 0
     for block in _draw_plan(inst, runs, order == "random", seed):
         view = _arrivals(block, order)
         branch_small = block[2]
-        small, large = (_kernel(inst, objective, probs, view, keep) for keep in (True, False))
+        small, large = (_kernel(rule, view, keep) for keep in (True, False))
         for sim, keep_small, rows in zip(sims, (True, False, branch_small),
                                          (small, large, _select(branch_small, small, large))):
             _fold(sim, start, keep_small, rows, inst.budget)
@@ -400,8 +425,11 @@ def exact_policy_value(kind: str, inst: Instance, objective: LatticeObjective,
                 stay -= passed
             without *= stay
             at[i] = slice(None)
-        # an elementwise sum, not a BLAS dot, so the value does not depend on thread count
-        return float(np.sum(mass.reshape(-1) * table))
+        # an elementwise sum, not a BLAS dot, so the value does not depend on thread count;
+        # the product is taken in place, with no table-sized temporary
+        flat = mass.reshape(-1)
+        np.multiply(flat, table, out=flat)
+        return float(np.sum(flat))
 
     if kind == "stocan":
         return 0.5 * branch(True) + 0.5 * branch(False)
@@ -432,12 +460,12 @@ def iter_records(kind: str, inst: Instance, objective: LatticeObjective, y: np.n
     if runs < 1:
         raise ValidationError("runs", "must be at least 1")
     _check_kind(kind)
-    probs = acceptance_probabilities(inst, y)
     order = resolve_order(order, inst.item_count)
+    rule = _rule(inst, objective, acceptance_probabilities(inst, y))
     for block in _draw_plan(inst, runs, order == "random", seed):
         view = _arrivals(block, order)
         keep_small = block[2] if kind == "stocan" else kind == "small"
-        yield from _records(kind, view, _kernel(inst, objective, probs, view, keep_small))
+        yield from _records(kind, view, _kernel(rule, view, keep_small, codes=True))
         del block, view  # free this block's arrays before the plan draws the next
 
 

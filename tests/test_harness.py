@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -311,8 +312,6 @@ def run_cli(*args):
 def test_simulate_records_are_streamed_one_block_at_a_time(tmp_path, monkeypatch):
     # a campaign keeps no records: they are built block by block as the writer consumes them
     path = write_payload(tmp_path, harness.generate_instance(3, 2, 1.0, seed=31))
-    chunk, runs = 7, 50
-    monkeypatch.setattr(policies, "CHUNK_RUNS", chunk)
     built, ahead = [0], []
     init = policies.RunRecord.__init__
 
@@ -330,11 +329,42 @@ def test_simulate_records_are_streamed_one_block_at_a_time(tmp_path, monkeypatch
     monkeypatch.setattr(policies, "write_records",
                         lambda out, records: write(out, consumed(records)))
     records = tmp_path / "runs.jsonl"
-    assert cli.main(["simulate", "--instance", str(path), "--seed", "2", "--rounds", "20",
-                     "--runs", str(runs), "--records", str(records),
-                     "--out", str(tmp_path / "sim.json")]) == 0
-    assert len(records.read_text().splitlines()) == built[0] == len(ahead) == 3 * runs
-    assert max(ahead) < chunk
+    for chunk in (7, policies.CHUNK_RUNS):  # a small size, and the default
+        runs = 2 * chunk + 1  # the last block holds one run
+        monkeypatch.setattr(policies, "CHUNK_RUNS", chunk)
+        built[0], ahead[:] = 0, []
+        assert cli.main(["simulate", "--instance", str(path), "--seed", "2", "--rounds", "20",
+                         "--runs", str(runs), "--records", str(records),
+                         "--out", str(tmp_path / "sim.json")]) == 0
+        assert len(records.read_text().splitlines()) == built[0] == len(ahead) == 3 * runs
+        assert max(ahead) < chunk
+
+
+def test_simulate_frees_the_campaigns_before_the_exact_pass(tmp_path, monkeypatch):
+    path = write_payload(tmp_path, harness.generate_instance(12, 2, 1.0, seed=32))
+    runs, levels = 200_000, {}
+    simulate, exact = policies.simulate_policies, policies.exact_policy_value
+
+    def campaigns(*args, **kwargs):
+        sims = simulate(*args, **kwargs)
+        levels["campaigns"] = tracemalloc.get_traced_memory()[0]
+        return sims
+
+    def exact_pass(*args, **kwargs):
+        levels["exact"] = tracemalloc.get_traced_memory()[0]
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(policies, "simulate_policies", campaigns)
+    monkeypatch.setattr(policies, "exact_policy_value", exact_pass)
+    tracemalloc.start()
+    try:
+        report = harness.run_simulate(harness.ExperimentConfig(instance=str(path), seed=3,
+                                                               rounds=5, runs=runs))
+    finally:
+        tracemalloc.stop()
+    assert report["policies"]["stocan"]["runs"] == runs and "exact" in report
+    # the three campaigns' run values, 24 bytes per run, are gone when the exact pass starts
+    assert levels["exact"] <= levels["campaigns"] - 24 * runs + (64 << 10)
 
 
 def test_simulate_non_json_solution_is_input_error(tmp_path):
@@ -677,7 +707,8 @@ def test_verify_order_rows_are_exact_values_and_run_no_campaign(monkeypatch, ord
     path = harness.reference_suite_paths()[7]  # 3 items, 2 states: 6 orders
     passes = []
     kernel = policies._kernel
-    monkeypatch.setattr(policies, "_kernel", lambda *a: passes.append(a) or kernel(*a))
+    monkeypatch.setattr(policies, "_kernel",
+                        lambda *a, **k: passes.append((a, k)) or kernel(*a, **k))
     report = harness.run_verify(harness.ExperimentConfig(instance=str(path), seed=1, rounds=50,
                                                          runs=2000, order_checks=order_checks))
     assert len(passes) == 2  # small and large on one block; no pass per checked order
@@ -787,29 +818,33 @@ def test_stdout_report_when_no_out(tmp_path, capsys):
 
 @pytest.mark.parametrize("order", ["identity", "random"])
 def test_reports_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, order):
-    """Nor on the value table: at chunk size 7 a second pass lowers the kernel's guard
-    to 0, so run values come from ``value_many`` on the selection matrix instead."""
-    runs = 45  # not a multiple of 7
+    """Nor on the value table: at the second chunk size of each case a second pass lowers
+    the kernel's guard to 0, so run values come from ``value_many`` on the selection matrix."""
     path = write_payload(tmp_path, harness.generate_instance(4, 2, 1.0, "nested_coverage",
                                                              seed=26))
     ref = str(harness.reference_suite_paths()[3])
-    outputs = {}
-    for chunk, table in ((1, True), (7, True), (runs, True), (4 * runs, True), (7, False)):
-        monkeypatch.setattr(policies, "CHUNK_RUNS", chunk)
-        monkeypatch.setattr(policies, "ENUM_GUARD", model.ENUM_GUARD if table else 0)
-        key = chunk if table else "no table"
-        sim, records, ver = (tmp_path / f"{chunk}.{table}.{name}"
-                             for name in ("sim.json", "runs.jsonl", "verify.json"))
-        assert cli.main(["simulate", "--instance", str(path), "--seed", "5", "--rounds", "30",
-                         "--runs", str(runs), "--order", order, "--records", str(records),
-                         "--out", str(sim)]) == 0
-        assert cli.main(["verify", "--instance", ref, "--seed", "5", "--rounds", "30",
-                         "--runs", str(runs), "--order", order, "--order-checks", "2",
-                         "--out", str(ver)]) in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
-        outputs[key] = [p.read_bytes() for p in (sim, records, ver)]
-    assert len(outputs[1][1].splitlines()) == 3 * runs
-    for key in (7, runs, 4 * runs, "no table"):
-        assert outputs[key] == outputs[1], key
+    default = policies.CHUNK_RUNS
+    for runs, chunks in ((45, (1, 7, 45, 4 * 45)),  # 45 is not a multiple of 7
+                         # two blocks at the default size, against one block and blocks of 1000
+                         (default + 45, (default + 45, 1000, default))):
+        outputs = {}
+        for chunk, table in (*((c, True) for c in chunks), (chunks[1], False)):
+            monkeypatch.setattr(policies, "CHUNK_RUNS", chunk)
+            monkeypatch.setattr(policies, "ENUM_GUARD", model.ENUM_GUARD if table else 0)
+            key = chunk if table else "no table"
+            sim, records, ver = (tmp_path / f"{runs}.{chunk}.{table}.{name}"
+                                 for name in ("sim.json", "runs.jsonl", "verify.json"))
+            assert cli.main(["simulate", "--instance", str(path), "--seed", "5", "--rounds", "30",
+                             "--runs", str(runs), "--order", order, "--records", str(records),
+                             "--out", str(sim)]) == 0
+            assert cli.main(["verify", "--instance", ref, "--seed", "5", "--rounds", "30",
+                             "--runs", str(runs), "--order", order, "--order-checks", "2",
+                             "--out", str(ver)]) in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
+            outputs[key] = [p.read_bytes() for p in (sim, records, ver)]
+        first = outputs[chunks[0]]
+        assert len(first[1].splitlines()) == 3 * runs
+        for key in (*chunks[1:], "no table"):
+            assert outputs[key] == first, (runs, key)
 
 
 def test_nan_in_solution_names_its_file_and_entry(tmp_path):

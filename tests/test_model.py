@@ -416,6 +416,61 @@ def test_draw_same_seed_identical():
     assert a.shape == (5, 2) and a.flags.f_contiguous  # the kernel reads it by column
 
 
+def searchsorted_states(prob, u):
+    """The state sampler's oracle: each column of uniforms ``u`` looked up in its item's
+    cumulative law by ``searchsorted``, clipped to the last state, 1-based."""
+    out = np.empty(u.shape, dtype=np.int64)
+    for i, row in enumerate(prob):
+        out[:, i] = np.searchsorted(np.cumsum(row), u[:, i], side="right")
+    return np.clip(out, 0, prob.shape[1] - 1) + 1
+
+
+class FixedUniforms:
+    """A generator stand-in whose ``random`` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        assert shape == self.u.shape
+        return self.u.copy()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), items=st.integers(1, 4), states=st.integers(1, 5),
+       runs=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_state_draws_equal_their_searchsorted_oracle_bit_for_bit(data, items, states, runs, seed):
+    # laws with zero-probability states and tied thresholds, some rows an ulp or two off 1
+    weights = st.sampled_from([0.0, 0.0, 0.1, 0.2, 0.25, 1 / 3, 0.5, 0.7, 1.0])
+    rows = []
+    for _ in range(items):
+        row = np.array(data.draw(st.lists(weights, min_size=states, max_size=states)
+                                 .filter(lambda w: sum(w) > 0)))
+        row /= row.sum()
+        k = int(np.flatnonzero(row)[-1])  # nudge a positive entry, so no probability is negative
+        for _ in range(data.draw(st.integers(0, 2))):
+            row[k] = np.nextafter(row[k], data.draw(st.sampled_from([0.0, 2.0])))
+        rows.append(row)
+    prob = np.array(rows)
+    inst = make_instance(prob, np.full(prob.shape, 0.5), 1.0)
+    cum = np.cumsum(prob, axis=1)
+    # uniforms anywhere in [0, 1), exactly on a threshold, or one ulp to either side of it
+    u = np.empty((runs, items))
+    for i in range(items):
+        points = [*cum[i], *np.nextafter(cum[i], 0.0), *np.nextafter(cum[i], 2.0), 0.0,
+                  np.nextafter(1.0, 0.0)]
+        on = st.sampled_from([p for p in points if p < 1.0])
+        u[:, i] = data.draw(st.lists(st.one_of(st.floats(0.0, 1.0, exclude_max=True), on),
+                                     min_size=runs, max_size=runs))
+    for got, want in ((policies.sample_states(inst, FixedUniforms(u), runs),
+                       searchsorted_states(prob, u)),
+                      (policies.sample_states(inst, np.random.default_rng(seed), runs),
+                       searchsorted_states(prob, np.random.default_rng(seed).random((runs, items))))):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.f_contiguous  # the kernel reads it by column
+        assert got.tobytes() == np.asfortranarray(want).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # file format
 

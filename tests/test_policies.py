@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,13 +19,13 @@ def greedy_y(inst, f, rounds=150):
 
 def plan_spent(kind, inst, f, y, runs, order="identity", seed=0):
     """The kernel's spend per run of the campaign ``simulate_policy`` runs, block after block."""
-    probs = policies.acceptance_probabilities(inst, y)
+    rule = policies._rule(inst, f, policies.acceptance_probabilities(inst, y))
     order = policies.resolve_order(order, inst.item_count)
     spent = []
     for block in policies._draw_plan(inst, runs, order == "random", seed):
         view = policies._arrivals(block, order)
         keep_small = view[2] if kind == "stocan" else kind == "small"
-        spent.append(policies._kernel(inst, f, probs, view, keep_small).spent)
+        spent.append(policies._kernel(rule, view, keep_small).spent)
     return np.concatenate(spent)
 
 
@@ -286,6 +287,34 @@ def test_hard_feasibility_and_exact_cost_recomputation():
         assert recomputed == pytest.approx(rec.total_cost, abs=1e-12)
 
 
+def traced_peak(fn):
+    """``fn()`` and the most memory tracemalloc saw allocated during it, above the level before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        return fn(), tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_campaign_memory_is_the_run_values_the_table_and_one_block():
+    # 8 bytes per run per campaign, the value table, and a fixed allowance for one block's
+    # draws and kernel columns: no per-run action codes, no block that grows with the runs
+    inst, f = generated(150, 12, 2)
+    y = greedy_y(inst, f, rounds=5)
+    allowance, runs = 4 << 20, 200_000
+    sims, peak = traced_peak(lambda: policies.simulate_policies(inst, f, y, runs, seed=56))
+    table = extension.value_table(f).nbytes  # 3^12 lattice points, built by the campaign
+    assert peak <= 24 * runs + table + allowance
+    del sims
+    # with the table built: twice the runs cost their values, and at the end np.std's
+    # deviation vector of one campaign, 8 bytes per run
+    once, peak = traced_peak(lambda: policies.simulate_policies(inst, f, y, runs, seed=56))
+    del once
+    _, doubled = traced_peak(lambda: policies.simulate_policies(inst, f, y, 2 * runs, seed=56))
+    assert doubled - peak <= 32 * runs
+
+
 # ---------------------------------------------------------------------------
 # exact expectation
 
@@ -419,16 +448,17 @@ def test_largest_large_is_the_largest_large_rule_record(monkeypatch, case, order
 def test_stocan_selection_is_the_branch_kernel_bit_for_bit(order):
     inst, f = generated(139, 5, 2, "nested_coverage")
     y = greedy_y(inst, f)
-    probs = policies.acceptance_probabilities(inst, y)
+    rule = policies._rule(inst, f, policies.acceptance_probabilities(inst, y))
     block = policies._arrivals(next(policies._draw_plan(inst, 3000, order == "random", 52)),
                                policies.resolve_order(order, inst.item_count))
     branch = block[2]
-    small, large, combined = (policies._kernel(inst, f, probs, block, keep)
-                              for keep in (True, False, branch))
+    small, large, combined = (policies._kernel(rule, block, keep) for keep in (True, False, branch))
     chosen = policies._select(branch, small, large)
-    for field in ("actions", "spent", "sizes", "values"):
+    for field in ("spent", "sizes", "values"):
         a, b = getattr(chosen, field), getattr(combined, field)
-        assert a.dtype == b.dtype and a.tobytes() == np.ascontiguousarray(b).tobytes(), field
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    # campaign rows carry no action codes; records ask the kernel for them (its oracle test)
+    assert small.actions is large.actions is combined.actions is chosen.actions is None
 
     # through the public views: stocan beside small and large, stocan alone, and its records
     by_plan = policies.simulate_policies(inst, f, y, 3000, order, seed=52)[2]
@@ -457,10 +487,16 @@ def test_two_kernel_passes_per_block_one_campaign_per_kind(monkeypatch):
              for kind in policies.KINDS]
     passes = []
     kernel = policies._kernel
-    monkeypatch.setattr(policies, "_kernel", lambda *a: passes.append(a[-1]) or kernel(*a))
+
+    def counting(rule, block, keep_small, codes=False):
+        passes.append((keep_small, codes))
+        return kernel(rule, block, keep_small, codes)
+
+    monkeypatch.setattr(policies, "_kernel", counting)
     monkeypatch.setattr(policies, "CHUNK_RUNS", 200)
     sims = policies.simulate_policies(inst, f, y, 500, [2, 0, 1], seed=53)
-    assert passes == [True, False] * 3  # small and large per block; stocan is read off them
+    # small and large per block, with no action codes; stocan is read off them
+    assert passes == [(True, False), (False, False)] * 3
     assert [s.kind for s in sims] == list(policies.KINDS)
     for sim, lone in zip(sims, alone):
         assert sim.values.tobytes() == lone.values.tobytes(), sim.kind
@@ -594,9 +630,12 @@ def test_kernel_equals_its_oracle_bit_for_bit(data, family, items, states, seed,
     with pytest.MonkeyPatch.context() as mp:
         # without the table, the guard is lowered so that run values come from value_many
         mp.setattr(policies, "ENUM_GUARD", model.ENUM_GUARD if with_table else 0)
-        got = policies._kernel(inst, f, probs, block, keep_small)
+        rule = policies._rule(inst, f, probs)
     want, _ = reference_kernel(inst, f, probs, block, keep_small, False)
-    for name in ("actions", "spent", "sizes", "values"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
-        assert a.tobytes() == b.tobytes(), name
+    for codes in (True, False):
+        got = policies._kernel(rule, block, keep_small, codes=codes)
+        for name in ("actions", "spent", "sizes", "values")[0 if codes else 1:]:
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+        assert (got.actions is None) != codes
