@@ -34,7 +34,7 @@ from .optimizer import (
     grid_search_lp_value,
     split_solution,
 )
-from .oracle import OracleResult, exhaustive_nonadaptive_value, optimal_policy_value
+from .oracle import exhaustive_nonadaptive_value, optimal_policy_value
 from .policies import (
     RunRecord,
     exact_policy_value,
@@ -49,7 +49,6 @@ __all__ = [
     "GreedyConfig",
     "Instance",
     "LatticeObjective",
-    "OracleResult",
     "PreconditionError",
     "RunRecord",
     "StocanError",

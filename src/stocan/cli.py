@@ -2,10 +2,13 @@
 
 Subcommands::
 
-    stocan gen       --items I --states S --family F --seed N --out PATH
-    stocan optimize  --instance PATH --seed N [--rounds T] [--marginals M] [--out PATH]
-    stocan simulate  --instance PATH --seed N [--runs N] [--order O] [--records PATH]
-    stocan verify    --instance PATH --seed N [--runs N] [--order-checks K] [--out PATH]
+    stocan gen       --items I --states S --seed N --out PATH [--family F] [--elements E]
+    stocan optimize  --instance PATH --seed N [--rounds T] [--marginals M] [--samples K] [--out PATH]
+    stocan simulate  (optimize's flags) [--runs N] [--order O] [--solution PATH] [--records PATH]
+    stocan verify    (optimize's flags) [--runs N] [--order O] [--order-checks K]
+
+``gen`` writes an instance file; the others print their JSON report, or
+write it to ``--out`` and print a summary.
 
 Exit codes: 0 success, 1 verification-check failure, 2 input or
 validation error, 3 enumeration-guard (capacity) error.
@@ -20,7 +23,7 @@ from dataclasses import fields
 import numpy as np
 
 from .errors import CapacityError, StocanError
-from .harness import ExperimentConfig, run_gen, run_optimize, run_simulate, run_verify, write_report
+from .harness import ExperimentConfig, generate_instance, run_optimize, run_simulate, run_verify, write_report
 from .model import FAMILIES
 
 EXIT_OK = 0
@@ -67,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a random valid instance file")
     gen.add_argument("--items", required=True, type=int)
     gen.add_argument("--states", required=True, type=int)
-    gen.add_argument("--cost-scale", type=float, default=1.0)
     gen.add_argument("--family", choices=FAMILIES, default="separable_concave")
     gen.add_argument("--elements", type=int, default=6,
                      help="universe size for nested_coverage objectives")
@@ -108,8 +110,8 @@ def main(argv=None) -> int:
 def _run(args: argparse.Namespace) -> int:
     try:
         if args.command == "gen":
-            run_gen(args.items, args.states, args.cost_scale, args.family,
-                    args.seed, args.out, args.elements)
+            write_report(generate_instance(args.items, args.states, args.family, args.seed,
+                                           args.elements), args.out)
             print(f"wrote {args.out}")
             return EXIT_OK
         cfg = _config(args)

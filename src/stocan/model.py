@@ -46,6 +46,13 @@ def _floats(value, path: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def _int(value, path: str) -> int:
+    """``value`` as an int, else a ValidationError at ``path``: never a bool, float or string."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(path, f"expected an integer (got {value!r:.60})")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # instances
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 from .extension import FactoredExtension, check_fractional, sampled_marginals
-from .model import Instance, LatticeObjective, PROB_TOL
+from .model import Instance, LatticeObjective, PROB_TOL, _int
 from .rng import OPTIMIZER, substream
 
 GRID_POINT_GUARD = 4_000_000
@@ -34,11 +34,11 @@ class GreedyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rounds < 1:
+        if _int(self.rounds, "rounds") < 1:
             raise ValidationError("rounds", "must be at least 1")
         if self.marginal_mode not in ("exact", "sampled"):
             raise ValidationError("marginals", f"unknown mode {self.marginal_mode!r}")
-        if self.samples < 1:
+        if _int(self.samples, "samples") < 1:
             raise ValidationError("samples", "must be at least 1")
 
 
@@ -128,7 +128,7 @@ def grid_search_lp_value(omega: np.ndarray, caps: np.ndarray, costs: np.ndarray,
 
 def continuous_greedy(inst: Instance, objective: LatticeObjective,
                       config: GreedyConfig = GreedyConfig(), *,
-                      trace: bool = False, evaluator: FactoredExtension | None = None):
+                      evaluator: FactoredExtension | None = None) -> np.ndarray:
     """Build a fractional solution in T rounds of step 1/T.
 
     Each round weighs every pair by its join marginal at the current
@@ -145,25 +145,21 @@ def continuous_greedy(inst: Instance, objective: LatticeObjective,
     max_t x_t``) and the fractional cost stays within budget (y is
     dominated by the average of the per-round LP solutions).
 
-    With ``trace=True`` (exact mode only) also returns the exact H value
-    after every round, starting with H(0). Exact mode uses ``evaluator``
-    when given (it must be built for ``objective``) and builds one otherwise.
-    The inner LP's caps are the state probabilities clipped into [0, 1]
-    (the loader admits them ``PROB_TOL`` outside), so ``y`` stays in
-    [0, 1] and the rounds take exact marginals without re-validating it.
-    A pair costing more than the budget has cap 0: nothing can select it,
-    so the relaxation still bounds the adaptive optimum.
+    Exact mode uses ``evaluator`` when given (it must be built for
+    ``objective``) and builds one otherwise. The inner LP's caps are the
+    state probabilities clipped into [0, 1] (the loader admits them
+    ``PROB_TOL`` outside), so ``y`` stays in [0, 1] and the rounds take
+    exact marginals without re-validating it. A pair costing more than
+    the budget has cap 0: nothing can select it, so the relaxation still
+    bounds the adaptive optimum.
     """
     delta = 1.0 / config.rounds
     y = np.zeros_like(inst.prob)
     caps = np.where(inst.cost <= inst.budget, np.clip(inst.prob, 0.0, 1.0), 0.0)
     exact = config.marginal_mode == "exact"
-    if exact and evaluator is None:
-        evaluator = FactoredExtension(objective)
-    if trace and not exact:
-        raise ValidationError("trace", "trace requires exact marginals")
-    values = [evaluator.H(y)] if trace else None
     if exact:
+        if evaluator is None:
+            evaluator = FactoredExtension(objective)
         check_fractional(y, objective)  # the shape, once
     for t in range(config.rounds):
         if exact:
@@ -173,10 +169,6 @@ def continuous_greedy(inst: Instance, objective: LatticeObjective,
                                          substream(config.seed, OPTIMIZER, t))
         x = density_greedy(omega, caps, inst.cost, inst.budget)
         y = y + delta * x * (1.0 - y)
-        if trace:
-            values.append(evaluator.H(y))
-    if trace:
-        return y, values
     return y
 
 
@@ -193,16 +185,16 @@ def split_solution(y: np.ndarray, inst: Instance) -> tuple[np.ndarray, np.ndarra
     return y_small, y_large
 
 
-def check_lp_feasible(y: np.ndarray, inst: Instance, tol: float = PROB_TOL) -> None:
-    """Raise unless y is inside the LP polytope (within tol)."""
+def check_lp_feasible(y: np.ndarray, inst: Instance) -> None:
+    """Raise unless y is inside the LP polytope (within ``PROB_TOL``)."""
     y = np.asarray(y, dtype=float)
     if y.shape != inst.prob.shape:
         raise ValidationError("y", f"expected shape {inst.prob.shape}, got {y.shape}")
-    if np.any(y < -tol):
+    if np.any(y < -PROB_TOL):
         raise ValidationError("y", "entries must be nonnegative")
-    if np.any(y > inst.prob + tol):
+    if np.any(y > inst.prob + PROB_TOL):
         i, s = np.unravel_index(int(np.argmax(y - inst.prob)), y.shape)
         raise ValidationError("y", f"y[{i},{s}] = {y[i, s]} exceeds cap p = {inst.prob[i, s]}")
     spend = float(np.sum(y * inst.cost))
-    if spend > inst.budget + tol:
+    if spend > inst.budget + PROB_TOL:
         raise ValidationError("y", f"fractional cost {spend} exceeds budget {inst.budget}")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,13 +25,7 @@ from .model import ENUM_GUARD, Instance, LatticeObjective
 NONADAPTIVE_WORK_GUARD = 2_500_000
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    value: float
-    first_probe: int | None  # None when stopping immediately is optimal
-
-
-def optimal_policy_value(inst: Instance, objective: LatticeObjective) -> OracleResult:
+def optimal_policy_value(inst: Instance, objective: LatticeObjective) -> float:
     """Value of the best deterministic adaptive probing policy.
 
     A status vector has one digit per item: ``S+1`` unprobed, ``0`` probed
@@ -58,7 +51,6 @@ def optimal_policy_value(inst: Instance, objective: LatticeObjective) -> OracleR
     for k in range(I + 1):
         at = np.flatnonzero(level == k)
         best = stop[at]
-        probes = []
         for i in range(I):
             mask = unprobed[i, at]
             rejected = at[mask] - (S + 1) * weight[i]  # item i probed and not selected
@@ -71,13 +63,8 @@ def optimal_policy_value(inst: Instance, objective: LatticeObjective) -> OracleR
                     take = (inst.cost[i, s - 1] <= left) & (pick > reject)
                     expected += p * np.where(take, pick, reject)
             best[mask] = np.where(expected > best[mask], expected, best[mask])
-            probes.append(expected)
         values[at] = best
-    # the last level is the root alone, all items unprobed
-    value = float(values[-1])
-    first = next((i for i, expected in enumerate(probes) if expected[0] > stop[-1]
-                  and math.isclose(expected[0], value, rel_tol=0, abs_tol=1e-12)), None)
-    return OracleResult(value=value, first_probe=first)
+    return float(values[-1])  # the last level is the root alone, all items unprobed
 
 
 def exhaustive_nonadaptive_value(inst: Instance, objective: LatticeObjective) -> float:

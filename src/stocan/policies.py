@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import PreconditionError, ValidationError
 from .extension import value_table
-from .model import ENUM_GUARD, Instance, LatticeObjective, PROB_TOL
+from .model import ENUM_GUARD, Instance, LatticeObjective, PROB_TOL, _int
 from .optimizer import check_lp_feasible
 from .rng import BRANCH, COINS, ORDERS, STATES, substream
 
@@ -61,7 +61,6 @@ REJECTED = "rejected-by-coin"
 SKIPPED = "skipped-no-budget"
 ACCEPTED = "accepted"
 ACTIONS = (DISCARDED, REJECTED, SKIPPED, ACCEPTED)  # indexed by the int8 action code
-DISCARD, REJECT, SKIP, ACCEPT = np.arange(len(ACTIONS), dtype=np.int8)
 
 CHUNK_RUNS = 8_192  # rows per block of a draw plan
 
@@ -74,7 +73,7 @@ def resolve_order(order, item_count: int):
         if order == "identity":
             return tuple(range(item_count))
         raise ValidationError("order", f"unknown order spec {order!r}")
-    arr = np.asarray(order, dtype=np.int64).tolist()
+    arr = [_int(v, "order") for v in order]
     if sorted(arr) != list(range(item_count)):
         raise ValidationError("order", f"{arr} is not a permutation of 0..{item_count - 1}")
     return tuple(arr)
@@ -109,8 +108,8 @@ class RunRecord:
     value: float
     branch: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "kind": self.kind,
             "branch": self.branch,
             "order": list(self.order),
@@ -118,10 +117,7 @@ class RunRecord:
             "selected": [list(p) for p in self.selected],
             "total_cost": self.total_cost,
             "value": self.value,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        }, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -183,33 +179,27 @@ def sample_states(inst: Instance, rng: np.random.Generator, n: int) -> np.ndarra
     return out.T
 
 
-def _draw_plan(inst: Instance, runs: int, random_order: bool, seed: int):
-    """Yield the ``(phi, coins, branch_small, orders)`` blocks of runs ``0..runs-1``.
+def _draw_plan(inst: Instance, runs: int, order, seed: int):
+    """Yield the ``(phi, coins, branch_small, order)`` blocks of runs ``0..runs-1``.
 
-    A block holds at most ``CHUNK_RUNS`` rows. Each named substream is
-    opened once and read block after block, so a block's row ``r`` is row
-    ``start + r`` of one ``(runs, I)`` draw and no result depends on
-    ``CHUNK_RUNS``. Run ``r`` owns its realized states, its accept coins
-    (one per arrival position), its branch coin and, with
-    ``random_order``, its arrival order; without it ``orders`` is None and
-    the ``ORDERS`` stream is not read.
+    ``order`` is resolved (:func:`resolve_order`). A block holds at most
+    ``CHUNK_RUNS`` rows. Each named substream is opened once and read
+    block after block, so a block's row ``r`` is row ``start + r`` of one
+    ``(runs, I)`` draw and no result depends on ``CHUNK_RUNS``. Run ``r``
+    owns its realized states, its accept coins (one per arrival
+    position), its branch coin and, under ``"random"``, its arrival order:
+    the block's ``order`` is then the ``(n, I)`` array of them, and
+    otherwise the fixed order's tuple, with the ``ORDERS`` stream unread.
     """
     I = inst.item_count
     states, coins, branch = (substream(seed, s) for s in (STATES, COINS, BRANCH))
-    orders = substream(seed, ORDERS) if random_order else None
+    orders = substream(seed, ORDERS) if order == "random" else None
     for start in range(0, runs, CHUNK_RUNS):
         n = min(CHUNK_RUNS, runs - start)
         # the kernel reads states and coins one arrival position (column) at a time
         yield (sample_states(inst, states, n), np.asfortranarray(coins.random((n, I))),
                branch.random(n) < 0.5,
-               np.argsort(orders.random((n, I)), axis=1) if random_order else None)
-
-
-def _arrivals(block, order):
-    """``block`` as a campaign at resolved ``order`` sees it: a fixed order stays its
-    permutation tuple, ``"random"`` takes the block's ``(n, I)`` arrival orders."""
-    phi, coins, branch_small, random_orders = block
-    return phi, coins, branch_small, random_orders if order == "random" else order
+               order if orders is None else np.argsort(orders.random((n, I)), axis=1))
 
 
 def _kernel(rule: _Rule, block, keep_small, codes: bool = False) -> _Rows:
@@ -245,7 +235,7 @@ def _kernel(rule: _Rule, block, keep_small, codes: bool = False) -> _Rows:
         fits = spent + cost <= rule.budget
         accept = keep & fits & (coins[:, t] < rule.prob_of.take(pair))
         if codes:
-            # action codes DISCARD..ACCEPT are 0..3: kept pairs reject (1), skip (2) or accept (3)
+            # an action code indexes ACTIONS: 0 discards; kept pairs reject (1), skip (2) or accept (3)
             code = 2 - fits.view(np.int8) + 2 * accept.view(np.int8)
             np.multiply(keep.view(np.int8), code, out=actions[:, t])
         np.add(spent, cost, out=spent, where=accept)
@@ -317,10 +307,6 @@ class PolicySimulation:
     mean: float = math.nan
     stderr: float = math.nan
 
-    @property
-    def is_single_run(self) -> bool:
-        return self.runs == 1
-
 
 def _fold(sim: PolicySimulation, start: int, keep_small, rows: _Rows, budget: float) -> None:
     """Write one block's rows, run with the kernel's ``keep_small``, into the campaign ``sim``."""
@@ -349,22 +335,21 @@ def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray
     adds one campaign's deviations, 8 bytes per run, at the end. No run
     record is built; :func:`iter_records` gives a campaign's records.
     """
-    if runs < 1:
+    if _int(runs, "runs") < 1:
         raise ValidationError("runs", "must be at least 1")
     order = resolve_order(order, inst.item_count)
     # built before the campaign arrays, so that the value table's temporaries add nothing to their peak
     rule = _rule(inst, objective, acceptance_probabilities(inst, y))
     sims = [PolicySimulation(kind, runs, np.empty(runs)) for kind in KINDS]
     start = 0
-    for block in _draw_plan(inst, runs, order == "random", seed):
-        view = _arrivals(block, order)
+    for block in _draw_plan(inst, runs, order, seed):
         branch_small = block[2]
-        small, large = (_kernel(rule, view, keep) for keep in (True, False))
+        small, large = (_kernel(rule, block, keep) for keep in (True, False))
         for sim, keep_small, rows in zip(sims, (True, False, branch_small),
                                          (small, large, _select(branch_small, small, large))):
             _fold(sim, start, keep_small, rows, inst.budget)
         start += len(branch_small)
-        del block, view, small, large, rows  # free this block before the plan draws the next
+        del block, small, large, rows  # free this block before the plan draws the next
     for sim in sims:
         sim.mean = float(np.mean(sim.values))
         if runs > 1:
@@ -457,16 +442,15 @@ def iter_records(kind: str, inst: Instance, objective: LatticeObjective, y: np.n
     branch coins, which gives bit for bit the rows a campaign reads off the
     small and large rows.
     """
-    if runs < 1:
+    if _int(runs, "runs") < 1:
         raise ValidationError("runs", "must be at least 1")
     _check_kind(kind)
     order = resolve_order(order, inst.item_count)
     rule = _rule(inst, objective, acceptance_probabilities(inst, y))
-    for block in _draw_plan(inst, runs, order == "random", seed):
-        view = _arrivals(block, order)
+    for block in _draw_plan(inst, runs, order, seed):
         keep_small = block[2] if kind == "stocan" else kind == "small"
-        yield from _records(kind, view, _kernel(rule, view, keep_small, codes=True))
-        del block, view  # free this block's arrays before the plan draws the next
+        yield from _records(kind, block, _kernel(rule, block, keep_small, codes=True))
+        del block  # free this block's arrays before the plan draws the next
 
 
 def scalar_runs(kind: str, inst: Instance, objective: LatticeObjective, y: np.ndarray,

@@ -29,8 +29,8 @@ def modular_objective(weights, state_count):
     )
 
 
-def generated(seed, items, states, family="separable_concave", cost_scale=1.0):
-    payload = harness.generate_instance(items, states, cost_scale, family, seed=seed)
+def generated(seed, items, states, family="separable_concave"):
+    payload = harness.generate_instance(items, states, family, seed=seed)
     return model.instance_from_dict(payload)
 
 

@@ -8,11 +8,9 @@ for ``policies.exact_policy_value`` and ``oracle.optimal_policy_value``.
 """
 
 import itertools
-import math
 
 from stocan import policies
 from stocan.extension import value_table
-from stocan.oracle import OracleResult
 
 
 def walk_policy_value(kind, inst, objective, y, order="identity"):
@@ -98,12 +96,4 @@ def search_optimal_policy(inst, objective):
             memo[key] = value
         return memo[key]
 
-    root = (0,) * I
-    value = float(best(0, root))
-    first = None
-    for i in range(I):
-        expected = probe(i, 0, root)
-        if expected > values[root] and math.isclose(expected, value, rel_tol=0, abs_tol=1e-12):
-            first = i
-            break
-    return OracleResult(value=value, first_probe=first)
+    return float(best(0, (0,) * I))

@@ -48,7 +48,7 @@ def suite():
             "H_y": ext.H(y),
             "H_small": ext.H(y_small),
             "H_large": ext.H(y_large),
-            "opt": oracle.optimal_policy_value(inst, objective).value,
+            "opt": oracle.optimal_policy_value(inst, objective),
         })
     assert len(entries) == 20
     return entries
@@ -70,7 +70,7 @@ def test_criterion_1_split_superadditivity():
     for k in range(50):
         items, states = sizes[k % len(sizes)]
         inst, objective = model.instance_from_dict(
-            harness.generate_instance(items, states, 1.0, FAMS[k % 3], seed=5000 + k))
+            harness.generate_instance(items, states, FAMS[k % 3], seed=5000 + k))
         y = optimizer.continuous_greedy(inst, objective, optimizer.GreedyConfig(rounds=64))
         y_small, y_large = optimizer.split_solution(y, inst)
         ext = extension.FactoredExtension(objective)
@@ -145,27 +145,25 @@ def test_criterion_5_hard_feasibility(simulations):
 
 def test_criterion_6_order_independence(suite):
     t0 = time.time()
-    worst = math.inf
-    checked = 0
+    worst_exact = worst_fresh = math.inf
     for entry in suite:
         I = entry["inst"].item_count
+        # a fixed order has an exact value, checked with no standard error, as verify checks it
         for k in range(10):
             perm = substream(MASTER_SEED, 17, k).permutation(I)
-            sim = policies.simulate_policy("stocan", entry["inst"], entry["objective"],
-                                           entry["y"], RUNS, order=perm,
-                                           seed=MASTER_SEED + k)
-            worst = min(worst, sim.mean - (GUARANTEE * entry["opt"] - 4 * sim.stderr))
-            checked += 1
-        # fresh-random-per-run arrivals satisfy the same bound
+            exact = policies.exact_policy_value("stocan", entry["inst"], entry["objective"],
+                                                entry["y"], order=perm)
+            worst_exact = min(worst_exact, exact - (GUARANTEE * entry["opt"] - harness.SPLIT_TOL))
+        # fresh-random-per-run arrivals have no exact value: a campaign, at four standard errors
         fresh = policies.simulate_policy("stocan", entry["inst"], entry["objective"],
                                          entry["y"], RUNS, order="random",
                                          seed=MASTER_SEED)
-        worst = min(worst, fresh.mean - (GUARANTEE * entry["opt"] - 4 * fresh.stderr))
-        checked += 1
-    ok = worst >= 0
+        worst_fresh = min(worst_fresh, fresh.mean - (GUARANTEE * entry["opt"] - 4 * fresh.stderr))
+    ok = worst_exact >= 0 and worst_fresh >= 0
     announce(6, "combined-policy bound at random arrival orders",
-             ok, f"{checked} campaigns (10 fixed orders + fresh-per-run, 20 instances, "
-                 f"{RUNS} runs each), min margin {worst:.4f}, {time.time() - t0:.1f}s")
+             ok, f"200 fixed orders by exact value (min margin {worst_exact:.4f}) and 20 "
+                 f"fresh-per-run campaigns of {RUNS} runs (min margin {worst_fresh:.4f}), "
+                 f"{time.time() - t0:.1f}s")
     assert ok
 
 
@@ -178,7 +176,7 @@ def test_criterion_7_extension_oracles():
     for k in range(100):
         items, states = shapes[k % len(shapes)]
         _, f = model.instance_from_dict(
-            harness.generate_instance(items, states, 1.0, FAMS[k % 3], seed=6000 + k))
+            harness.generate_instance(items, states, FAMS[k % 3], seed=6000 + k))
         x = rng.random((items, states))
         dev = abs(extension.exact_H_bruteforce(x, f) - extension.FactoredExtension(f).H(x))
         max_dev = max(max_dev, dev)
@@ -188,7 +186,7 @@ def test_criterion_7_extension_oracles():
     for k in range(50):
         items, states = shapes[k % 4]
         _, f = model.instance_from_dict(
-            harness.generate_instance(items, states, 1.0, FAMS[k % 3], seed=6500 + k))
+            harness.generate_instance(items, states, FAMS[k % 3], seed=6500 + k))
         x = rng.random((items, states))
         exact = extension.FactoredExtension(f).H(x)
         est, err = extension.estimate_H(x, f, 100_000, seed=6600 + k)
@@ -199,7 +197,7 @@ def test_criterion_7_extension_oracles():
     for k in range(40):
         items, states = shapes[k % 4]
         _, f = model.instance_from_dict(
-            harness.generate_instance(items, states, 1.0, FAMS[k % 3], seed=6700 + k))
+            harness.generate_instance(items, states, FAMS[k % 3], seed=6700 + k))
         ext = extension.FactoredExtension(f)
         x = rng.random((items, states))
         i, s = int(rng.integers(items)), int(rng.integers(states))

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import stocan
-from stocan import cli, harness, model, policies
+from stocan import cli, harness, model, optimizer, policies
 from stocan.errors import ValidationError
 
 def write_payload(tmp_path, payload, name="inst.json"):
@@ -31,9 +31,9 @@ def write_payload(tmp_path, payload, name="inst.json"):
 
 
 def test_generated_instance_validates_and_is_deterministic(tmp_path):
-    a = harness.generate_instance(3, 2, 1.0, "nested_coverage", seed=4)
-    b = harness.generate_instance(3, 2, 1.0, "nested_coverage", seed=4)
-    c = harness.generate_instance(3, 2, 1.0, "nested_coverage", seed=5)
+    a = harness.generate_instance(3, 2, "nested_coverage", seed=4)
+    b = harness.generate_instance(3, 2, "nested_coverage", seed=4)
+    c = harness.generate_instance(3, 2, "nested_coverage", seed=5)
     assert a == b
     assert a != c
     model.instance_from_dict(a)  # must load cleanly
@@ -42,7 +42,7 @@ def test_generated_instance_validates_and_is_deterministic(tmp_path):
 def test_generated_objectives_are_lattice_submodular():
     for k, family in enumerate(harness.FAMILIES):
         _, f = model.instance_from_dict(
-            harness.generate_instance(2, 3, 1.0, family, seed=60 + k))
+            harness.generate_instance(2, 3, family, seed=60 + k))
         assert model.check_monotone(f).ok
         assert model.check_lattice_submodular(f).ok
 
@@ -63,7 +63,7 @@ def test_gen_file_parses_back_to_the_generator_payload(tmp_path, family):
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     assert cli.main(args + ["--out", str(first)]) == 0
     assert cli.main(args + ["--out", str(second)]) == 0
-    payload = harness.generate_instance(3, 2, 1.0, family, seed=11)
+    payload = harness.generate_instance(3, 2, family, seed=11)
     written = model.read_json(first)
     assert written == payload
     assert model.instance_digest(written) == model.instance_digest(payload)
@@ -81,11 +81,9 @@ def test_gen_negative_seed_is_an_input_error(tmp_path, capsys):
 
 def test_generator_parameter_validation():
     with pytest.raises(ValidationError):
-        harness.generate_instance(0, 2, 1.0, "separable_concave", seed=1)
+        harness.generate_instance(0, 2, "separable_concave", seed=1)
     with pytest.raises(ValidationError):
-        harness.generate_instance(2, 2, 1.0, "mystery", seed=1)
-    with pytest.raises(ValidationError):
-        harness.generate_instance(2, 2, -1.0, "separable_concave", seed=1)
+        harness.generate_instance(2, 2, "mystery", seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +106,7 @@ def test_optimize_closed_form_instance(tmp_path):
 
 
 def test_optimize_report_bytes_reproducible(tmp_path):
-    path = write_payload(tmp_path, harness.generate_instance(2, 2, 1.0, "nested_coverage", seed=9))
+    path = write_payload(tmp_path, harness.generate_instance(2, 2, "nested_coverage", seed=9))
     outs = []
     for name in ("r1.json", "r2.json"):
         out = tmp_path / name
@@ -123,7 +121,7 @@ def sqrt_curve_payload(items, states, seed):
 
     ``cap`` curves take the meet in the middle; ``sqrt`` keeps the value-tensor path.
     """
-    payload = harness.generate_instance(items, states, 1.0, "concave_over_modular", seed=seed)
+    payload = harness.generate_instance(items, states, "concave_over_modular", seed=seed)
     payload["objective"]["g"] = {"kind": "sqrt", "scale": 1.0}
     return payload
 
@@ -131,7 +129,7 @@ def sqrt_curve_payload(items, states, seed):
 def test_optimize_report_bytes_independent_of_blas_threads(tmp_path):
     src = str(Path(stocan.__file__).resolve().parents[1])
     # a closed form, the meet in the middle and the value-tensor path
-    payloads = {family: harness.generate_instance(9, 3, 1.0, family, seed=101)
+    payloads = {family: harness.generate_instance(9, 3, family, seed=101)
                 for family in ("nested_coverage", "concave_over_modular")}
     payloads["concave_over_modular sqrt"] = sqrt_curve_payload(9, 3, seed=101)
     for label, payload in payloads.items():
@@ -183,7 +181,7 @@ def test_optimize_oversized_sampled_marginals_estimates_H(tmp_path):
 def test_optimize_closed_form_families_exact_past_the_guard(tmp_path, items, family):
     # (S+1)^I = 3^13 and 3^21 are past the enumeration guard; these families need no table, and
     # concave_over_modular's cap curve enumerates at most 3^11 sums per half
-    path = write_payload(tmp_path, harness.generate_instance(items, 2, 1.0, family, seed=10))
+    path = write_payload(tmp_path, harness.generate_instance(items, 2, family, seed=10))
     out = tmp_path / "opt.json"
     code = cli.main(["optimize", "--instance", str(path), "--seed", "1", "--rounds", "20",
                      "--out", str(out)])
@@ -195,7 +193,7 @@ def test_optimize_closed_form_families_exact_past_the_guard(tmp_path, items, fam
 
 def test_optimize_cap_curve_past_the_half_guard_is_capacity_error(tmp_path, capsys):
     # 27 x 2: each half of the meet in the middle would hold 3^14 sums, past the guard
-    path = write_payload(tmp_path, harness.generate_instance(27, 2, 1.0, "concave_over_modular",
+    path = write_payload(tmp_path, harness.generate_instance(27, 2, "concave_over_modular",
                                                              seed=10))
     code = cli.main(["optimize", "--instance", str(path), "--seed", "1", "--rounds", "3"])
     assert code == cli.EXIT_CAPACITY
@@ -207,7 +205,7 @@ def test_optimize_cap_curve_past_the_half_guard_is_capacity_error(tmp_path, caps
 def test_verify_sampled_marginals_past_the_guard_runs_the_exact_H_checks(tmp_path, family):
     # 13 x 2: no value table, so the oracle and the exact policy values are skipped, but H is
     # exact and every check it gates runs, the unbudgeted small device among them
-    path = write_payload(tmp_path, harness.generate_instance(13, 2, 1.0, family, seed=10))
+    path = write_payload(tmp_path, harness.generate_instance(13, 2, family, seed=10))
     out = tmp_path / "verify.json"
     code = cli.main(["verify", "--instance", str(path), "--seed", "1", "--rounds", "3",
                      "--marginals", "sampled", "--samples", "200", "--runs", "2000",
@@ -229,8 +227,7 @@ def test_verify_sampled_marginals_past_the_guard_runs_the_exact_H_checks(tmp_pat
 
 
 def test_simulate_matches_exact_and_counts_violations(tmp_path):
-    path = write_payload(tmp_path, harness.generate_instance(2, 2, 1.0,
-                                                             "concave_over_modular", seed=11))
+    path = write_payload(tmp_path, harness.generate_instance(2, 2, "concave_over_modular", seed=11))
     cfg = harness.ExperimentConfig(instance=str(path), seed=12, rounds=100, runs=100_000)
     report = harness.run_simulate(cfg)
     assert report["budget_violations"] == 0
@@ -243,7 +240,7 @@ def test_simulate_matches_exact_and_counts_violations(tmp_path):
 
 
 def test_simulate_solution_reuse(tmp_path):
-    inst_path = write_payload(tmp_path, harness.generate_instance(2, 2, 1.0, seed=13))
+    inst_path = write_payload(tmp_path, harness.generate_instance(2, 2, seed=13))
     opt_out = tmp_path / "opt.json"
     cfg = harness.ExperimentConfig(instance=str(inst_path), seed=2, rounds=40, out=str(opt_out))
     harness.write_report(harness.run_optimize(cfg), cfg.out)
@@ -255,7 +252,7 @@ def test_simulate_solution_reuse(tmp_path):
 
 
 def test_simulate_report_bytes_reproducible_with_custom_order(tmp_path):
-    path = write_payload(tmp_path, harness.generate_instance(3, 2, 1.0, seed=19))
+    path = write_payload(tmp_path, harness.generate_instance(3, 2, seed=19))
     bodies = []
     for name in ("s1.json", "s2.json"):
         out = tmp_path / name
@@ -270,7 +267,7 @@ def test_simulate_report_bytes_reproducible_with_custom_order(tmp_path):
 
 
 def test_simulate_records_mode(tmp_path):
-    inst_path = write_payload(tmp_path, harness.generate_instance(2, 2, 1.0, seed=14))
+    inst_path = write_payload(tmp_path, harness.generate_instance(2, 2, seed=14))
     rec_path = tmp_path / "runs.jsonl"
     cfg = harness.ExperimentConfig(instance=str(inst_path), seed=6, rounds=30, runs=40,
                                    records=str(rec_path))
@@ -286,7 +283,7 @@ def test_simulate_records_mode(tmp_path):
 
 
 def test_simulate_records_report_equals_plain_report(tmp_path):
-    path = write_payload(tmp_path, harness.generate_instance(3, 2, 1.0, "nested_coverage", seed=22))
+    path = write_payload(tmp_path, harness.generate_instance(3, 2, "nested_coverage", seed=22))
     bodies = {}
     for mode in ("plain", "records"):
         out = tmp_path / f"{mode}.json"
@@ -311,7 +308,7 @@ def run_cli(*args):
 
 def test_simulate_records_are_streamed_one_block_at_a_time(tmp_path, monkeypatch):
     # a campaign keeps no records: they are built block by block as the writer consumes them
-    path = write_payload(tmp_path, harness.generate_instance(3, 2, 1.0, seed=31))
+    path = write_payload(tmp_path, harness.generate_instance(3, 2, seed=31))
     built, ahead = [0], []
     init = policies.RunRecord.__init__
 
@@ -341,7 +338,7 @@ def test_simulate_records_are_streamed_one_block_at_a_time(tmp_path, monkeypatch
 
 
 def test_simulate_frees_the_campaigns_before_the_exact_pass(tmp_path, monkeypatch):
-    path = write_payload(tmp_path, harness.generate_instance(12, 2, 1.0, seed=32))
+    path = write_payload(tmp_path, harness.generate_instance(12, 2, seed=32))
     runs, levels = 200_000, {}
     simulate, exact = policies.simulate_policies, policies.exact_policy_value
 
@@ -368,7 +365,7 @@ def test_simulate_frees_the_campaigns_before_the_exact_pass(tmp_path, monkeypatc
 
 
 def test_simulate_non_json_solution_is_input_error(tmp_path):
-    path = write_payload(tmp_path, harness.generate_instance(2, 2, 1.0, seed=23))
+    path = write_payload(tmp_path, harness.generate_instance(2, 2, seed=23))
     bad = tmp_path / "solution.json"
     bad.write_text("this is not JSON\n")
     done = run_cli("simulate", "--instance", path, "--seed", 1, "--runs", 10, "--solution", bad)
@@ -396,7 +393,7 @@ def test_simulate_non_json_solution_is_input_error(tmp_path):
 ], ids=["budget-text", "probs-number", "probs-text-entry", "costs-ragged", "weights-nan",
         "covers-number", "covers-numbers", "covers-dict", "covers-list"])
 def test_simulate_malformed_instance_numbers_are_input_errors(tmp_path, edit, path):
-    payload = harness.generate_instance(2, 2, 1.0, seed=23)
+    payload = harness.generate_instance(2, 2, seed=23)
     edit(payload)
     done = run_cli("simulate", "--instance", write_payload(tmp_path, payload), "--seed", 1,
                    "--runs", 10)
@@ -407,7 +404,7 @@ def test_simulate_malformed_instance_numbers_are_input_errors(tmp_path, edit, pa
 
 def test_overflowing_statistics_are_an_input_error(tmp_path):
     # finite inputs, but the variance of the run values overflows to inf
-    payload = harness.generate_instance(2, 2, 1.0, "nested_coverage", seed=1)
+    payload = harness.generate_instance(2, 2, "nested_coverage", seed=1)
     payload["objective"]["element_weights"][2] = 1e308
     path = write_payload(tmp_path, payload)
     for command in ("simulate", "verify"):
@@ -422,7 +419,7 @@ def test_overflowing_statistics_are_an_input_error(tmp_path):
 
 def test_overflowing_objective_values_are_an_input_error(tmp_path):
     # finite parameters, but w_i * g(1) overflows to inf, and inf * 0 to NaN in H
-    payload = harness.generate_instance(2, 1, 1.0, "separable_concave", seed=0)
+    payload = harness.generate_instance(2, 1, "separable_concave", seed=0)
     payload["objective"]["g"][1] = 1e308
     path = write_payload(tmp_path, payload)
     for command in ("optimize", "simulate", "verify"):
@@ -434,7 +431,7 @@ def test_overflowing_objective_values_are_an_input_error(tmp_path):
 
 def test_overflowing_objective_values_past_the_guard_are_an_input_error(tmp_path):
     # 13 x 2 needs no value table; the largest value, at the all-S vector, still overflows
-    payload = harness.generate_instance(13, 2, 1.0, "separable_concave", seed=0)
+    payload = harness.generate_instance(13, 2, "separable_concave", seed=0)
     payload["objective"]["weights"] = [1e308] * 13
     path = write_payload(tmp_path, payload)
     for command in ("optimize", "simulate", "verify"):
@@ -496,7 +493,7 @@ def test_mutated_instance_or_solution_never_escapes_the_exit_codes(
         tmp_path_factory, family, items, states, seed, target, where, junk, number):
     """``target`` "number" replaces one number of the instance by ``number``."""
     tmp = tmp_path_factory.mktemp("fuzz")
-    instance = harness.generate_instance(items, states, 1.0, family, seed)
+    instance = harness.generate_instance(items, states, family, seed)
     inst_path = write_payload(tmp, instance)
     args = ["simulate", "--instance", str(inst_path), "--seed", "1", "--runs", "20",
             "--rounds", "2"]
@@ -519,7 +516,7 @@ def test_mutated_instance_or_solution_never_escapes_the_exit_codes(
 
 @pytest.mark.parametrize("flag", ["--instance", "--out", "--records"])
 def test_directory_path_is_input_error(tmp_path, flag):
-    args = {"--instance": write_payload(tmp_path, harness.generate_instance(2, 2, 1.0, seed=24)),
+    args = {"--instance": write_payload(tmp_path, harness.generate_instance(2, 2, seed=24)),
             "--out": tmp_path / "sim.json", "--records": tmp_path / "runs.jsonl"}
     args[flag] = tmp_path
     done = run_cli("simulate", "--seed", 1, "--runs", 10, *(v for kv in args.items() for v in kv))
@@ -529,7 +526,7 @@ def test_directory_path_is_input_error(tmp_path, flag):
 
 
 def test_simulate_solution_of_another_instance_is_input_error(tmp_path, capsys):
-    payload = harness.generate_instance(2, 2, 1.0, seed=25)
+    payload = harness.generate_instance(2, 2, seed=25)
     inst_path = write_payload(tmp_path, payload)
     opt = tmp_path / "opt.json"
     assert cli.main(["optimize", "--instance", str(inst_path), "--seed", "1", "--rounds", "20",
@@ -669,7 +666,7 @@ def test_verify_floor_allows_rounding_when_the_campaign_has_no_spread(tmp_path, 
 
 def test_verify_oversized_oracle_rows_skipped_not_failed(tmp_path):
     # 10 x 2: (S+2)^I = 4^10 is past the oracle's guard, (S+1)^I = 3^10 within the table's
-    path = write_payload(tmp_path, harness.generate_instance(10, 2, 1.0, seed=15))
+    path = write_payload(tmp_path, harness.generate_instance(10, 2, seed=15))
     cfg = harness.ExperimentConfig(instance=str(path), seed=4, rounds=60, runs=5000,
                                    order_checks=2)
     report = harness.run_verify(cfg)
@@ -686,19 +683,32 @@ def test_verify_oversized_oracle_rows_skipped_not_failed(tmp_path):
 
 @pytest.mark.parametrize("items, states, family", [(8, 2, "nested_coverage"),
                                                     (6, 3, "concave_over_modular"),
-                                                    (8, 3, "nested_coverage")])
+                                                    (8, 3, "nested_coverage"),
+                                                    # the oracle's limit at two states: 4^9
+                                                    (9, 2, "separable_concave"),
+                                                    (9, 2, "nested_coverage"),
+                                                    (9, 2, "concave_over_modular"),
+                                                    (9, 2, "sqrt")])
 def test_verify_runs_the_oracle_checks_past_five_items_or_three_states(
         tmp_path, items, states, family):
-    # up to (S+2)^I = 5^8 for the oracle; the exact policy values need only (S+1)^I
-    path = write_payload(tmp_path, harness.generate_instance(items, states, 1.0, family, seed=16))
+    # up to (S+2)^I = 5^8 for the oracle; the exact policy values need only (S+1)^I, and so
+    # does every exact evaluator (the sqrt curve's value tensor too), so H is exact wherever
+    # the oracle runs and no check is skipped
+    payload = (sqrt_curve_payload(items, states, seed=16) if family == "sqrt"
+               else harness.generate_instance(items, states, family, seed=16))
+    path = write_payload(tmp_path, payload)
     cfg = harness.ExperimentConfig(instance=str(path), seed=5, rounds=100, runs=20_000,
                                    order_checks=3)
     report = harness.run_verify(cfg)
+    assert report["solution"]["H"]["method"] == "exact"
     by_name = {c["name"]: c for c in report["checks"]}
     for name in ("fractional_vs_adaptive_oracle", "combined_policy_guarantee",
                  "order_robustness", "simulation_vs_exact", "small_simulation_vs_exact",
                  "large_simulation_vs_exact"):
         assert by_name[name]["status"] == "pass", name
+    assert [name for name, c in by_name.items() if c["status"] == "skipped"] == []
+    assert [r["name"] for r in report["ratios"]] == ["fractional_over_optimum",
+                                                     "combined_policy_over_optimum"]
     assert report["status"] == "pass"
 
 
@@ -782,7 +792,7 @@ def test_missing_file_is_input_error(tmp_path):
 
 
 def test_order_flag_parsing(tmp_path):
-    path = write_payload(tmp_path, harness.generate_instance(3, 1, 1.0, seed=16))
+    path = write_payload(tmp_path, harness.generate_instance(3, 1, seed=16))
     code = cli.main(["simulate", "--instance", str(path), "--seed", "2", "--runs", "50",
                      "--order", "perm:2,0,1"])
     assert code == 0
@@ -798,14 +808,42 @@ def test_order_that_is_not_a_list_of_indices_is_a_validation_error(order):
     assert harness.ExperimentConfig(instance="inst.json", seed=1, order=[2, 0, 1]).order == (2, 0, 1)
 
 
+def _config(**fields):
+    return harness.ExperimentConfig(instance="inst.json", **{"seed": 1, **fields})
+
+
+@pytest.mark.parametrize("field, call", [
+    ("order", lambda: policies.resolve_order([0.5, 1.7, 2], 3)),
+    ("order", lambda: policies.resolve_order([True, False], 2)),
+    ("order", lambda: _config(order=[0.0, 1.0])),
+    ("order_checks", lambda: _config(order_checks=2.5)),
+    ("seed", lambda: _config(seed=1.5)),
+    ("runs", lambda: _config(runs=2.5)),
+    ("rounds", lambda: _config(rounds=3.7)),
+    ("samples", lambda: _config(samples="100")),
+    ("rounds", lambda: optimizer.GreedyConfig(rounds=True)),
+    ("runs", lambda: policies.simulate_policies(*model.instance_from_dict(
+        harness.generate_instance(2, 2, seed=1)), np.zeros((2, 2)), 2.5)),
+    ("items", lambda: harness.generate_instance(2.5, 2, seed=1)),
+    ("seed", lambda: harness.generate_instance(2, 2, seed=1.5)),
+], ids=["order-floats", "order-bools", "config-order-floats", "order-checks", "seed", "runs",
+        "rounds", "samples-string", "greedy-rounds-bool", "campaign-runs", "gen-items", "gen-seed"])
+def test_a_non_integer_count_or_index_is_a_validation_error(field, call):
+    """Library inputs are never truncated: a float, bool or string where an integer belongs
+    is an input error that names its field."""
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert err.value.path == field
+
+
 def test_seed_is_mandatory(tmp_path):
-    path = write_payload(tmp_path, harness.generate_instance(2, 1, 1.0, seed=17))
+    path = write_payload(tmp_path, harness.generate_instance(2, 1, seed=17))
     with pytest.raises(SystemExit):
         cli.main(["optimize", "--instance", str(path)])
 
 
 def test_stdout_report_when_no_out(tmp_path, capsys):
-    path = write_payload(tmp_path, harness.generate_instance(1, 2, 1.0, seed=18))
+    path = write_payload(tmp_path, harness.generate_instance(1, 2, seed=18))
     code = cli.main(["optimize", "--instance", str(path), "--seed", "1", "--rounds", "20"])
     assert code == 0
     body = capsys.readouterr().out
@@ -820,7 +858,7 @@ def test_stdout_report_when_no_out(tmp_path, capsys):
 def test_reports_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, order):
     """Nor on the value table: at the second chunk size of each case a second pass lowers
     the kernel's guard to 0, so run values come from ``value_many`` on the selection matrix."""
-    path = write_payload(tmp_path, harness.generate_instance(4, 2, 1.0, "nested_coverage",
+    path = write_payload(tmp_path, harness.generate_instance(4, 2, "nested_coverage",
                                                              seed=26))
     ref = str(harness.reference_suite_paths()[3])
     default = policies.CHUNK_RUNS
@@ -848,7 +886,7 @@ def test_reports_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, order):
 
 
 def test_nan_in_solution_names_its_file_and_entry(tmp_path):
-    inst_path = write_payload(tmp_path, harness.generate_instance(2, 2, 1.0, seed=27))
+    inst_path = write_payload(tmp_path, harness.generate_instance(2, 2, seed=27))
     opt = tmp_path / "opt.json"
     assert cli.main(["optimize", "--instance", str(inst_path), "--seed", "1", "--rounds", "20",
                      "--out", str(opt)]) == 0
@@ -873,7 +911,7 @@ def test_unwritable_output_fails_before_any_campaign(tmp_path, monkeypatch, caps
         raise AssertionError("a campaign ran before the output path was checked")
 
     monkeypatch.setattr(policies, "_draw_plan", no_campaigns)
-    path = write_payload(tmp_path, harness.generate_instance(2, 2, 1.0, seed=28))
+    path = write_payload(tmp_path, harness.generate_instance(2, 2, seed=28))
     code = cli.main(["simulate", "--instance", str(path), "--seed", "1", "--runs", "500000",
                      flag, str(target(tmp_path))])
     assert code == cli.EXIT_INVALID
@@ -883,7 +921,7 @@ def test_unwritable_output_fails_before_any_campaign(tmp_path, monkeypatch, caps
 
 @pytest.mark.parametrize("shared", ["out", "instance", "solution", "instance-link"])
 def test_records_naming_another_file_of_the_command_is_input_error(tmp_path, shared):
-    inst_path = write_payload(tmp_path, harness.generate_instance(2, 2, 1.0, seed=30))
+    inst_path = write_payload(tmp_path, harness.generate_instance(2, 2, seed=30))
     opt = tmp_path / "opt.json"
     assert cli.main(["optimize", "--instance", str(inst_path), "--seed", "1", "--rounds", "20",
                      "--out", str(opt)]) == 0
@@ -904,7 +942,7 @@ def test_records_naming_another_file_of_the_command_is_input_error(tmp_path, sha
 @pytest.mark.parametrize("via", ["path", "symlink"])
 @pytest.mark.parametrize("command", ["optimize", "simulate", "verify"])
 def test_out_naming_the_instance_is_input_error(tmp_path, capsys, command, via):
-    inst_path = write_payload(tmp_path, harness.generate_instance(2, 2, 1.0, seed=32))
+    inst_path = write_payload(tmp_path, harness.generate_instance(2, 2, seed=32))
     out = inst_path
     if via == "symlink":
         out = tmp_path / "link.json"
@@ -918,7 +956,7 @@ def test_out_naming_the_instance_is_input_error(tmp_path, capsys, command, via):
 
 
 def test_out_may_overwrite_the_solution_it_reads(tmp_path):
-    inst_path = write_payload(tmp_path, harness.generate_instance(2, 2, 1.0, seed=29))
+    inst_path = write_payload(tmp_path, harness.generate_instance(2, 2, seed=29))
     opt = tmp_path / "opt.json"
     assert cli.main(["optimize", "--instance", str(inst_path), "--seed", "1", "--rounds", "20",
                      "--out", str(opt)]) == 0

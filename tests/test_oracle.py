@@ -26,9 +26,8 @@ def brute_knapsack(values, costs, budget):
 def test_single_item_two_states_hand_value():
     inst = make_instance([[0.5, 0.5]], [[1.0, 2.0]], 1.0)
     f = modular_objective([1.0], 2)
-    res = oracle.optimal_policy_value(inst, f)
     # state 1 is affordable and worth picking, state 2 never fits the budget
-    assert res.value == pytest.approx(0.5, abs=1e-12)
+    assert oracle.optimal_policy_value(inst, f) == pytest.approx(0.5, abs=1e-12)
     assert oracle.exhaustive_nonadaptive_value(inst, f) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -42,7 +41,7 @@ def test_deterministic_states_reduce_to_knapsack():
     values = [weights[i] * phi[i] for i in range(3)]
     item_costs = [costs[i][phi[i] - 1] for i in range(3)]
     expected = brute_knapsack(values, item_costs, 0.9)
-    assert oracle.optimal_policy_value(inst, f).value == pytest.approx(expected, abs=1e-12)
+    assert oracle.optimal_policy_value(inst, f) == pytest.approx(expected, abs=1e-12)
 
 
 def test_slack_budget_collects_every_realization():
@@ -52,7 +51,7 @@ def test_slack_budget_collects_every_realization():
     for phi in itertools.product(range(1, 3), repeat=3):
         p = np.prod([rich.prob[i, phi[i] - 1] for i in range(3)])
         expected += p * f.value(list(phi))
-    assert oracle.optimal_policy_value(rich, f).value == pytest.approx(expected, abs=1e-12)
+    assert oracle.optimal_policy_value(rich, f) == pytest.approx(expected, abs=1e-12)
 
 
 def test_memoized_matches_pure_recursion():
@@ -89,7 +88,7 @@ def test_array_passes_match_the_recursions(family, items, states, seed, greedy):
 def test_nonadaptive_never_beats_adaptive():
     for k in range(8):
         inst, f = generated(220 + k, 1 + k % 3, 1 + k % 2)
-        adaptive = oracle.optimal_policy_value(inst, f).value
+        adaptive = oracle.optimal_policy_value(inst, f)
         nonadaptive = oracle.exhaustive_nonadaptive_value(inst, f)
         assert nonadaptive <= adaptive + 1e-12
 
@@ -97,7 +96,7 @@ def test_nonadaptive_never_beats_adaptive():
 def test_single_item_adaptivity_worthless():
     inst, f = generated(230, 1, 2, "concave_over_modular")
     assert oracle.exhaustive_nonadaptive_value(inst, f) == \
-        pytest.approx(oracle.optimal_policy_value(inst, f).value, abs=1e-12)
+        pytest.approx(oracle.optimal_policy_value(inst, f), abs=1e-12)
 
 
 def test_adaptivity_strictly_helps_on_witness_instance():
@@ -112,13 +111,12 @@ def test_adaptivity_strictly_helps_on_witness_instance():
         "covers": [[[], [0]], [[0], [0]], [[1], [1]]],
         "element_weights": [1.0, 0.8],
     })
-    res = oracle.optimal_policy_value(inst, f)
+    adaptive = oracle.optimal_policy_value(inst, f)
     nonadaptive = oracle.exhaustive_nonadaptive_value(inst, f)
     # by hand: adapt = 0.5*(1.8) + 0.5*(1.0); best fixed rule buys item 2 always
-    assert res.value == pytest.approx(1.4, abs=1e-12)
+    assert adaptive == pytest.approx(1.4, abs=1e-12)
     assert nonadaptive == pytest.approx(1.3, abs=1e-12)
-    assert res.value > nonadaptive + 1e-6
-    assert res.first_probe == 0  # only the free item's state is worth learning first
+    assert adaptive > nonadaptive + 1e-6
 
 
 def test_capacity_guards():
@@ -139,7 +137,7 @@ def test_oracle_dominates_policy_values():
         inst, f = generated(250 + k, 2, 2, ["separable_concave", "nested_coverage",
                                             "concave_over_modular"][k % 3])
         y = optimizer.continuous_greedy(inst, f, optimizer.GreedyConfig(rounds=100))
-        opt = oracle.optimal_policy_value(inst, f).value
+        opt = oracle.optimal_policy_value(inst, f)
         for order in ([0, 1], [1, 0]):
             for kind in policies.KINDS:
                 exact = policies.exact_policy_value(kind, inst, f, y, order=order)

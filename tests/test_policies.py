@@ -22,10 +22,9 @@ def plan_spent(kind, inst, f, y, runs, order="identity", seed=0):
     rule = policies._rule(inst, f, policies.acceptance_probabilities(inst, y))
     order = policies.resolve_order(order, inst.item_count)
     spent = []
-    for block in policies._draw_plan(inst, runs, order == "random", seed):
-        view = policies._arrivals(block, order)
-        keep_small = view[2] if kind == "stocan" else kind == "small"
-        spent.append(policies._kernel(rule, view, keep_small).spent)
+    for block in policies._draw_plan(inst, runs, order, seed):
+        keep_small = block[2] if kind == "stocan" else kind == "small"
+        spent.append(policies._kernel(rule, block, keep_small).spent)
     return np.concatenate(spent)
 
 
@@ -98,7 +97,7 @@ def test_record_structure_and_determinism():
     b = policies.scalar_runs("stocan", inst, f, y, 40, order=[2, 0, 1], seed=12)
     assert a == b
     sim = policies.simulate_policy("stocan", inst, f, y, 40, order=[2, 0, 1], seed=12)
-    branch_small = next(policies._draw_plan(inst, 40, False, 12))[2]
+    branch_small = next(policies._draw_plan(inst, 40, (2, 0, 1), 12))[2]
     for rec, value, small in zip(a, sim.values, branch_small):
         assert rec.order == (2, 0, 1)
         assert [e[0] for e in rec.events] == [2, 0, 1]  # events follow the arrival order
@@ -199,7 +198,7 @@ def test_unbudgeted_value_floors_at_quarter_of_small_H():
 
 def test_branch_frequency_fair():
     inst, _ = generated(126, 2, 2)
-    plan = policies._draw_plan(inst, 100_000, False, 35)
+    plan = policies._draw_plan(inst, 100_000, (0, 1), 35)
     freq = float(np.mean(np.concatenate([block[2] for block in plan])))
     assert abs(freq - 0.5) <= 0.0064  # four binomial standard errors
 
@@ -232,7 +231,7 @@ def test_single_run_stderr_flagged():
     y = greedy_y(inst, f)
     sim = policies.simulate_policy("stocan", inst, f, y, 1, seed=40)
     assert math.isnan(sim.stderr)
-    assert sim.is_single_run
+    assert harness._policy_block(sim)["single_run"]
 
 
 def test_simulation_deterministic_and_paired_states():
@@ -244,7 +243,7 @@ def test_simulation_deterministic_and_paired_states():
     # state and coin streams are independent of the policy kind, so the
     # combined policy's small-branch runs replay the small policy exactly
     combined = policies.simulate_policy("stocan", inst, f, y, 5000, seed=41)
-    mask = next(policies._draw_plan(inst, 5000, False, 41))[2]  # the campaign's branch coins
+    mask = next(policies._draw_plan(inst, 5000, (0, 1, 2), 41))[2]  # the campaign's branch coins
     assert np.array_equal(combined.values[mask], a.values[mask])
     small_runs = policies.scalar_runs("small", inst, f, y, 5000, seed=41)
     combined_runs = policies.scalar_runs("stocan", inst, f, y, 5000, seed=41)
@@ -449,8 +448,7 @@ def test_stocan_selection_is_the_branch_kernel_bit_for_bit(order):
     inst, f = generated(139, 5, 2, "nested_coverage")
     y = greedy_y(inst, f)
     rule = policies._rule(inst, f, policies.acceptance_probabilities(inst, y))
-    block = policies._arrivals(next(policies._draw_plan(inst, 3000, order == "random", 52)),
-                               policies.resolve_order(order, inst.item_count))
+    block = next(policies._draw_plan(inst, 3000, policies.resolve_order(order, inst.item_count), 52))
     branch = block[2]
     small, large, combined = (policies._kernel(rule, block, keep) for keep in (True, False, branch))
     chosen = policies._select(branch, small, large)
@@ -525,6 +523,9 @@ def test_order_variants_equal_lone_campaigns_bit_for_bit(monkeypatch, chunk, ord
 # the kernel against its oracle
 
 
+DISCARD, REJECT, SKIP, ACCEPT = np.arange(4, dtype=np.int8)  # action codes: indexes into ACTIONS
+
+
 def reference_kernel(inst, objective, probs, block, keep_small, ignore_budget):
     """The policy rule over an ``(n, I)`` order matrix and selection matrix: the kernel's oracle.
 
@@ -551,9 +552,8 @@ def reference_kernel(inst, objective, probs, block, keep_small, ignore_budget):
         discard = (cost <= budget / 2) != keep_small
         fits = ignore_budget | (spent + cost <= budget)
         accept = ~discard & fits & (coins[:, t] < prob_of.take(pair))
-        actions[:, t] = np.where(discard, policies.DISCARD,
-                                 np.where(fits, np.where(accept, policies.ACCEPT, policies.REJECT),
-                                          policies.SKIP))
+        actions[:, t] = np.where(discard, DISCARD,
+                                 np.where(fits, np.where(accept, ACCEPT, REJECT), SKIP))
         spent += np.where(accept, cost, 0.0)
         selected[rows, items] = np.where(accept, states, 0)
     counts = np.array([np.bincount(col, minlength=inst.state_count + 1) for col in selected.T])
@@ -570,9 +570,8 @@ def simulate_device(inst, objective, y, runs, seed) -> tuple[np.ndarray, np.ndar
     probs = policies.acceptance_probabilities(inst, y)
     order = policies.resolve_order("identity", inst.item_count)
     values, counts = [], 0
-    for block in policies._draw_plan(inst, runs, False, seed):
-        rows, block_counts = reference_kernel(inst, objective, probs,
-                                              policies._arrivals(block, order), True, True)
+    for block in policies._draw_plan(inst, runs, order, seed):
+        rows, block_counts = reference_kernel(inst, objective, probs, block, True, True)
         values.append(rows.values)
         counts = counts + block_counts
     return np.concatenate(values), counts
@@ -608,7 +607,7 @@ def device_slacks(inst, objective, y, runs, seed) -> tuple[float, float, float]:
        grid_costs=st.booleans())
 def test_kernel_equals_its_oracle_bit_for_bit(data, family, items, states, seed, runs, order, keep,
                                              with_table, grid_costs):
-    payload = harness.generate_instance(items, states, 1.0, family, seed)
+    payload = harness.generate_instance(items, states, family, seed)
     if grid_costs:  # costs on a grid holding 0 and B/2, so ties with the size threshold occur
         for row in payload["items"]:
             row["costs"] = sorted(data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
@@ -625,7 +624,7 @@ def test_kernel_equals_its_oracle_bit_for_bit(data, family, items, states, seed,
     if order == "perm":
         order = data.draw(st.permutations(range(items)))
     order = policies.resolve_order(order, items)
-    block = policies._arrivals(next(policies._draw_plan(inst, runs, order == "random", seed)), order)
+    block = next(policies._draw_plan(inst, runs, order, seed))
     keep_small = {"small": True, "large": False, "coins": block[2]}[keep]
     with pytest.MonkeyPatch.context() as mp:
         # without the table, the guard is lowered so that run values come from value_many
