@@ -109,6 +109,8 @@ def generate_instance(items: int, states: int, family: str = "separable_concave"
     """
     if model._int(items, "items") < 1 or model._int(states, "states") < 1:
         raise ValidationError("items/states", "must be positive")
+    if model._int(elements, "elements") < 2:
+        raise ValidationError("elements", f"must be at least 2 (got {elements})")
     if family not in FAMILIES:
         raise ValidationError("family", f"unknown family {family!r} (choose from {FAMILIES})")
     if model._int(seed, "seed") < 0:
@@ -128,14 +130,14 @@ def generate_instance(items: int, states: int, family: str = "separable_concave"
         objective = {"family": family, "g": [float(v) for v in g],
                      "weights": [float(w) for w in weights]}
     elif family == "nested_coverage":
-        m = max(int(elements), 2)
-        weights = rng.uniform(0.3, 1.0, size=m)
+        weights = rng.uniform(0.3, 1.0, size=elements)
         covers = []
         for _ in range(items):
-            current = set(int(e) for e in rng.choice(m, size=int(rng.integers(1, 3)), replace=False))
+            first = rng.choice(elements, size=int(rng.integers(1, 3)), replace=False)
+            current = set(int(e) for e in first)
             levels = [sorted(current)]
             for _ in range(states - 1):
-                for e in range(m):
+                for e in range(elements):
                     if e not in current and rng.random() < 0.4:
                         current.add(e)
                 levels.append(sorted(current))
@@ -242,7 +244,7 @@ def _solve(cfg, inst, objective, y=None):
     when its value tensor fits the enumeration guard; else estimated, and
     the evaluator is None. One exact evaluator serves the greedy and the
     H values. A value table it reads stays on the objective, and the
-    campaigns that follow read run values from it.
+    campaigns that follow read run values from it by rank.
     """
     try:
         ext = extension.FactoredExtension(objective)
@@ -311,7 +313,6 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
         "policies": {s.kind: _policy_block(s) for s in sims},
         "budget_violations": sum(s.budget_violations for s in sims),
     }
-    del sims  # the campaigns' run values are read; free them before the records and exact passes
     if cfg.records:  # each policy's records, re-drawn block by block from the same seed
         policies.write_records(cfg.records, itertools.chain.from_iterable(
             policies.iter_records(kind, inst, objective, y, cfg.runs, cfg.order, cfg.seed)

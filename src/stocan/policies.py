@@ -23,14 +23,14 @@ coins and arrival orders in blocks of at most ``CHUNK_RUNS`` runs, and
 one vectorized kernel executes this rule for every run of a block at
 once, one arrival position (one column of states and coins) at a time.
 Only run records read the int8 action code of each run and position, so
-only their pass builds it. Within
-``ENUM_GUARD`` a run's value is read from the objective's value table
-(:func:`~stocan.extension.value_table`, built once per objective), else
-from ``value_many`` on the selection matrix. A
+only their pass builds it. The kernel gives each run a *key*: within
+``ENUM_GUARD`` the int32 rank of its selection in the objective's value
+table (:func:`~stocan.extension.value_table`, built once per objective),
+else its value, from ``value_many`` on the selection matrix. A
 command runs its three campaigns, at one arrival order, on one plan
 (:func:`simulate_policies`); since the combined policy's run is the run
-of the branch its coin chose, it is read off the small and large rows.
-A campaign keeps only what a command reads;
+of the branch its coin chose, it is read off the small and large keys
+by the run's branch coin. A campaign keeps only what a command reads;
 run records (:func:`iter_records`) come from a pass of their own over
 the same seeded plan, one block at a time, so a :class:`RunRecord` is a
 row of the campaign of its seed, and a single run is row 0.
@@ -127,7 +127,8 @@ class _Rows:
     actions: np.ndarray | None  # (n, I) action code per arrival position, if asked for
     spent: np.ndarray  # (n,) accumulated cost
     sizes: np.ndarray  # (n,) accepted pairs per run
-    values: np.ndarray  # (n,) objective value of the run's selection
+    keys: np.ndarray | None  # (n,) table rank (int32) within ENUM_GUARD, else the run's value
+    values: np.ndarray | None = None  # (n,) the runs' objective values, if codes were asked for
 
 
 @dataclass(frozen=True)
@@ -153,6 +154,11 @@ def _rule(inst: Instance, objective: LatticeObjective, probs: np.ndarray) -> _Ru
                  radix=S1 ** np.arange(I - 1, -1, -1),
                  table=value_table(objective) if S1 ** I <= ENUM_GUARD else None,
                  objective=objective)
+
+
+def _values(table: np.ndarray | None, keys: np.ndarray) -> np.ndarray:
+    """The run values of ``keys``: value-table entries within ``ENUM_GUARD``, else the keys."""
+    return keys if table is None else table.take(keys)
 
 
 def _check_kind(kind: str) -> None:
@@ -208,12 +214,13 @@ def _kernel(rule: _Rule, block, keep_small, codes: bool = False) -> _Rows:
     ``keep_small`` is True for the small policy, False for the large one,
     and the block's per-run branch coins for the combined policy. Every
     decision of every run is made here; with ``codes`` each is also kept
-    as an action code, which only run records read. The item at arrival
-    position ``t`` is a Python int under a fixed order and an ``(n,)``
-    array under random orders; every formula below takes either. Within
-    ``ENUM_GUARD`` a run's value is read from the objective's value table
-    at the mixed-radix rank of its selection, and no selection matrix is
-    built; either way the value has the bits ``value_many`` gives.
+    as an action code, and each run's value is gathered, which only run
+    records read. The item at arrival position ``t`` is a Python int
+    under a fixed order and an ``(n,)`` array under random orders; every
+    formula below takes either. Within ``ENUM_GUARD`` a run's key is the
+    mixed-radix rank of its selection in the objective's value table, and
+    no selection matrix is built; either way the value the key names has
+    the bits ``value_many`` gives.
     """
     phi, coins, _, order = block
     n, I = phi.shape
@@ -225,7 +232,7 @@ def _kernel(rule: _Rule, block, keep_small, codes: bool = False) -> _Rows:
     if rule.table is None:
         selected = np.zeros((n, I), dtype=np.int64, order="F")  # value_many reads columns
     else:
-        rank = np.zeros(n, dtype=np.int64)
+        rank = np.zeros(n, dtype=np.int32)  # (S+1)^I <= ENUM_GUARD ranks fit int32
     for t in range(I):
         items = order[t] if fixed else order[:, t]
         states = phi[rows, items]
@@ -246,22 +253,23 @@ def _kernel(rule: _Rule, block, keep_small, codes: bool = False) -> _Rows:
         else:
             rank += chosen * rule.radix[items]
 
-    values = (np.asarray(rule.objective.value_many(selected), dtype=float) if rule.table is None
-              else rule.table.take(rank))
-    return _Rows(actions, spent, sizes, values)
+    keys = (np.asarray(rule.objective.value_many(selected), dtype=float) if rule.table is None
+            else rank)
+    return _Rows(actions, spent, sizes, keys, _values(rule.table, keys) if codes else None)
 
 
 def _select(branch_small, small: _Rows, large: _Rows) -> _Rows:
-    """The combined policy's campaign rows: small's where its coin chose small, large's elsewhere.
+    """The combined policy's spend and sizes: small's where its coin chose small, large's elsewhere.
 
-    Bit for bit the kernel's rows with ``keep_small=branch_small``: each
-    run makes the same decisions as the branch its coin chose. Like every
-    campaign's rows, they carry no action codes.
+    Bit for bit the kernel's with ``keep_small=branch_small``: each run
+    makes the same decisions as the branch its coin chose. They carry no
+    action codes and no keys; the campaign reads its runs' keys off the
+    small and large key columns by the same coins.
     """
     return _Rows(None,
                  np.where(branch_small, small.spent, large.spent),
                  np.where(branch_small, small.sizes, large.sizes),
-                 np.where(branch_small, small.values, large.values))
+                 None)
 
 
 def _records(kind, block, rows: _Rows):
@@ -286,31 +294,28 @@ def _records(kind, block, rows: _Rows):
 
 @dataclass
 class PolicySimulation:
-    """Aggregate of a seeded simulation campaign.
+    """Aggregate of a seeded simulation campaign: its statistics and two exact integers.
 
-    Holds one value per run. The rest is reduced per block to two exact
-    integers: the runs whose spend is not within the budget, and
-    ``largest_large``, the most pairs selected by one run that followed
-    the large rule (every run of a large campaign, the runs of a combined
-    campaign whose coin chose large, none of a small campaign's). No
-    per-run states, coins or actions are kept; :func:`iter_records` draws
-    them again from the same seed. ``mean`` and ``stderr`` are set once
-    the last block is folded in (NaN until then; ``stderr`` stays NaN for
-    a single run).
+    The integers are reduced per block: the runs whose spend is not
+    within the budget, and ``largest_large``, the most pairs selected by
+    one run that followed the large rule (every run of a large campaign,
+    the runs of a combined campaign whose coin chose large, none of a
+    small campaign's). No per-run values, states, coins or actions are
+    kept; :func:`iter_records` draws them again from the same seed.
+    ``mean`` and ``stderr`` are set once the last block is folded in (NaN
+    until then; ``stderr`` stays NaN for a single run).
     """
 
     kind: str
     runs: int
-    values: np.ndarray
     budget_violations: int = 0
     largest_large: int = 0
     mean: float = math.nan
     stderr: float = math.nan
 
 
-def _fold(sim: PolicySimulation, start: int, keep_small, rows: _Rows, budget: float) -> None:
-    """Write one block's rows, run with the kernel's ``keep_small``, into the campaign ``sim``."""
-    sim.values[start:start + len(rows.values)] = rows.values
+def _fold(sim: PolicySimulation, keep_small, rows: _Rows, budget: float) -> None:
+    """Reduce one block's rows, run with the kernel's ``keep_small``, into the campaign ``sim``."""
     # exact comparison on the accumulated spend; no tolerance, and NaN counts
     sim.budget_violations += int(np.count_nonzero(~(rows.spent <= budget)))
     large = int(rows.sizes.max(initial=0, where=np.logical_not(keep_small)))
@@ -325,36 +330,71 @@ def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray
     accept coins and, under ``"random"``, per-run arrival orders, drawn
     once in blocks of at most ``CHUNK_RUNS`` rows. Each block takes two
     kernel passes, small and large; the combined policy takes each run
-    from the branch its coin chose. Values are kept whole, so ``mean``
-    and ``stderr`` sum the same vector in the same order at any chunk
-    size; budget violations and the largest large-rule selection are
-    reduced per block as integers. Memory is 8 bytes per run per
-    campaign, one block's draws and kernel columns (no action codes:
-    about 2.4 MB at 12 items), and, within ``ENUM_GUARD``, the
-    objective's value table (8 bytes per lattice point); taking ``stderr``
-    adds one campaign's deviations, 8 bytes per run, at the end. No run
-    record is built; :func:`iter_records` gives a campaign's records.
+    from the branch its coin chose. The campaigns keep the small and large
+    key of every run and its branch coin: 9 bytes per run within
+    ``ENUM_GUARD`` (two int32 table ranks and a bool), 17 past it (two
+    values). Budget violations and the largest large-rule selection are
+    reduced per block as integers. The statistics are then taken one
+    campaign at a time, over its whole value vector in one reused buffer
+    (8 bytes per run), so ``mean`` and ``stderr`` sum the same vector in
+    the same order at any chunk size. Memory is that, one block's draws
+    and kernel columns (no action codes: about 2.4 MB at 12 items), and,
+    within ``ENUM_GUARD``, the objective's value table (8 bytes per
+    lattice point). No run record is built; :func:`iter_records` gives a
+    campaign's records.
     """
     if _int(runs, "runs") < 1:
         raise ValidationError("runs", "must be at least 1")
     order = resolve_order(order, inst.item_count)
     # built before the campaign arrays, so that the value table's temporaries add nothing to their peak
     rule = _rule(inst, objective, acceptance_probabilities(inst, y))
-    sims = [PolicySimulation(kind, runs, np.empty(runs)) for kind in KINDS]
+    sims = [PolicySimulation(kind, runs) for kind in KINDS]
+    keys = np.empty((2, runs), dtype=float if rule.table is None else np.int32)  # small's, large's
+    branch = np.empty(runs, dtype=bool)
     start = 0
     for block in _draw_plan(inst, runs, order, seed):
         branch_small = block[2]
+        stop = start + len(branch_small)
+        branch[start:stop] = branch_small
         small, large = (_kernel(rule, block, keep) for keep in (True, False))
+        keys[0, start:stop], keys[1, start:stop] = small.keys, large.keys
         for sim, keep_small, rows in zip(sims, (True, False, branch_small),
                                          (small, large, _select(branch_small, small, large))):
-            _fold(sim, start, keep_small, rows, inst.budget)
-        start += len(branch_small)
+            _fold(sim, keep_small, rows, inst.budget)
+        start = stop
         del block, small, large, rows  # free this block before the plan draws the next
-    for sim in sims:
-        sim.mean = float(np.mean(sim.values))
+    buf = np.empty(runs)
+    for k, sim in enumerate(sims):
+        # the campaign's run values, gathered one block at a time: a whole-column gather of
+        # int32 keys would first copy the column to int64
+        for a in range(0, runs, CHUNK_RUNS):
+            part = slice(a, a + CHUNK_RUNS)
+            if sim.kind == "stocan":  # large's run, or small's where the coin chose small
+                buf[part] = _values(rule.table, keys[1, part])
+                np.copyto(buf[part], _values(rule.table, keys[0, part]), where=branch[part])
+            else:
+                buf[part] = _values(rule.table, keys[k, part])
+        sim.mean, std = _mean_and_std(buf)
         if runs > 1:
-            sim.stderr = float(np.std(sim.values, ddof=1) / math.sqrt(runs))
+            sim.stderr = float(std / math.sqrt(runs))
     return sims
+
+
+def _mean_and_std(buf: np.ndarray) -> tuple[float, float]:
+    """``np.mean(buf)`` and ``np.std(buf, ddof=1)``, bit for bit, taken in place in ``buf``.
+
+    The reductions ``np.mean`` and ``np.var`` perform: the pairwise sum
+    over ``len(buf)``, the deviations from that mean squared, and their
+    pairwise sum over ``len(buf) - 1``, but with the deviations written
+    over ``buf`` instead of a new vector. ``buf`` holds the squared
+    deviations afterwards; the std is NaN for a single entry.
+    """
+    n = len(buf)
+    mean = np.add.reduce(buf) / n
+    np.subtract(buf, mean, out=buf)
+    np.multiply(buf, buf, out=buf)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return float(mean), float(np.sqrt(np.add.reduce(buf) / (n - 1)))
 
 
 def simulate_policy(kind: str, inst: Instance, objective: LatticeObjective, y: np.ndarray,
@@ -374,13 +414,18 @@ def exact_policy_value(kind: str, inst: Instance, objective: LatticeObjective,
     """Exact expected policy value over states and accept coins.
 
     A forward pass over the arrival positions carries the probability of
-    every selection, as an ``(S+1)^I`` tensor, and the spend of each,
-    accumulated in arrival order as the kernel accumulates it. When item
-    ``i`` arrives, each selection without it passes mass ``p_is * y_is /
-    (4 p_is)`` to the same selection with ``i`` at ``s``, wherever the
-    branch keeps ``s`` and the new spend is within the budget. The value is
-    that law against the value table; the combined policy averages its two
-    branches. Bounded, like the table, by ``ENUM_GUARD``.
+    every selection, as an ``(S+1)^I`` tensor. When item ``i`` arrives,
+    each selection without it passes mass ``p_is * y_is / (4 p_is)`` to
+    the same selection with ``i`` at ``s``, wherever the branch keeps
+    ``s`` and the new spend is within the budget. The spend of every
+    selection of the items that have arrived is a broadcast sum of their
+    cost rows (0 at state 0), added in arrival order: the kernel's own
+    additions, since adding 0.0 is exact. No spend is built after the
+    last arrival, so the spend is at most one axis shorter than the law,
+    and the pass holds two table-sized arrays, the law and the table, plus
+    a few arrays one axis shorter. The value is that law against the
+    value table; the combined policy averages its two branches. Bounded,
+    like the table, by ``ENUM_GUARD``.
     """
     _check_kind(kind)
     probs = acceptance_probabilities(inst, y)
@@ -390,26 +435,32 @@ def exact_policy_value(kind: str, inst: Instance, objective: LatticeObjective,
         raise ValidationError("order", "an exact expectation needs a fixed order, not 'random'")
     table = value_table(objective)
     accept = inst.prob * probs  # item i arrives at s and its coin accepts it
+    cost_rows = np.pad(inst.cost, ((0, 0), (1, 0)))  # by state, 0 (unselected) included
 
     def branch(keep_small: bool) -> float:
         mass = np.zeros((S + 1,) * I)
         mass.flat[0] = 1.0
-        spent = np.zeros_like(mass)
-        at = [0] * I + [...]  # where mass can be: items yet to arrive at 0; ``...`` keeps views
-        for i in order:
-            without, spent_without = mass[tuple(at)], spent[tuple(at)]
-            stay = np.ones_like(without)
+        # where mass can be: items yet to arrive at 0, kept as length-1 axes so the spend broadcasts
+        at = [slice(0, 1)] * I
+        spent = np.zeros((1,) * I)  # the spend of each selection of the arrived items
+        for t, i in enumerate(order):
+            without = mass[tuple(at)]
+            stay, passed = np.ones_like(without), np.empty_like(without)
             for s in range(1, S + 1):
                 cost = inst.cost[i, s - 1]
                 if (cost <= inst.budget / 2) != keep_small:
                     continue
-                at[i] = s
-                spent[tuple(at)] = spent_without + cost
-                passed = np.where(spent[tuple(at)] <= inst.budget, accept[i, s - 1], 0.0)
-                mass[tuple(at)] = without * passed
+                at[i] = slice(s, s + 1)
+                # the new spend, then the accept mass where it is within the budget, 0.0 elsewhere
+                np.add(spent, cost, out=passed)
+                np.multiply(passed <= inst.budget, accept[i, s - 1], out=passed)
+                np.multiply(without, passed, out=mass[tuple(at)])
                 stay -= passed
             without *= stay
+            del stay, passed  # freed before the next arrival takes its own, one axis longer
             at[i] = slice(None)
+            if t + 1 < I:  # the next arrival reads the spend with item i's cost row added
+                spent = spent + cost_rows[i].reshape([S + 1 if j == i else 1 for j in range(I)])
         # an elementwise sum, not a BLAS dot, so the value does not depend on thread count;
         # the product is taken in place, with no table-sized temporary
         flat = mass.reshape(-1)

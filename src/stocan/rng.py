@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .model import _int
+
 # Stream identifiers. Values are part of the reproducibility contract:
 # changing them changes every seeded result.
 ESTIMATE = 0
@@ -29,7 +31,9 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     distinct paths yield statistically independent streams, except that
     paths differing only by trailing zeros alias: ``substream(seed, 5, 0)``
     is ``substream(seed, 5)``. No two streams the package reads alias.
+    A seed that is not an integer (a bool, float or string) raises a
+    ValidationError naming ``seed``.
     """
-    if seed < 0:
+    if _int(seed, "seed") < 0:
         raise ValueError("seed must be nonnegative")
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, path)]))

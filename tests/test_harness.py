@@ -79,6 +79,24 @@ def test_gen_negative_seed_is_an_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("elements", ["0", "1", "-3"])
+def test_gen_elements_below_two_is_an_input_error(tmp_path, capsys, elements):
+    # a universe of fewer than two elements is refused, not raised to two
+    out = tmp_path / "x.json"
+    code = cli.main(["gen", "--items", "2", "--states", "2", "--seed", "1", "--elements", elements,
+                     "--family", "nested_coverage", "--out", str(out)])
+    assert code == cli.EXIT_INVALID
+    assert capsys.readouterr().err == f"error: elements: must be at least 2 (got {elements})\n"
+    assert not out.exists()
+    with pytest.raises(ValidationError, match="^elements: expected an integer"):
+        harness.generate_instance(2, 2, "nested_coverage", seed=1, elements=2.5)
+    # two elements is the smallest universe, and the default keeps its six
+    payload = harness.generate_instance(2, 2, "nested_coverage", seed=1, elements=2)
+    assert len(payload["objective"]["element_weights"]) == 2
+    assert len(harness.generate_instance(2, 2, "nested_coverage", seed=1)["objective"]
+               ["element_weights"]) == 6
+
+
 def test_generator_parameter_validation():
     with pytest.raises(ValidationError):
         harness.generate_instance(0, 2, "separable_concave", seed=1)
@@ -343,6 +361,7 @@ def test_simulate_frees_the_campaigns_before_the_exact_pass(tmp_path, monkeypatc
     simulate, exact = policies.simulate_policies, policies.exact_policy_value
 
     def campaigns(*args, **kwargs):
+        levels["before"] = tracemalloc.get_traced_memory()[0]
         sims = simulate(*args, **kwargs)
         levels["campaigns"] = tracemalloc.get_traced_memory()[0]
         return sims
@@ -360,8 +379,11 @@ def test_simulate_frees_the_campaigns_before_the_exact_pass(tmp_path, monkeypatc
     finally:
         tracemalloc.stop()
     assert report["policies"]["stocan"]["runs"] == runs and "exact" in report
-    # the three campaigns' run values, 24 bytes per run, are gone when the exact pass starts
-    assert levels["exact"] <= levels["campaigns"] - 24 * runs + (64 << 10)
+    # the campaigns leave nothing per run behind, only the value table they built (kept on the
+    # objective), and nothing per run is held when the exact pass starts
+    table = 3 ** 12 * 8
+    assert levels["campaigns"] <= levels["before"] + table + (64 << 10)
+    assert levels["exact"] <= levels["campaigns"] + (64 << 10)
 
 
 def test_simulate_non_json_solution_is_input_error(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stocan import model, policies
+from stocan import extension, model, optimizer, policies
 from stocan.rng import STATES, substream
 from stocan.extension import value_table
 from stocan.errors import CapacityError, ValidationError
@@ -407,6 +407,24 @@ def test_draw_frequency_concentrates():
     draws = policies.sample_states(inst, substream(42, 0), 100_000)
     freq = np.mean(draws[:, 0] == 1)
     assert abs(freq - 0.5) <= 0.01
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, "1"], ids=repr)
+@pytest.mark.parametrize("opens", ["substream", "simulate_policies", "estimate_H", "greedy"])
+def test_a_seed_that_is_not_an_integer_is_refused_where_a_stream_opens(opens, seed):
+    # each would otherwise run silently at int(seed)
+    inst, f = generated(7, 2, 2)
+    y = np.zeros((2, 2))
+    calls = {
+        "substream": lambda: substream(seed, STATES),
+        "simulate_policies": lambda: policies.simulate_policies(inst, f, y, 10, seed=seed),
+        "estimate_H": lambda: extension.estimate_H(y, f, 10, seed=seed),
+        "greedy": lambda: optimizer.continuous_greedy(  # sampled marginals open a stream
+            inst, f, optimizer.GreedyConfig(rounds=1, marginal_mode="sampled", samples=10,
+                                            seed=seed)),
+    }
+    with pytest.raises(ValidationError, match="^seed: expected an integer"):
+        calls[opens]()
 
 
 def test_draw_same_seed_identical():
