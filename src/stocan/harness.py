@@ -22,7 +22,7 @@ import numpy as np
 from . import extension, model, oracle, policies
 from .errors import CapacityError, ValidationError
 from .model import FAMILIES
-from .optimizer import GreedyConfig, continuous_greedy, split_solution
+from .optimizer import GreedyConfig, check_lp_feasible, continuous_greedy, split_solution
 from .rng import GENERATOR, ORDERS, substream
 
 GUARANTEE_RATIO = (1.0 - 1.0 / math.e) / 16.0  # combined-policy floor vs the oracle
@@ -297,6 +297,10 @@ def _given_solution(cfg, payload, inst) -> np.ndarray | None:
     if y.shape != inst.prob.shape:
         raise ValidationError(str(cfg.solution),
                               f"solution.y has shape {y.shape}, expected {inst.prob.shape}")
+    try:  # checked before any work, and named by its file and entry
+        check_lp_feasible(y, inst)
+    except ValidationError as exc:
+        raise ValidationError(str(cfg.solution), f"solution.{exc}") from exc
     return y
 
 

@@ -191,10 +191,11 @@ def check_lp_feasible(y: np.ndarray, inst: Instance) -> None:
     if y.shape != inst.prob.shape:
         raise ValidationError("y", f"expected shape {inst.prob.shape}, got {y.shape}")
     if np.any(y < -PROB_TOL):
-        raise ValidationError("y", "entries must be nonnegative")
+        i, s = np.unravel_index(int(np.argmin(y)), y.shape)
+        raise ValidationError(f"y[{i}][{s}]", f"{y[i, s]} is negative")
     if np.any(y > inst.prob + PROB_TOL):
         i, s = np.unravel_index(int(np.argmax(y - inst.prob)), y.shape)
-        raise ValidationError("y", f"y[{i},{s}] = {y[i, s]} exceeds cap p = {inst.prob[i, s]}")
+        raise ValidationError(f"y[{i}][{s}]", f"{y[i, s]} exceeds its cap p = {inst.prob[i, s]}")
     spend = float(np.sum(y * inst.cost))
     if spend > inst.budget + PROB_TOL:
         raise ValidationError("y", f"fractional cost {spend} exceeds budget {inst.budget}")

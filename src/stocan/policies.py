@@ -335,12 +335,13 @@ def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray
     ``ENUM_GUARD`` (two int32 table ranks and a bool), 17 past it (two
     values). Budget violations and the largest large-rule selection are
     reduced per block as integers. The statistics are then taken one
-    campaign at a time, over its whole value vector in one reused buffer
-    (8 bytes per run), so ``mean`` and ``stderr`` sum the same vector in
-    the same order at any chunk size. Memory is that, one block's draws
-    and kernel columns (no action codes: about 2.4 MB at 12 items), and,
-    within ``ENUM_GUARD``, the objective's value table (8 bytes per
-    lattice point). No run record is built; :func:`iter_records` gives a
+    campaign at a time, from run values gathered off the keys a node of
+    numpy's pairwise sum at a time (:func:`_statistics`): the bits of
+    ``np.mean`` and ``np.std(ddof=1)`` at any chunk size, with no per-run
+    buffer. Memory is the keys and coins, one block's draws and kernel
+    columns (no action codes: about 2.4 MB at 12 items), and, within
+    ``ENUM_GUARD``, the objective's value table (8 bytes per lattice
+    point). No run record is built; :func:`iter_records` gives a
     campaign's records.
     """
     if _int(runs, "runs") < 1:
@@ -363,38 +364,44 @@ def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray
             _fold(sim, keep_small, rows, inst.budget)
         start = stop
         del block, small, large, rows  # free this block before the plan draws the next
-    buf = np.empty(runs)
     for k, sim in enumerate(sims):
-        # the campaign's run values, gathered one block at a time: a whole-column gather of
-        # int32 keys would first copy the column to int64
-        for a in range(0, runs, CHUNK_RUNS):
-            part = slice(a, a + CHUNK_RUNS)
+        def values(a: int, b: int) -> np.ndarray:  # runs a..b-1, in a new array
+            out = _values(rule.table, keys[1 if sim.kind == "stocan" else k, a:b]).astype(float)
             if sim.kind == "stocan":  # large's run, or small's where the coin chose small
-                buf[part] = _values(rule.table, keys[1, part])
-                np.copyto(buf[part], _values(rule.table, keys[0, part]), where=branch[part])
-            else:
-                buf[part] = _values(rule.table, keys[k, part])
-        sim.mean, std = _mean_and_std(buf)
-        if runs > 1:
-            sim.stderr = float(std / math.sqrt(runs))
+                np.copyto(out, _values(rule.table, keys[0, a:b]), where=branch[a:b])
+            return out
+        sim.mean, std = _statistics(values, runs)
+        sim.stderr = float(std / math.sqrt(runs))  # NaN for a single run
     return sims
 
 
-def _mean_and_std(buf: np.ndarray) -> tuple[float, float]:
-    """``np.mean(buf)`` and ``np.std(buf, ddof=1)``, bit for bit, taken in place in ``buf``.
+def _pairwise(leaf, start: int, n: int):
+    """``np.add.reduce`` of ``n`` entries from ``start``, where ``leaf(a, b)`` sums entries ``a..b-1``.
 
-    The reductions ``np.mean`` and ``np.var`` perform: the pairwise sum
-    over ``len(buf)``, the deviations from that mean squared, and their
-    pairwise sum over ``len(buf) - 1``, but with the deviations written
-    over ``buf`` instead of a new vector. ``buf`` holds the squared
-    deviations afterwards; the std is NaN for a single entry.
+    numpy splits a node of ``n > 128`` entries at ``n//2 - n//2 % 8``; a
+    node of at most ``CHUNK_RUNS`` (or 128) entries goes to ``leaf`` whole.
     """
-    n = len(buf)
-    mean = np.add.reduce(buf) / n
-    np.subtract(buf, mean, out=buf)
-    np.multiply(buf, buf, out=buf)
+    if n <= max(CHUNK_RUNS, 128):
+        return leaf(start, start + n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise(leaf, start, half) + _pairwise(leaf, start + half, n - half)
+
+
+def _statistics(values, n: int) -> tuple[float, float]:
+    """``np.mean`` and ``np.std(ddof=1)``, bit for bit, of ``n`` entries; ``values(a, b)`` copies ``a..b-1``.
+
+    The reductions of ``np.mean`` and ``np.var``: the pairwise sum, the
+    deviations from that mean squared, and their pairwise sum over
+    ``n - 1``, each taken a node of :func:`_pairwise` at a time, so no
+    ``n``-long vector is built. The std is NaN for a single entry.
+    """
+    def squares(a: int, b: int):
+        dev = values(a, b) - mean
+        return np.add.reduce(np.multiply(dev, dev, out=dev))
+
+    mean = _pairwise(lambda a, b: np.add.reduce(values(a, b)), 0, n) / n
     with np.errstate(invalid="ignore", divide="ignore"):
-        return float(mean), float(np.sqrt(np.add.reduce(buf) / (n - 1)))
+        return float(mean), float(np.sqrt(_pairwise(squares, 0, n) / (n - 1)))
 
 
 def simulate_policy(kind: str, inst: Instance, objective: LatticeObjective, y: np.ndarray,
@@ -420,10 +427,11 @@ def exact_policy_value(kind: str, inst: Instance, objective: LatticeObjective,
     ``s`` and the new spend is within the budget. The spend of every
     selection of the items that have arrived is a broadcast sum of their
     cost rows (0 at state 0), added in arrival order: the kernel's own
-    additions, since adding 0.0 is exact. No spend is built after the
-    last arrival, so the spend is at most one axis shorter than the law,
-    and the pass holds two table-sized arrays, the law and the table, plus
-    a few arrays one axis shorter. The value is that law against the
+    additions, since adding 0.0 is exact. Each passed pair's accept factor
+    goes into its own slot of the law and is multiplied there by the mass
+    without ``i``; the factor that mass keeps is built in the old spend,
+    which no later arrival reads. The pass so holds the law, the table, a
+    spend one axis shorter and one mask. The value is that law against the
     value table; the combined policy averages its two branches. Bounded,
     like the table, by ``ENUM_GUARD``.
     """
@@ -445,22 +453,29 @@ def exact_policy_value(kind: str, inst: Instance, objective: LatticeObjective,
         spent = np.zeros((1,) * I)  # the spend of each selection of the arrived items
         for t, i in enumerate(order):
             without = mass[tuple(at)]
-            stay, passed = np.ones_like(without), np.empty_like(without)
+            fits, slots = np.empty(spent.shape, dtype=bool), []
             for s in range(1, S + 1):
                 cost = inst.cost[i, s - 1]
                 if (cost <= inst.budget / 2) != keep_small:
                     continue
                 at[i] = slice(s, s + 1)
-                # the new spend, then the accept mass where it is within the budget, 0.0 elsewhere
-                np.add(spent, cost, out=passed)
-                np.multiply(passed <= inst.budget, accept[i, s - 1], out=passed)
-                np.multiply(without, passed, out=mass[tuple(at)])
-                stay -= passed
-            without *= stay
-            del stay, passed  # freed before the next arrival takes its own, one axis longer
+                slot = mass[tuple(at)]  # item i at s: empty until now
+                # the new spend, then the accept factor where it is within the budget, 0.0 elsewhere
+                np.add(spent, cost, out=slot)
+                np.less_equal(slot, inst.budget, out=fits)
+                np.multiply(fits, accept[i, s - 1], out=slot)
+                slots.append(slot)
+            del fits
             at[i] = slice(None)
+            stay = spent  # no later arrival reads this spend: the staying factor is built in it
             if t + 1 < I:  # the next arrival reads the spend with item i's cost row added
                 spent = spent + cost_rows[i].reshape([S + 1 if j == i else 1 for j in range(I)])
+            stay.fill(1.0)
+            for slot in slots:
+                stay -= slot
+                slot *= without
+            without *= stay
+            del stay  # freed before the next arrival takes its mask
         # an elementwise sum, not a BLAS dot, so the value does not depend on thread count;
         # the product is taken in place, with no table-sized temporary
         flat = mass.reshape(-1)

@@ -922,6 +922,26 @@ def test_nan_in_solution_names_its_file_and_entry(tmp_path):
     assert f"{opt}: solution.y[0][0]" in done.stderr
 
 
+@pytest.mark.parametrize("entry", ["above-one", "above-cap", "negative"])
+def test_solution_outside_the_lp_polytope_names_its_file_and_entry(tmp_path, entry):
+    payload = harness.generate_instance(2, 2, seed=27)
+    inst_path = write_payload(tmp_path, payload)
+    opt, out = tmp_path / "opt.json", tmp_path / "sim.json"
+    assert cli.main(["optimize", "--instance", str(inst_path), "--seed", "1", "--rounds", "20",
+                     "--out", str(opt)]) == 0
+    report = json.loads(opt.read_text())
+    cap = payload["items"][0]["probs"][0]
+    report["solution"]["y"][0][0] = {"above-one": 5.0, "above-cap": (cap + 1) / 2,
+                                     "negative": -0.5}[entry]
+    opt.write_text(json.dumps(report))
+    done = run_cli("simulate", "--instance", inst_path, "--seed", 1, "--runs", 10,
+                   "--solution", opt, "--out", out)
+    assert done.returncode == cli.EXIT_INVALID
+    assert "Traceback" not in done.stderr
+    assert f"{opt}: solution.y[0][0]" in done.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, target", [
     ("--out", lambda tmp: tmp),
     ("--records", lambda tmp: tmp),
