@@ -15,7 +15,6 @@ from .errors import (
 from .extension import (
     FactoredExtension,
     estimate_H,
-    exact_H_bruteforce,
     sampled_marginals,
 )
 from .model import (
@@ -31,7 +30,6 @@ from .optimizer import (
     GreedyConfig,
     continuous_greedy,
     density_greedy,
-    grid_search_lp_value,
     split_solution,
 )
 from .oracle import exhaustive_nonadaptive_value, optimal_policy_value
@@ -58,10 +56,8 @@ __all__ = [
     "continuous_greedy",
     "density_greedy",
     "estimate_H",
-    "exact_H_bruteforce",
     "exact_policy_value",
     "exhaustive_nonadaptive_value",
-    "grid_search_lp_value",
     "instance_from_dict",
     "load_instance",
     "make_objective",

@@ -52,12 +52,15 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
                    help="continuous-greedy rounds T")
     p.add_argument("--samples", type=int, default=ExperimentConfig.samples,
                    help="Monte Carlo samples for sampled marginals / H estimates")
+    p.add_argument("--marginals", choices=("exact", "sampled"), default=ExperimentConfig.marginals)
+    p.add_argument("--out", default=None, help="write the JSON report here")
+
+
+def _campaign_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--runs", type=int, default=ExperimentConfig.runs,
                    help="simulation runs per policy")
     p.add_argument("--order", type=_parse_order, default=ExperimentConfig.order,
                    help="arrival order: identity | random | perm:<comma-list> (0-based)")
-    p.add_argument("--marginals", choices=("exact", "sampled"), default=ExperimentConfig.marginals)
-    p.add_argument("--out", default=None, help="write the JSON report here")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,11 +84,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="simulate all policies on one instance")
     _common_flags(sim)
+    _campaign_flags(sim)
     sim.add_argument("--records", default=None, help="also write one JSON run record per line")
     sim.add_argument("--solution", default=None, help="reuse y from a prior optimize report")
 
     ver = sub.add_parser("verify", help="run the full guarantee battery")
     _common_flags(ver)
+    _campaign_flags(ver)
     ver.add_argument("--order-checks", type=int, default=ExperimentConfig.order_checks,
                      help="arrival orders the robustness check evaluates exactly: every "
                           "permutation if there are at most this many, else this many random ones")

@@ -4,33 +4,32 @@ For an ``I x S`` matrix ``x`` of inclusion probabilities, ``H(x)`` is the
 expectation of the lifted set function over the random pair set that
 contains each ``(i, s)`` independently with probability ``x[i, s-1]``.
 
-Two exact evaluators are provided and cross-validate each other:
+:class:`FactoredExtension` is the exact evaluator. It exploits that the
+value depends only on each item's maximum included state, whose law
+factorizes across items:
 
-* :func:`exact_H_bruteforce` enumerates all ``2^(I*S)`` pair subsets;
-* :class:`FactoredExtension` exploits that the value depends only on each
-  item's maximum included state, whose law factorizes across items:
+    q_i(s) = x_is * prod_{s' > s} (1 - x_is'),   q_i(0) = prod_s (1 - x_is)
 
-      q_i(s) = x_is * prod_{s' > s} (1 - x_is'),   q_i(0) = prod_s (1 - x_is)
-
-  so ``H(x) = sum_u f(u) * prod_i q_i(u_i)`` over ``u in {0..S}^I``. For
-  ``separable_concave`` and ``nested_coverage`` that sum has a closed form
-  in the family's parameters, at any size and with no table. For
-  ``concave_over_modular`` with the ``cap`` curve it is a meet in the
-  middle over the sums of two halves of the items (Horowitz and Sahni,
-  1974), at ``O(I (S+1)^(I/2))`` work and with no table. Any other objective is
-  tabulated once as the ``(S+1)^I`` value tensor, and ``H`` is that
-  tensor contracted with ``q_0, ..., q_{I-1}``, one item axis at a time.
-  Marginal weights need, for every item ``i``, the expectation with every
-  law but ``q_i``: closed forms again, or one divide-and-conquer pass
-  (variable elimination) over the value tensor, or over each half's
-  tensor of expectations in the meet in the middle, that yields all ``I``
-  of these leave-one-out vectors.
+so ``H(x) = sum_u f(u) * prod_i q_i(u_i)`` over ``u in {0..S}^I``. For
+``separable_concave`` and ``nested_coverage`` that sum has a closed form
+in the family's parameters, at any size and with no table. For
+``concave_over_modular`` with the ``cap`` curve it is a meet in the
+middle over the sums of two halves of the items (Horowitz and Sahni,
+1974), at ``O(I (S+1)^(I/2))`` work and with no table. Any other objective is
+tabulated once as the ``(S+1)^I`` value tensor, and ``H`` is that
+tensor contracted with ``q_0, ..., q_{I-1}``, one item axis at a time.
+Marginal weights need, for every item ``i``, the expectation with every
+law but ``q_i``: closed forms again, or one divide-and-conquer pass
+(variable elimination) over the value tensor, or over each half's
+tensor of expectations in the meet in the middle, that yields all ``I``
+of these leave-one-out vectors.
 
 Every contraction is elementwise numpy, ``np.sum``/``cumsum``/``cumprod``
 or ``einsum`` over a few short axes, never a BLAS call, so results do not
-depend on how a threaded BLAS would split a sum. The factored form is the
-production path; the brute force is its oracle, and the tensor path is
-the closed forms' and the meet in the middle's oracle in the tests.
+depend on how a threaded BLAS would split a sum. In the tests, a
+subset enumeration over all ``2^(I*S)`` pair sets is the factored form's
+oracle, and the tensor path is the closed forms' and the meet in the
+middle's.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from .model import (ENUM_GUARD, ConcaveOverModular, LatticeObjective, NestedCove
                     enumerate_state_vectors)
 from .rng import ESTIMATE, substream
 
-BRUTEFORCE_GUARD = 20  # max I*S for subset enumeration
 _CHUNK = 1 << 14
 
 
@@ -59,31 +57,6 @@ def check_fractional(x: np.ndarray, objective: LatticeObjective) -> np.ndarray:
             raise ValidationError("x", "entries must be finite")
         raise ValidationError("x", "entries must lie in [0, 1]")
     return np.clip(x, 0.0, 1.0)
-
-
-def exact_H_bruteforce(x: np.ndarray, objective: LatticeObjective) -> float:
-    """Exact H by enumerating every subset of item-state pairs."""
-    x = check_fractional(x, objective)
-    I, S = x.shape
-    E = I * S
-    if E > BRUTEFORCE_GUARD:
-        raise CapacityError(
-            f"I*S = {E} exceeds the 2^{BRUTEFORCE_GUARD} subset guard; "
-            "use FactoredExtension or estimate_H"
-        )
-    flat = x.reshape(-1)
-    total = 0.0
-    n = 1 << E
-    bit_cols = np.arange(E)
-    state_vals = np.arange(1, S + 1)
-    for start in range(0, n, _CHUNK):
-        masks = np.arange(start, min(start + _CHUNK, n), dtype=np.int64)
-        bits = (masks[:, None] >> bit_cols) & 1  # (chunk, E)
-        probs = np.prod(np.where(bits == 1, flat, 1.0 - flat), axis=1)
-        incl = bits.reshape(-1, I, S).astype(bool)
-        u = np.max(np.where(incl, state_vals[None, None, :], 0), axis=2)
-        total += float(np.dot(objective.value_many(u), probs))
-    return total
 
 
 def _max_state_laws(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -243,17 +216,9 @@ class FactoredExtension:
 
     def __init__(self, objective: LatticeObjective):
         self.objective = objective
-        capped = isinstance(objective, ConcaveOverModular) and objective.curve.kind == "cap"
-        if capped or isinstance(objective, (SeparableConcave, NestedCoverage)):
-            # monotone by validation: f(0) = 0 is the least value and the all-S vector's the largest
-            finite = math.isfinite(objective.value(np.full(objective.item_count,
-                                                           objective.state_count)))
-        else:
-            self.values = value_table(objective)
-            # min and max need no table-sized temporary
-            finite = np.isfinite(self.values.min()) and np.isfinite(self.values.max())
-        # finite parameters whose sums overflow
-        if not finite:
+        # finite parameters whose sums overflow; monotone by validation, so f(0) = 0 is the least
+        # value and the all-S vector's the largest, checked before any table is built
+        if not math.isfinite(objective.value(np.full(objective.item_count, objective.state_count))):
             raise ValidationError("objective", "a value overflowed the float range; "
                                                "rescale the instance's numbers")
         if isinstance(objective, SeparableConcave):
@@ -266,7 +231,7 @@ class FactoredExtension:
             self._weights = objective.element_weights[keep]
             self._lost = -self._misses * self._weights  # weight that (i, s) leaves uncovered, negated
             self._expect, self._W = self._coverage_expect, self._coverage_W
-        elif capped:
+        elif isinstance(objective, ConcaveOverModular) and objective.curve.kind == "cap":
             self._half = m = (objective.item_count + 1) // 2
             if (objective.state_count + 1) ** m > ENUM_GUARD:
                 raise CapacityError(f"(S+1)^ceil(I/2) = {(objective.state_count + 1) ** m} "
@@ -275,6 +240,7 @@ class FactoredExtension:
                                      objective.curve.cap)
             self._expect, self._W = self._cap_expect, self._cap_W
         else:
+            self.values = value_table(objective)
             self._expect, self._W = self._table_expect, self._table_W
 
     def H(self, x: np.ndarray) -> float:

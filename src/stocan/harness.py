@@ -15,7 +15,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -155,12 +154,6 @@ def generate_instance(items: int, states: int, family: str = "separable_concave"
     return payload
 
 
-def reference_suite_paths() -> list:
-    """Paths of the bundled tiny reference instances, sorted by name."""
-    root = resources.files("stocan").joinpath("data/reference")
-    return sorted((p for p in root.iterdir() if p.name.endswith(".json")), key=lambda p: p.name)
-
-
 # ---------------------------------------------------------------------------
 # report plumbing
 
@@ -228,8 +221,6 @@ def _config_header(cfg: ExperimentConfig, **extra) -> dict:
         "rounds": int(cfg.rounds),
         "marginals": cfg.marginals,
         "samples": int(cfg.samples),
-        "runs": int(cfg.runs),
-        "order": cfg.order,
     }
     head.update(extra)
     return head
@@ -312,15 +303,12 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
     report = {
         "command": "simulate",
         "instance": _instance_header(cfg, payload, inst, objective),
-        "config": _config_header(cfg, records=bool(cfg.records)),
+        "config": _config_header(cfg, runs=int(cfg.runs), order=cfg.order,
+                                 records=bool(cfg.records)),
         "solution": block,
         "policies": {s.kind: _policy_block(s) for s in sims},
         "budget_violations": sum(s.budget_violations for s in sims),
     }
-    if cfg.records:  # each policy's records, re-drawn block by block from the same seed
-        policies.write_records(cfg.records, itertools.chain.from_iterable(
-            policies.iter_records(kind, inst, objective, y, cfg.runs, cfg.order, cfg.seed)
-            for kind in policies.KINDS))
     # exact expectations need a fixed order; "random" falls back to identity
     exact_order = "identity" if cfg.order == "random" else cfg.order
     try:
@@ -329,6 +317,11 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
                            "order": exact_order}
     except CapacityError:
         pass
+    if cfg.records:  # each policy's records, re-drawn block by block from the same seed
+        write_report(report, None)  # a report that cannot be written leaves no records either
+        policies.write_records(cfg.records, itertools.chain.from_iterable(
+            policies.iter_records(kind, inst, objective, y, cfg.runs, cfg.order, cfg.seed)
+            for kind in policies.KINDS))
     return report
 
 
@@ -457,7 +450,8 @@ def run_verify(cfg: ExperimentConfig) -> dict:
     return {
         "command": "verify",
         "instance": _instance_header(cfg, payload, inst, objective),
-        "config": _config_header(cfg, order_checks=int(cfg.order_checks)),
+        "config": _config_header(cfg, runs=int(cfg.runs), order=cfg.order,
+                                 order_checks=int(cfg.order_checks)),
         "solution": block,
         "oracle": {"available": opt is not None, "adaptive_optimum": opt},
         "policies": {k: _policy_block(s) for k, s in sims.items()},

@@ -378,9 +378,6 @@ class CheckResult:
     witness: tuple | None = None
     checked: int = 0
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def enumerate_state_vectors(item_count: int, state_count: int, start: int = 0,
                             stop: int | None = None) -> np.ndarray:

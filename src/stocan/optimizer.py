@@ -6,8 +6,8 @@ The inner problem is a box intersected with one knapsack constraint:
     s.t.     0 <= x_is <= cap_is,   sum x_is * c_is <= B.
 
 Density greedy (fill pairs in decreasing omega/cost order) is exactly
-optimal for this polytope, so no external LP solver is involved. An
-exhaustive grid-search oracle is provided for verification.
+optimal for this polytope, so no external LP solver is involved; the
+tests check it against an exhaustive grid search.
 """
 
 from __future__ import annotations
@@ -16,12 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import ValidationError
 from .extension import FactoredExtension, check_fractional, sampled_marginals
 from .model import Instance, LatticeObjective, PROB_TOL, _int
 from .rng import OPTIMIZER, substream
-
-GRID_POINT_GUARD = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -77,53 +75,6 @@ def density_greedy(omega: np.ndarray, caps: np.ndarray, costs: np.ndarray,
         x_flat[p] = take
         remaining = max(remaining - take * cost_of[p], 0.0)
     return x
-
-
-def grid_search_lp_value(omega: np.ndarray, caps: np.ndarray, costs: np.ndarray,
-                         budget: float, resolution: float = 1e-3) -> float:
-    """Best objective over the feasible grid of multiples of ``resolution``.
-
-    Independent verification oracle for :func:`density_greedy`: every
-    coordinate is enumerated over ``{0, r, 2r, ...} ∩ [0, cap]``, except
-    the coordinate with the largest grid, which admits a closed-form
-    best feasible grid value once the others are fixed (the objective is
-    linear, so it is maximal at the largest affordable grid point when
-    its weight is positive, and at zero otherwise).
-    """
-    omega = np.asarray(omega, dtype=float).reshape(-1)
-    caps = np.asarray(caps, dtype=float).reshape(-1)
-    costs = np.asarray(costs, dtype=float).reshape(-1)
-    steps = np.floor(caps / resolution + 1e-12).astype(int)  # grid: 0..steps[k] times r
-    if len(caps) == 1:
-        levels = np.arange(steps[0] + 1) * resolution
-        feasible = levels * costs[0] <= budget
-        if not np.any(feasible):
-            return 0.0
-        return float(np.max(omega[0] * levels[feasible], initial=0.0))
-    last = int(np.argmax(steps))
-    rest = [k for k in range(len(caps)) if k != last]
-    points = 1
-    for k in rest:
-        points *= int(steps[k]) + 1
-    if points > GRID_POINT_GUARD:
-        raise CapacityError(f"grid enumeration needs {points} points (guard {GRID_POINT_GUARD})")
-    axes = [np.arange(steps[k] + 1) * resolution for k in rest]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = np.stack([m.reshape(-1) for m in mesh], axis=1)  # (points, d-1)
-    cost_rest = flat @ costs[rest]
-    value_rest = flat @ omega[rest]
-    slack = budget - cost_rest
-    ok = slack >= 0
-    value_rest = np.where(ok, value_rest, -np.inf)
-    if omega[last] > 0:
-        if costs[last] > 0:
-            max_units = np.floor(np.maximum(slack, 0.0) / (costs[last] * resolution) + 1e-12)
-            units = np.minimum(max_units, steps[last])
-        else:
-            units = float(steps[last])
-        value_rest = value_rest + np.where(ok, omega[last] * units * resolution, 0.0)
-    best = float(np.max(value_rest))
-    return max(best, 0.0)
 
 
 def continuous_greedy(inst: Instance, objective: LatticeObjective,

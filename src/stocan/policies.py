@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import PreconditionError, ValidationError
 from .extension import value_table
-from .model import ENUM_GUARD, Instance, LatticeObjective, PROB_TOL, _int
+from .model import ENUM_GUARD, Instance, LatticeObjective, _int
 from .optimizer import check_lp_feasible
 from .rng import BRANCH, COINS, ORDERS, STATES, substream
 
@@ -82,18 +82,17 @@ def resolve_order(order, item_count: int):
 def acceptance_probabilities(inst: Instance, y: np.ndarray) -> np.ndarray:
     """Per-pair accept probability y/(4p), zero where p = 0.
 
-    Requires y to be LP-feasible, which bounds every entry by 1/4.
+    Requires y to be LP-feasible. The LP admits y up to ``PROB_TOL`` outside
+    ``[0, p]``, so y is clipped into ``[0, p]`` first, and every probability
+    is at most 1/4 exactly.
     """
     try:
         check_lp_feasible(y, inst)
     except ValidationError as exc:
         raise PreconditionError(f"y is not LP-feasible: {exc}") from exc
-    y = np.asarray(y, dtype=float)
-    probs = np.zeros_like(y)
-    np.divide(y, 4.0 * inst.prob, out=probs, where=inst.prob > 0)
-    if np.any(probs > 0.25 + PROB_TOL):
-        raise PreconditionError("acceptance probability above 1/4; y is not below its caps")
-    return np.clip(probs, 0.0, 0.25 + PROB_TOL)
+    probs = np.zeros_like(inst.prob)
+    np.divide(np.clip(y, 0.0, inst.prob), 4.0 * inst.prob, out=probs, where=inst.prob > 0)
+    return probs
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
 from .model import _int
 
 # Stream identifiers. Values are part of the reproducibility contract:
@@ -31,9 +32,9 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     distinct paths yield statistically independent streams, except that
     paths differing only by trailing zeros alias: ``substream(seed, 5, 0)``
     is ``substream(seed, 5)``. No two streams the package reads alias.
-    A seed that is not an integer (a bool, float or string) raises a
-    ValidationError naming ``seed``.
+    A seed that is not an integer (a bool, float or string), or is
+    negative, raises a ValidationError naming ``seed``.
     """
     if _int(seed, "seed") < 0:
-        raise ValueError("seed must be nonnegative")
+        raise ValidationError("seed", "must be nonnegative")
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, path)]))

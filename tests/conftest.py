@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,12 @@ class TableObjective(model.LatticeObjective):
 
     def value_many(self, u):
         return np.array([self.fn(tuple(int(v) for v in row)) for row in u], dtype=float)
+
+
+def reference_suite_paths() -> list:
+    """Paths of the bundled tiny reference instances, sorted by name."""
+    root = resources.files("stocan").joinpath("data/reference")
+    return sorted((p for p in root.iterdir() if p.name.endswith(".json")), key=lambda p: p.name)
 
 
 def make_instance(probs, costs, budget):

@@ -16,6 +16,8 @@ import pytest
 from stocan import cli, extension, harness, model, optimizer, oracle, policies
 from stocan.rng import substream
 
+from conftest import reference_suite_paths
+from enumeration_oracles import exact_H_bruteforce, grid_search_lp_value
 from test_policies import device_slacks
 
 MASTER_SEED = 20260810
@@ -34,7 +36,7 @@ def announce(number, label, ok, detail):
 def suite():
     """Bundled reference instances with their optimized solutions."""
     entries = []
-    for path in harness.reference_suite_paths():
+    for path in reference_suite_paths():
         inst, objective = model.load_instance(path)
         y = optimizer.continuous_greedy(
             inst, objective, optimizer.GreedyConfig(rounds=ROUNDS))
@@ -178,7 +180,7 @@ def test_criterion_7_extension_oracles():
         _, f = model.instance_from_dict(
             harness.generate_instance(items, states, FAMS[k % 3], seed=6000 + k))
         x = rng.random((items, states))
-        dev = abs(extension.exact_H_bruteforce(x, f) - extension.FactoredExtension(f).H(x))
+        dev = abs(exact_H_bruteforce(x, f) - extension.FactoredExtension(f).H(x))
         max_dev = max(max_dev, dev)
     agree = max_dev <= 1e-12
     # the Monte Carlo estimator tracks the exact value
@@ -245,7 +247,7 @@ def test_criterion_8_inner_lp_exactness():
             np.all(x >= -1e-9) and np.all(x <= caps + 1e-9)
             and float(np.sum(x * costs)) <= budget + 1e-9)
         value = float(np.sum(omega * x))
-        grid = optimizer.grid_search_lp_value(omega, caps, costs, budget, resolution=1e-3)
+        grid = grid_search_lp_value(omega, caps, costs, budget, resolution=1e-3)
         worst_gap = min(worst_gap, value - grid)
         largest_gap = max(largest_gap, value - grid)
     # the greedy value dominates every grid point, and the grid comes within
@@ -280,7 +282,7 @@ def test_criterion_10_verify_determinism(suite, tmp_path):
     t0 = time.time()
     identical = True
     for idx in (0, 4, 11):
-        path = str(harness.reference_suite_paths()[idx])
+        path = str(reference_suite_paths()[idx])
         bodies = []
         for attempt in range(2):
             out = tmp_path / f"verify_{idx}_{attempt}.json"
@@ -299,7 +301,7 @@ def test_bundled_suite_verifies_clean(tmp_path):
     """The shipped reference suite passes the full battery end to end."""
     t0 = time.time()
     failures = []
-    for path in harness.reference_suite_paths():
+    for path in reference_suite_paths():
         cfg = harness.ExperimentConfig(instance=str(path), seed=MASTER_SEED,
                                        rounds=ROUNDS, runs=20_000, order_checks=3)
         report = harness.run_verify(cfg)

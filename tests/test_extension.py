@@ -10,6 +10,7 @@ from stocan.errors import CapacityError, ValidationError
 from stocan.rng import OPTIMIZER, substream
 
 from conftest import TableObjective, generated, modular_objective
+from enumeration_oracles import exact_H_bruteforce
 
 
 def random_point(objective, rng):
@@ -38,12 +39,12 @@ def modular_H_closed_form(x, weights):
 
 def test_bruteforce_zero_matrix_gives_base_value():
     f = modular_objective([1.0, 2.0], 2)
-    assert extension.exact_H_bruteforce(np.zeros((2, 2)), f) == 0.0
+    assert exact_H_bruteforce(np.zeros((2, 2)), f) == 0.0
 
 
 def test_bruteforce_single_bernoulli():
     f = modular_objective([1.0], 1)
-    assert extension.exact_H_bruteforce(np.array([[0.5]]), f) == pytest.approx(0.5, abs=1e-15)
+    assert exact_H_bruteforce(np.array([[0.5]]), f) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_bruteforce_matches_modular_closed_form():
@@ -52,13 +53,13 @@ def test_bruteforce_matches_modular_closed_form():
     for _ in range(10):
         x = rng.random((2, 2))
         expected = modular_H_closed_form(x, [1.0, 0.7])
-        assert extension.exact_H_bruteforce(x, f) == pytest.approx(expected, abs=1e-12)
+        assert exact_H_bruteforce(x, f) == pytest.approx(expected, abs=1e-12)
 
 
 def test_bruteforce_guard():
     f = modular_objective([1.0] * 11, 2)
     with pytest.raises(CapacityError) as err:
-        extension.exact_H_bruteforce(np.zeros((11, 2)), f)
+        exact_H_bruteforce(np.zeros((11, 2)), f)
     assert "estimate_H" in str(err.value)
 
 
@@ -70,7 +71,7 @@ def test_factored_equals_bruteforce_on_random_points():
         _, f = generated(300 + k, items, states, ["separable_concave", "nested_coverage",
                                                   "concave_over_modular"][k % 3])
         x = rng.random((items, states))
-        hb = extension.exact_H_bruteforce(x, f)
+        hb = exact_H_bruteforce(x, f)
         hf = extension.FactoredExtension(f).H(x)
         assert hf == pytest.approx(hb, abs=1e-12)
 
@@ -102,7 +103,7 @@ def test_nonfinite_fractional_input_rejected(bad):
     f = modular_objective([1.0], 2)
     ext = extension.FactoredExtension(f)
     x = np.array([[0.5, bad]])
-    for evaluate in (ext.H, ext.marginals, lambda x: extension.exact_H_bruteforce(x, f)):
+    for evaluate in (ext.H, ext.marginals, lambda x: exact_H_bruteforce(x, f)):
         with pytest.raises(ValidationError, match="finite") as err:
             evaluate(x)
         assert err.value.path == "x"
@@ -200,12 +201,12 @@ def test_marginals_match_bruteforce_oracle(case):
     _, f = generated(seed, items, states, family)
     x = np.array(entries).reshape(items, states)
     omega = extension.FactoredExtension(f).marginals(x)
-    base = extension.exact_H_bruteforce(x, f)
+    base = exact_H_bruteforce(x, f)
     for i in range(items):
         for s in range(1, states + 1):
             forced = x.copy()
             forced[i, s - 1] = 1.0
-            expected = extension.exact_H_bruteforce(forced, f) - base
+            expected = exact_H_bruteforce(forced, f) - base
             assert omega[i, s - 1] == pytest.approx(expected, abs=1e-12)
 
 
@@ -269,7 +270,7 @@ def test_closed_forms_match_the_tensor_path(case):
     assert closed.expect(laws) == pytest.approx(tensor.expect(laws), abs=1e-12)
     assert getattr(f, "_value_table", None) is None  # the closed forms read no table
     # I * S <= 16, within the subset enumeration's guard
-    assert closed.H(x) == pytest.approx(extension.exact_H_bruteforce(x, f), abs=1e-12)
+    assert closed.H(x) == pytest.approx(exact_H_bruteforce(x, f), abs=1e-12)
 
 
 @st.composite

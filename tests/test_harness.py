@@ -6,6 +6,7 @@ import json
 import math
 import operator
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -19,6 +20,9 @@ from hypothesis import example, given, settings, strategies as st
 import stocan
 from stocan import cli, harness, model, optimizer, policies
 from stocan.errors import ValidationError
+
+from conftest import reference_suite_paths
+
 
 def write_payload(tmp_path, payload, name="inst.json"):
     p = tmp_path / name
@@ -121,6 +125,18 @@ def test_optimize_closed_form_instance(tmp_path):
     assert abs(y11 - (1 - 1 / math.e)) <= 1e-3
     assert report["solution"]["H"]["method"] == "exact"
     assert report["instance"]["digest"] == model.instance_digest(payload)
+
+
+@pytest.mark.parametrize("flag", [["--runs", "5"], ["--order", "random"]], ids=["runs", "order"])
+def test_optimize_reads_no_campaign_flags(tmp_path, capsys, flag):
+    path = write_payload(tmp_path, harness.generate_instance(2, 2, seed=9))
+    with pytest.raises(SystemExit) as done:
+        cli.main(["optimize", "--instance", str(path), "--seed", "1", "--rounds", "3", *flag])
+    assert done.value.code == cli.EXIT_INVALID
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert cli.main(["optimize", "--instance", str(path), "--seed", "1", "--rounds", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert list(report["config"]) == ["seed", "rounds", "marginals", "samples"]
 
 
 def test_optimize_report_bytes_reproducible(tmp_path):
@@ -429,14 +445,16 @@ def test_overflowing_statistics_are_an_input_error(tmp_path):
     payload = harness.generate_instance(2, 2, "nested_coverage", seed=1)
     payload["objective"]["element_weights"][2] = 1e308
     path = write_payload(tmp_path, payload)
-    for command in ("simulate", "verify"):
+    records = tmp_path / "runs.jsonl"
+    for command, *more in (("simulate", "--records", records), ("verify",)):
         out = tmp_path / f"{command}.json"
-        done = run_cli(command, "--instance", path, "--seed", 1, "--runs", 100, "--out", out)
+        done = run_cli(command, "--instance", path, "--seed", 1, "--runs", 100, "--out", out, *more)
         assert done.returncode == cli.EXIT_INVALID
         # exactly the one error line: no numpy warning before it
         assert done.stderr == ("error: report: a value overflowed the float range; "
                                "rescale the instance's numbers\n")
         assert not out.exists()
+    assert not records.exists()
 
 
 def test_overflowing_objective_values_are_an_input_error(tmp_path):
@@ -445,7 +463,8 @@ def test_overflowing_objective_values_are_an_input_error(tmp_path):
     payload["objective"]["g"][1] = 1e308
     path = write_payload(tmp_path, payload)
     for command in ("optimize", "simulate", "verify"):
-        done = run_cli(command, "--instance", path, "--seed", 1, "--runs", 20, "--rounds", 2)
+        done = run_cli(command, *(("--runs", 20) if command != "optimize" else ()),
+                       "--instance", path, "--seed", 1, "--rounds", 2)
         assert done.returncode == cli.EXIT_INVALID
         assert done.stderr == ("error: objective: a value overflowed the float range; "
                                "rescale the instance's numbers\n")
@@ -457,10 +476,30 @@ def test_overflowing_objective_values_past_the_guard_are_an_input_error(tmp_path
     payload["objective"]["weights"] = [1e308] * 13
     path = write_payload(tmp_path, payload)
     for command in ("optimize", "simulate", "verify"):
-        done = run_cli(command, "--instance", path, "--seed", 1, "--runs", 20, "--rounds", 2)
+        done = run_cli(command, *(("--runs", 20) if command != "optimize" else ()),
+                       "--instance", path, "--seed", 1, "--rounds", 2)
         assert done.returncode == cli.EXIT_INVALID
         assert done.stderr == ("error: objective: a value overflowed the float range; "
                                "rescale the instance's numbers\n")
+    # a sqrt curve tabulates its values, and 3^13 of them exceed the guard: the overflow is
+    # still found, before the table, and a campaign on a given solution writes no records
+    payload = harness.generate_instance(13, 2, "concave_over_modular", seed=0)
+    payload["objective"]["g"] = {"kind": "sqrt"}
+    payload["objective"]["a"] = [[1e308, 1.5e308]] * 13
+    path = write_payload(tmp_path, payload)
+    inst, _ = model.instance_from_dict(payload)
+    y = inst.prob * min(1.0, inst.budget / float(np.sum(inst.prob * inst.cost)))
+    optimizer.check_lp_feasible(y, inst)
+    solution = write_payload(tmp_path, {"instance": {"digest": model.instance_digest(payload)},
+                                        "solution": {"y": y.tolist()}}, "opt.json")
+    records = tmp_path / "r.jsonl"
+    for args in (("optimize",), ("verify", "--runs", 20),
+                 ("simulate", "--runs", 2000, "--solution", solution, "--records", records)):
+        done = run_cli(*args, "--instance", path, "--seed", 1, "--rounds", 2)
+        assert done.returncode == cli.EXIT_INVALID
+        assert done.stderr == ("error: objective: a value overflowed the float range; "
+                               "rescale the instance's numbers\n")
+    assert not records.exists()
 
 
 DELETE = object()
@@ -593,11 +632,28 @@ def test_every_package_name_the_benchmark_reads_resolves():
                 assert hasattr(module, node.attr), (path.name, ast.unparse(node))
 
 
+def test_every_top_level_name_in_src_is_read_by_the_package_or_the_benchmark():
+    # test-only code lives under tests/; a function or class that no module of the package
+    # (its own included, __init__'s re-export not) and no benchmark file reads must fail here
+    root = Path(__file__).resolve().parents[1]
+    defined, read = {}, set()
+    for path in sorted((root / "src" / "stocan").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined.update((node.name, path.stem) for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+        if path.stem != "__init__":
+            read.update(node.id if isinstance(node, ast.Name) else node.attr
+                        for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+    for path in (root / "bench").rglob("*.py"):  # words, so a name the tracer patches by string counts
+        read.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    assert sorted(f"{module}.{name}" for name, module in defined.items() if name not in read) == []
+
+
 def test_readme_library_example_runs(tmp_path, monkeypatch):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     assert "inst.json" in block
-    shutil.copy(harness.reference_suite_paths()[7], tmp_path / "inst.json")  # 3 items, 2 states
+    shutil.copy(reference_suite_paths()[7], tmp_path / "inst.json")  # 3 items, 2 states
     monkeypatch.chdir(tmp_path)
     exec(compile(block, "README.md", "exec"), {})
 
@@ -607,7 +663,7 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
 
 
 def test_verify_reference_instance_passes(tmp_path):
-    path = str(harness.reference_suite_paths()[4])
+    path = str(reference_suite_paths()[4])
     out = tmp_path / "verify.json"
     code = cli.main(["verify", "--instance", path, "--seed", "21", "--rounds", "200",
                      "--runs", "20000", "--order-checks", "3", "--out", str(out)])
@@ -633,7 +689,7 @@ def test_verify_reference_instance_passes(tmp_path):
 
 
 def test_verify_weak_optimization_records_gap(tmp_path):
-    path = str(harness.reference_suite_paths()[4])
+    path = str(reference_suite_paths()[4])
     cfg = harness.ExperimentConfig(instance=path, seed=21, rounds=1, runs=4000,
                                    order_checks=2)
     report = harness.run_verify(cfg)
@@ -736,7 +792,7 @@ def test_verify_runs_the_oracle_checks_past_five_items_or_three_states(
 
 @pytest.mark.parametrize("order_checks", [4, 10])
 def test_verify_order_rows_are_exact_values_and_run_no_campaign(monkeypatch, order_checks):
-    path = harness.reference_suite_paths()[7]  # 3 items, 2 states: 6 orders
+    path = reference_suite_paths()[7]  # 3 items, 2 states: 6 orders
     passes = []
     kernel = policies._kernel
     monkeypatch.setattr(policies, "_kernel",
@@ -761,7 +817,7 @@ def test_verify_order_rows_are_exact_values_and_run_no_campaign(monkeypatch, ord
 
 
 def test_verify_random_order_mode_skips_exact_comparison(tmp_path):
-    path = str(harness.reference_suite_paths()[6])
+    path = str(reference_suite_paths()[6])
     cfg = harness.ExperimentConfig(instance=path, seed=13, rounds=80, runs=5000,
                                    order="random", order_checks=2)
     report = harness.run_verify(cfg)
@@ -771,7 +827,7 @@ def test_verify_random_order_mode_skips_exact_comparison(tmp_path):
 
 
 def test_verify_byte_identical_reports(tmp_path):
-    path = str(harness.reference_suite_paths()[2])
+    path = str(reference_suite_paths()[2])
     bodies = []
     for name in ("v1.json", "v2.json"):
         out = tmp_path / name
@@ -882,7 +938,7 @@ def test_reports_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, order):
     the kernel's guard to 0, so run values come from ``value_many`` on the selection matrix."""
     path = write_payload(tmp_path, harness.generate_instance(4, 2, "nested_coverage",
                                                              seed=26))
-    ref = str(harness.reference_suite_paths()[3])
+    ref = str(reference_suite_paths()[3])
     default = policies.CHUNK_RUNS
     for runs, chunks in ((45, (1, 7, 45, 4 * 45)),  # 45 is not a multiple of 7
                          # two blocks at the default size, against one block and blocks of 1000
@@ -942,6 +998,21 @@ def test_solution_outside_the_lp_polytope_names_its_file_and_entry(tmp_path, ent
     assert not out.exists()
 
 
+def test_solution_within_tolerance_above_its_cap_accepts_at_one_quarter(tmp_path):
+    # y[0][0] = 5e-10 exceeds its cap p = 1e-12 by less than PROB_TOL, so the LP check admits it,
+    # and the pair's accept probability is clipped to exactly 1/4
+    payload = {"budget": 1.0, "items": [{"costs": [0.1, 0.2], "probs": [1e-12, 1 - 1e-12]}],
+               "objective": {"family": "separable_concave", "g": [0.0, 1.0, 2.0], "weights": [1.0]}}
+    inst_path = write_payload(tmp_path, payload)
+    inst, _ = model.instance_from_dict(payload)
+    y = [[5e-10, 0.0]]
+    assert policies.acceptance_probabilities(inst, np.array(y))[0, 0] == 0.25
+    opt = write_payload(tmp_path, {"instance": {"digest": model.instance_digest(payload)},
+                                   "solution": {"y": y}}, "opt.json")
+    assert cli.main(["simulate", "--instance", str(inst_path), "--seed", "1", "--runs", "100",
+                     "--solution", str(opt), "--out", str(tmp_path / "sim.json")]) == 0
+
+
 @pytest.mark.parametrize("flag, target", [
     ("--out", lambda tmp: tmp),
     ("--records", lambda tmp: tmp),
@@ -990,8 +1061,9 @@ def test_out_naming_the_instance_is_input_error(tmp_path, capsys, command, via):
         out = tmp_path / "link.json"
         out.symlink_to(inst_path)  # another name of the instance file
     before = inst_path.read_bytes()
+    runs = ["--runs", "100"] if command != "optimize" else []
     code = cli.main([command, "--instance", str(inst_path), "--seed", "1", "--rounds", "5",
-                     "--runs", "100", "--out", str(out)])
+                     *runs, "--out", str(out)])
     assert code == cli.EXIT_INVALID
     assert capsys.readouterr().err.splitlines() == [f"error: {out}: names the same file as instance"]
     assert inst_path.read_bytes() == before

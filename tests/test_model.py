@@ -409,10 +409,10 @@ def test_draw_frequency_concentrates():
     assert abs(freq - 0.5) <= 0.01
 
 
-@pytest.mark.parametrize("seed", [1.5, 1.0, True, "1"], ids=repr)
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", -1], ids=repr)
 @pytest.mark.parametrize("opens", ["substream", "simulate_policies", "estimate_H", "greedy"])
 def test_a_seed_that_is_not_an_integer_is_refused_where_a_stream_opens(opens, seed):
-    # each would otherwise run silently at int(seed)
+    # each would otherwise run silently at int(seed), or raise a bare ValueError below 0
     inst, f = generated(7, 2, 2)
     y = np.zeros((2, 2))
     calls = {
@@ -423,7 +423,8 @@ def test_a_seed_that_is_not_an_integer_is_refused_where_a_stream_opens(opens, se
             inst, f, optimizer.GreedyConfig(rounds=1, marginal_mode="sampled", samples=10,
                                             seed=seed)),
     }
-    with pytest.raises(ValidationError, match="^seed: expected an integer"):
+    message = "must be nonnegative" if seed == -1 else "expected an integer"
+    with pytest.raises(ValidationError, match=f"^seed: {message}"):
         calls[opens]()
 
 

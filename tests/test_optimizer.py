@@ -9,6 +9,7 @@ from stocan.errors import CapacityError, ValidationError
 from stocan.rng import substream
 
 from conftest import generated, make_instance, modular_objective
+from enumeration_oracles import grid_search_lp_value
 
 
 # ---------------------------------------------------------------------------
@@ -144,19 +145,19 @@ def test_lp_dominates_grid_oracle():
         omega = rng.uniform(-0.2, 1.0, size=(items, states))
         value = float(np.sum(omega * inner_lp(omega, inst)))
         if items * states <= 3:
-            grid = optimizer.grid_search_lp_value(omega, inst.prob, inst.cost,
-                                                  inst.budget, resolution=1e-3)
+            grid = grid_search_lp_value(omega, inst.prob, inst.cost, inst.budget,
+                                        resolution=1e-3)
         else:
-            grid = optimizer.grid_search_lp_value(omega, inst.prob, inst.cost,
-                                                  inst.budget, resolution=5e-3)
+            grid = grid_search_lp_value(omega, inst.prob, inst.cost, inst.budget,
+                                        resolution=5e-3)
         assert value >= grid - 1e-9
         assert value <= grid + 1e-2  # the grid nearly attains the optimum
 
 
 def test_grid_oracle_guard():
     with pytest.raises(CapacityError):
-        optimizer.grid_search_lp_value(np.ones((3, 2)), np.full((3, 2), 0.9),
-                                       np.ones((3, 2)), 1.0, resolution=1e-4)
+        grid_search_lp_value(np.ones((3, 2)), np.full((3, 2), 0.9),
+                             np.ones((3, 2)), 1.0, resolution=1e-4)
 
 
 # ---------------------------------------------------------------------------
