@@ -8,7 +8,6 @@ plus a seeded harness that verifies every guarantee at desk scale.
 
 from .errors import (
     CapacityError,
-    PreconditionError,
     StocanError,
     ValidationError,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "GreedyConfig",
     "Instance",
     "LatticeObjective",
-    "PreconditionError",
     "RunRecord",
     "StocanError",
     "ValidationError",

@@ -15,7 +15,3 @@ class ValidationError(StocanError):
 
 class CapacityError(StocanError):
     """An exhaustive computation would exceed its enumeration guard."""
-
-
-class PreconditionError(StocanError):
-    """A documented call precondition does not hold."""

@@ -39,8 +39,8 @@ import math
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .model import (ENUM_GUARD, ConcaveOverModular, LatticeObjective, NestedCoverage, SeparableConcave,
-                    enumerate_state_vectors)
+from .model import (ENUM_GUARD, PROB_TOL, ConcaveOverModular, LatticeObjective, NestedCoverage,
+                    SeparableConcave, enumerate_state_vectors)
 from .rng import ESTIMATE, substream
 
 _CHUNK = 1 << 14
@@ -52,7 +52,7 @@ def check_fractional(x: np.ndarray, objective: LatticeObjective) -> np.ndarray:
         raise ValidationError(
             "x", f"expected shape {(objective.item_count, objective.state_count)}, got {x.shape}"
         )
-    if not np.all((x >= -1e-12) & (x <= 1 + 1e-12)):  # false for NaN too
+    if not np.all((x >= -PROB_TOL) & (x <= 1 + PROB_TOL)):  # the LP's tolerance; false for NaN
         if not np.all(np.isfinite(x)):
             raise ValidationError("x", "entries must be finite")
         raise ValidationError("x", "entries must lie in [0, 1]")

@@ -125,10 +125,10 @@ def _validate_rows(prob: np.ndarray, cost: np.ndarray) -> None:
 class LatticeObjective:
     """A nonnegative objective on state vectors ``{0..S}^I``.
 
-    Subclasses must be monotone and lattice submodular on their domain;
-    :func:`check_monotone` and :func:`check_lattice_submodular` verify
-    this rather than assuming it. ``value_many`` evaluates a whole
-    ``(n, I)`` batch of vectors at once and is the hot path everywhere.
+    Subclasses must be monotone and lattice submodular on their domain.
+    No command checks this; a caller may, within ``ENUM_GUARD``, with
+    :func:`check_monotone` and :func:`check_lattice_submodular`.
+    ``value_many`` evaluates a whole ``(n, I)`` batch of vectors at once.
     """
 
     family = "abstract"

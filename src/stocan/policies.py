@@ -28,12 +28,13 @@ only their pass builds it. The kernel gives each run a *key*: within
 table (:func:`~stocan.extension.value_table`, built once per objective),
 else its value, from ``value_many`` on the selection matrix. A
 command runs its three campaigns, at one arrival order, on one plan
-(:func:`simulate_policies`); since the combined policy's run is the run
-of the branch its coin chose, it is read off the small and large keys
-by the run's branch coin. A campaign keeps only what a command reads;
-run records (:func:`iter_records`) come from a pass of their own over
-the same seeded plan, one block at a time, so a :class:`RunRecord` is a
-row of the campaign of its seed, and a single run is row 0.
+(:func:`simulate_policies`), two kernel passes a block: the combined
+policy's run is the run of the branch its coin chose, so its key, spend
+and selection size are read off the small and large rows by its branch
+coin. A campaign keeps only what a command reads; run records
+(:func:`iter_records`) come from a pass of their own over the same
+seeded plan, one block at a time, so a :class:`RunRecord` is a row of
+the campaign of its seed, and a single run is row 0.
 :func:`exact_policy_value` is the independent oracle: it carries the
 law of the selection forward over the arrival positions instead of
 drawing runs, and shares no code with the kernel but the value table.
@@ -48,7 +49,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import PreconditionError, ValidationError
+from .errors import ValidationError
 from .extension import value_table
 from .model import ENUM_GUARD, Instance, LatticeObjective, _int
 from .optimizer import check_lp_feasible
@@ -82,14 +83,12 @@ def resolve_order(order, item_count: int):
 def acceptance_probabilities(inst: Instance, y: np.ndarray) -> np.ndarray:
     """Per-pair accept probability y/(4p), zero where p = 0.
 
-    Requires y to be LP-feasible. The LP admits y up to ``PROB_TOL`` outside
-    ``[0, p]``, so y is clipped into ``[0, p]`` first, and every probability
-    is at most 1/4 exactly.
+    A y outside the LP polytope raises :func:`check_lp_feasible`'s
+    ``ValidationError``, which names the entry. The LP admits y up to
+    ``PROB_TOL`` outside ``[0, p]``, so y is clipped into ``[0, p]`` first,
+    and every probability is at most 1/4 exactly.
     """
-    try:
-        check_lp_feasible(y, inst)
-    except ValidationError as exc:
-        raise PreconditionError(f"y is not LP-feasible: {exc}") from exc
+    check_lp_feasible(y, inst)
     probs = np.zeros_like(inst.prob)
     np.divide(np.clip(y, 0.0, inst.prob), 4.0 * inst.prob, out=probs, where=inst.prob > 0)
     return probs
@@ -153,6 +152,15 @@ def _rule(inst: Instance, objective: LatticeObjective, probs: np.ndarray) -> _Ru
                  radix=S1 ** np.arange(I - 1, -1, -1),
                  table=value_table(objective) if S1 ** I <= ENUM_GUARD else None,
                  objective=objective)
+
+
+def _campaign(inst: Instance, objective: LatticeObjective, y: np.ndarray, runs: int, order):
+    """The resolved order and the :class:`_Rule` of a campaign of ``runs`` runs."""
+    if _int(runs, "runs") < 1:
+        raise ValidationError("runs", "must be at least 1")
+    order = resolve_order(order, inst.item_count)
+    # built before the campaign arrays, so that the value table's temporaries add nothing to their peak
+    return order, _rule(inst, objective, acceptance_probabilities(inst, y))
 
 
 def _values(table: np.ndarray | None, keys: np.ndarray) -> np.ndarray:
@@ -257,20 +265,6 @@ def _kernel(rule: _Rule, block, keep_small, codes: bool = False) -> _Rows:
     return _Rows(actions, spent, sizes, keys, _values(rule.table, keys) if codes else None)
 
 
-def _select(branch_small, small: _Rows, large: _Rows) -> _Rows:
-    """The combined policy's spend and sizes: small's where its coin chose small, large's elsewhere.
-
-    Bit for bit the kernel's with ``keep_small=branch_small``: each run
-    makes the same decisions as the branch its coin chose. They carry no
-    action codes and no keys; the campaign reads its runs' keys off the
-    small and large key columns by the same coins.
-    """
-    return _Rows(None,
-                 np.where(branch_small, small.spent, large.spent),
-                 np.where(branch_small, small.sizes, large.sizes),
-                 None)
-
-
 def _records(kind, block, rows: _Rows):
     """Yield a :class:`RunRecord` per row of one block, from rows the kernel ran with ``codes``."""
     phi, _, branch_small, orders = block
@@ -291,34 +285,26 @@ def _records(kind, block, rows: _Rows):
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicySimulation:
     """Aggregate of a seeded simulation campaign: its statistics and two exact integers.
 
-    The integers are reduced per block: the runs whose spend is not
-    within the budget, and ``largest_large``, the most pairs selected by
-    one run that followed the large rule (every run of a large campaign,
-    the runs of a combined campaign whose coin chose large, none of a
-    small campaign's). No per-run values, states, coins or actions are
-    kept; :func:`iter_records` draws them again from the same seed.
-    ``mean`` and ``stderr`` are set once the last block is folded in (NaN
-    until then; ``stderr`` stays NaN for a single run).
+    The integers are reduced per block from the small and large kernel
+    rows and the branch coins: the runs whose spend is not within the
+    budget, and ``largest_large``, the most pairs selected by one run that
+    followed the large rule (every run of a large campaign, the runs of a
+    combined campaign whose coin chose large, none of a small campaign's).
+    No per-run values, states, coins or actions are kept;
+    :func:`iter_records` draws them again from the same seed. Built once,
+    after the statistics are taken; ``stderr`` is NaN for a single run.
     """
 
     kind: str
     runs: int
-    budget_violations: int = 0
-    largest_large: int = 0
-    mean: float = math.nan
-    stderr: float = math.nan
-
-
-def _fold(sim: PolicySimulation, keep_small, rows: _Rows, budget: float) -> None:
-    """Reduce one block's rows, run with the kernel's ``keep_small``, into the campaign ``sim``."""
-    # exact comparison on the accumulated spend; no tolerance, and NaN counts
-    sim.budget_violations += int(np.count_nonzero(~(rows.spent <= budget)))
-    large = int(rows.sizes.max(initial=0, where=np.logical_not(keep_small)))
-    sim.largest_large = max(sim.largest_large, large)
+    budget_violations: int
+    largest_large: int
+    mean: float
+    stderr: float
 
 
 def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray, runs: int,
@@ -332,25 +318,22 @@ def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray
     from the branch its coin chose. The campaigns keep the small and large
     key of every run and its branch coin: 9 bytes per run within
     ``ENUM_GUARD`` (two int32 table ranks and a bool), 17 past it (two
-    values). Budget violations and the largest large-rule selection are
-    reduced per block as integers. The statistics are then taken one
-    campaign at a time, from run values gathered off the keys a node of
-    numpy's pairwise sum at a time (:func:`_statistics`): the bits of
-    ``np.mean`` and ``np.std(ddof=1)`` at any chunk size, with no per-run
-    buffer. Memory is the keys and coins, one block's draws and kernel
-    columns (no action codes: about 2.4 MB at 12 items), and, within
-    ``ENUM_GUARD``, the objective's value table (8 bytes per lattice
-    point). No run record is built; :func:`iter_records` gives a
-    campaign's records.
+    values). Each block's budget violations and largest large-rule
+    selection are reduced as integers, for all three campaigns, from the
+    small and large rows' spends and sizes and the block's branch coins.
+    The statistics are then taken one campaign at a time, from run values
+    gathered off the keys a node of numpy's pairwise sum at a time
+    (:func:`_statistics`): the bits of ``np.mean`` and ``np.std(ddof=1)``
+    at any chunk size, with no per-run buffer. Memory is the keys and
+    coins, one block's draws and kernel columns (no action codes: about
+    2.4 MB at 12 items), and, within ``ENUM_GUARD``, the objective's value
+    table (8 bytes per lattice point). No run record is built;
+    :func:`iter_records` gives a campaign's records.
     """
-    if _int(runs, "runs") < 1:
-        raise ValidationError("runs", "must be at least 1")
-    order = resolve_order(order, inst.item_count)
-    # built before the campaign arrays, so that the value table's temporaries add nothing to their peak
-    rule = _rule(inst, objective, acceptance_probabilities(inst, y))
-    sims = [PolicySimulation(kind, runs) for kind in KINDS]
+    order, rule = _campaign(inst, objective, y, runs, order)
     keys = np.empty((2, runs), dtype=float if rule.table is None else np.int32)  # small's, large's
     branch = np.empty(runs, dtype=bool)
+    violations, largest = [0] * 3, [0] * 3  # by KINDS
     start = 0
     for block in _draw_plan(inst, runs, order, seed):
         branch_small = block[2]
@@ -358,19 +341,25 @@ def simulate_policies(inst: Instance, objective: LatticeObjective, y: np.ndarray
         branch[start:stop] = branch_small
         small, large = (_kernel(rule, block, keep) for keep in (True, False))
         keys[0, start:stop], keys[1, start:stop] = small.keys, large.keys
-        for sim, keep_small, rows in zip(sims, (True, False, branch_small),
-                                         (small, large, _select(branch_small, small, large))):
-            _fold(sim, keep_small, rows, inst.budget)
+        # exact comparison on the accumulated spend; no tolerance, and NaN counts
+        over = [~(rows.spent <= rule.budget) for rows in (small, large)]
+        for k, mask in enumerate((*over, np.where(branch_small, *over))):
+            violations[k] += int(np.count_nonzero(mask))
+        # the large rule's runs: all of large's, and stocan's where the coin chose large
+        for k, where in ((1, True), (2, ~branch_small)):
+            largest[k] = max(largest[k], int(large.sizes.max(initial=0, where=where)))
         start = stop
-        del block, small, large, rows  # free this block before the plan draws the next
-    for k, sim in enumerate(sims):
+        del block, small, large, over  # free this block before the plan draws the next
+    sims = []
+    for k, kind in enumerate(KINDS):
         def values(a: int, b: int) -> np.ndarray:  # runs a..b-1, in a new array
-            out = _values(rule.table, keys[1 if sim.kind == "stocan" else k, a:b]).astype(float)
-            if sim.kind == "stocan":  # large's run, or small's where the coin chose small
+            out = _values(rule.table, keys[1 if kind == "stocan" else k, a:b]).astype(float)
+            if kind == "stocan":  # large's run, or small's where the coin chose small
                 np.copyto(out, _values(rule.table, keys[0, a:b]), where=branch[a:b])
             return out
-        sim.mean, std = _statistics(values, runs)
-        sim.stderr = float(std / math.sqrt(runs))  # NaN for a single run
+        mean, std = _statistics(values, runs)
+        sims.append(PolicySimulation(kind, runs, violations[k], largest[k], mean,
+                                     float(std / math.sqrt(runs))))  # NaN for a single run
     return sims
 
 
@@ -415,6 +404,11 @@ def simulate_policy(kind: str, inst: Instance, objective: LatticeObjective, y: n
     return simulate_policies(inst, objective, y, runs, order, seed)[KINDS.index(kind)]
 
 
+def combined_value(small: float, large: float) -> float:
+    """The combined policy's expected value from its branches': a fair coin between them."""
+    return 0.5 * small + 0.5 * large
+
+
 def exact_policy_value(kind: str, inst: Instance, objective: LatticeObjective,
                        y: np.ndarray, order="identity") -> float:
     """Exact expected policy value over states and accept coins.
@@ -431,8 +425,8 @@ def exact_policy_value(kind: str, inst: Instance, objective: LatticeObjective,
     without ``i``; the factor that mass keeps is built in the old spend,
     which no later arrival reads. The pass so holds the law, the table, a
     spend one axis shorter and one mask. The value is that law against the
-    value table; the combined policy averages its two branches. Bounded,
-    like the table, by ``ENUM_GUARD``.
+    value table; the combined policy's is the fair coin between its
+    branches' (:func:`combined_value`). Bounded, like the table, by ``ENUM_GUARD``.
     """
     _check_kind(kind)
     probs = acceptance_probabilities(inst, y)
@@ -482,7 +476,7 @@ def exact_policy_value(kind: str, inst: Instance, objective: LatticeObjective,
         return float(np.sum(flat))
 
     if kind == "stocan":
-        return 0.5 * branch(True) + 0.5 * branch(False)
+        return combined_value(branch(True), branch(False))
     return branch(kind == "small")
 
 
@@ -507,11 +501,8 @@ def iter_records(kind: str, inst: Instance, objective: LatticeObjective, y: np.n
     branch coins, which gives bit for bit the rows a campaign reads off the
     small and large rows.
     """
-    if _int(runs, "runs") < 1:
-        raise ValidationError("runs", "must be at least 1")
     _check_kind(kind)
-    order = resolve_order(order, inst.item_count)
-    rule = _rule(inst, objective, acceptance_probabilities(inst, y))
+    order, rule = _campaign(inst, objective, y, runs, order)
     for block in _draw_plan(inst, runs, order, seed):
         keep_small = block[2] if kind == "stocan" else kind == "small"
         yield from _records(kind, block, _kernel(rule, block, keep_small, codes=True))

@@ -816,6 +816,36 @@ def test_verify_order_rows_are_exact_values_and_run_no_campaign(monkeypatch, ord
     assert row["lhs_source"] == "min over orders of exact_value[stocan] - bound"
 
 
+def test_verify_takes_each_branch_exact_value_once_at_the_campaign_order(monkeypatch):
+    path = reference_suite_paths()[7]  # 3 items, 2 states: 6 orders
+    calls = []
+    exact = policies.exact_policy_value
+    monkeypatch.setattr(policies, "exact_policy_value",
+                        lambda kind, *a, **k: calls.append((kind, k["order"])) or exact(kind, *a, **k))
+    report = harness.run_verify(harness.ExperimentConfig(instance=str(path), seed=1, rounds=50,
+                                                         runs=2000, order=[2, 0, 1], order_checks=4))
+    orders = next(c for c in report["checks"] if c["name"] == "order_robustness")["detail"]["orders"]
+    assert len(orders) == 4 and len(calls) == 2 + len(orders)
+    assert calls[:2] == [("small", (2, 0, 1)), ("large", (2, 0, 1))]
+    inst, f = model.load_instance(path)
+    y = np.array(report["solution"]["y"])
+    by_name = {c["name"]: c for c in report["checks"]}
+    for kind, name in (("small", "small_simulation_vs_exact"), ("large", "large_simulation_vs_exact"),
+                       ("stocan", "simulation_vs_exact")):  # stocan's: the fair coin, bit for bit
+        assert by_name[name]["rhs"] == exact(kind, inst, f, y, order=[2, 0, 1]), name
+
+
+@pytest.mark.parametrize("run", [harness.run_simulate, harness.run_verify])
+def test_bad_order_is_rejected_before_any_work(monkeypatch, run):
+    def greedy(*args, **kwargs):
+        raise AssertionError("the greedy ran before the order was checked")
+
+    monkeypatch.setattr(harness, "continuous_greedy", greedy)
+    path = str(reference_suite_paths()[5])  # 1 item
+    with pytest.raises(ValidationError, match="not a permutation"):
+        run(harness.ExperimentConfig(instance=path, seed=1, order=[0, 0, 1]))
+
+
 def test_verify_random_order_mode_skips_exact_comparison(tmp_path):
     path = str(reference_suite_paths()[6])
     cfg = harness.ExperimentConfig(instance=path, seed=13, rounds=80, runs=5000,
@@ -1011,6 +1041,21 @@ def test_solution_within_tolerance_above_its_cap_accepts_at_one_quarter(tmp_path
                                    "solution": {"y": y}}, "opt.json")
     assert cli.main(["simulate", "--instance", str(inst_path), "--seed", "1", "--runs", "100",
                      "--solution", str(opt), "--out", str(tmp_path / "sim.json")]) == 0
+
+
+def test_solution_within_tolerance_above_one_is_admitted_and_clipped(tmp_path):
+    # y = 1 + 5e-10 exceeds p = 1 by less than PROB_TOL: the LP check admits it, and so does H
+    payload = {"budget": 1.0, "items": [{"costs": [0.3], "probs": [1.0]}],
+               "objective": {"family": "separable_concave", "g": [0.0, 1.0], "weights": [1.0]}}
+    inst_path = write_payload(tmp_path, payload)
+    opt = write_payload(tmp_path, {"instance": {"digest": model.instance_digest(payload)},
+                                   "solution": {"y": [[1 + 5e-10]]}}, "opt.json")
+    out = tmp_path / "sim.json"
+    assert cli.main(["simulate", "--instance", str(inst_path), "--seed", "1", "--runs", "100",
+                     "--solution", str(opt), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["solution"]["H"]["y"] == 1.0  # clipped to y = 1
+    inst, _ = model.instance_from_dict(payload)
+    assert policies.acceptance_probabilities(inst, np.array([[1 + 5e-10]]))[0, 0] == 0.25
 
 
 @pytest.mark.parametrize("flag, target", [

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stocan import extension, harness, model, optimizer, policies
-from stocan.errors import CapacityError, PreconditionError, ValidationError
+from stocan.errors import CapacityError, ValidationError
 
 from conftest import generated, make_instance, modular_objective
 
@@ -66,13 +66,13 @@ def test_order_resolution():
                                     order="random")
 
 
-def test_infeasible_y_raises_precondition_error():
+def test_infeasible_y_raises_validation_error_naming_the_entry():
     inst = make_instance([[0.5, 0.5]], [[0.2, 0.4]], 1.0)
     f = modular_objective([1.0], 2)
     too_big = np.array([[0.9, 0.1]])  # exceeds the p cap, accept prob would pass 1/4
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ValidationError, match=r"^y\[0\]\[0\]: "):
         policies.scalar_runs("small", inst, f, too_big, 1, seed=0)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ValidationError, match=r"^y\[0\]\[0\]: "):
         policies.simulate_policy("small", inst, f, too_big, 10, seed=0)
 
 
@@ -514,36 +514,56 @@ def test_stocan_selection_is_the_branch_kernel_bit_for_bit(order):
     block = next(policies._draw_plan(inst, 3000, policies.resolve_order(order, inst.item_count), 52))
     branch = block[2]
     small, large, combined = (policies._kernel(rule, block, keep) for keep in (True, False, branch))
-    chosen = policies._select(branch, small, large)
-    for field in ("spent", "sizes"):
-        a, b = getattr(chosen, field), getattr(combined, field)
+    for field in ("spent", "sizes"):  # each run decides as the branch its coin chose
+        a = np.where(branch, getattr(small, field), getattr(large, field))
+        b = getattr(combined, field)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
     # a campaign reads its stocan keys off small's and large's by the same coins
     keys = np.where(branch, small.keys, large.keys)
     assert keys.dtype == combined.keys.dtype == np.int32
     assert keys.tobytes() == combined.keys.tobytes()
     # campaign rows carry no action codes and no values; records ask the kernel for them
-    for rows in (small, large, combined, chosen):
+    for rows in (small, large, combined):
         assert rows.actions is None and rows.values is None
-    assert chosen.keys is None
 
     # through the public views: stocan beside small and large, stocan alone, and its records
     by_plan = policies.simulate_policies(inst, f, y, 3000, order, seed=52)[2]
     alone = policies.simulate_policy("stocan", inst, f, y, 3000, order=order, seed=52)
     assert statistics(by_plan) == statistics(alone)
-    assert by_plan.budget_violations == 0
+    # its two integers, read off small's and large's rows, are those of the combined kernel pass
+    assert by_plan.budget_violations == np.count_nonzero(~(combined.spent <= inst.budget)) == 0
+    assert by_plan.largest_large == combined.sizes.max(initial=0, where=~branch)
     records = policies.scalar_runs("stocan", inst, f, y, 3000, order, seed=52)
     assert statistics(by_plan)[:2] == value_statistics([r.value for r in records])
-    assert [r.total_cost for r in records] == chosen.spent.tolist()  # 3000 runs: one block
+    assert [r.total_cost for r in records] == combined.spent.tolist()  # 3000 runs: one block
     assert [r.branch == "small" for r in records] == branch.tolist()
 
 
-def test_nan_spend_counts_as_a_budget_violation():
-    sim = policies.PolicySimulation(kind="small", runs=2)
-    rows = policies._Rows(actions=None, spent=np.array([0.5, math.nan]),
-                          sizes=np.zeros(2, dtype=np.int64), keys=np.zeros(2, dtype=np.int32))
-    policies._fold(sim, True, rows, budget=1.0)
-    assert sim.budget_violations == 1
+def test_nan_spend_counts_as_a_budget_violation(monkeypatch):
+    # one run's small row spends NaN and its large row claims two pairs: the NaN is a violation
+    # of small's and the two pairs large's largest; each is stocan's iff its coin chose that branch
+    inst, f = generated(141, 4, 2, "separable_concave")
+    y = greedy_y(inst, f, rounds=20)
+    branch = next(policies._draw_plan(inst, 64, "identity", 54))[2]
+    before = policies.simulate_policies(inst, f, y, 64, seed=54)[2].largest_large
+    kernel = policies._kernel
+    for coin_small in (True, False):
+        run = int(np.flatnonzero(branch == coin_small)[0])
+
+        def poisoned(rule, block, keep_small, codes=False):
+            rows = kernel(rule, block, keep_small, codes)
+            if keep_small is True:
+                rows.spent[run] = math.nan
+            elif keep_small is False:
+                rows.sizes[run] = 2
+            return rows
+
+        monkeypatch.setattr(policies, "_kernel", poisoned)
+        small, large, stocan = policies.simulate_policies(inst, f, y, 64, seed=54)
+        assert (small.budget_violations, large.budget_violations) == (1, 0)
+        assert stocan.budget_violations == int(coin_small)
+        assert (small.largest_large, large.largest_large) == (0, 2)
+        assert stocan.largest_large == (before if coin_small else 2)
 
 
 def test_two_kernel_passes_per_block_one_campaign_per_kind(monkeypatch):
