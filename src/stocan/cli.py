@@ -11,7 +11,7 @@ Subcommands::
 write it to ``--out`` and print a summary.
 
 Exit codes: 0 success, 1 verification-check failure, 2 input or
-validation error, 3 enumeration-guard (capacity) error.
+validation error, 3 enumeration-guard (capacity) error or out of memory.
 """
 
 from __future__ import annotations
@@ -135,8 +135,8 @@ def _run(args: argparse.Namespace) -> int:
         if args.command == "verify" and report["status"] != "pass":
             return EXIT_CHECK_FAILED
         return EXIT_OK
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:  # a run too large for memory is not a failed check
+        print(f"capacity error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAPACITY
     except (StocanError, OSError) as exc:  # invalid input, or a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)

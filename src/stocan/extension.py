@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 from .model import (ENUM_GUARD, PROB_TOL, ConcaveOverModular, LatticeObjective, NestedCoverage,
-                    SeparableConcave, enumerate_state_vectors)
+                    SeparableConcave, _int, enumerate_state_vectors)
 from .rng import ESTIMATE, substream
 
 _CHUNK = 1 << 14
@@ -363,31 +363,29 @@ class FactoredExtension:
         return W
 
 
-def _draw_max_states(x: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Sample per-item maximum included states for n independent pair sets."""
+def _max_state_draws(x: np.ndarray, objective: LatticeObjective, samples: int,
+                     rng: np.random.Generator):
+    """Per-item maximum included states of ``samples`` pair sets drawn from ``rng``, in
+    ``(n, I)`` blocks of at most ``_CHUNK`` rows; ``samples`` and ``x`` are checked at once."""
+    if _int(samples, "samples") < 1:
+        raise ValidationError("samples", "must be at least 1")
+    x = check_fractional(x, objective)
     I, S = x.shape
-    incl = rng.random((n, I, S)) < x[None, :, :]
-    return np.max(np.where(incl, np.arange(1, S + 1)[None, None, :], 0), axis=2)
+    states = np.arange(1, S + 1)
+    return (np.max(np.where(rng.random((min(_CHUNK, samples - done), I, S)) < x, states, 0), axis=2)
+            for done in range(0, samples, _CHUNK))
 
 
 def estimate_H(x: np.ndarray, objective: LatticeObjective, samples: int,
                seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of H with its standard error.
 
-    Deterministic in ``seed``. With a 0/1 matrix the draw is constant,
-    so the standard error is exactly zero.
+    Deterministic in ``seed``, and drawn by :func:`sampled_marginals`'s
+    sampler; ``samples`` is an integer of at least 1. With a 0/1 matrix
+    the draw is constant, so the standard error is exactly zero.
     """
-    if samples < 1:
-        raise ValidationError("samples", "must be at least 1")
-    x = check_fractional(x, objective)
-    rng = substream(seed, ESTIMATE)
-    vals = np.empty(samples)
-    done = 0
-    while done < samples:
-        n = min(_CHUNK, samples - done)
-        u = _draw_max_states(x, rng, n)
-        vals[done:done + n] = objective.value_many(u)
-        done += n
+    draws = _max_state_draws(x, objective, samples, substream(seed, ESTIMATE))
+    vals = np.concatenate([objective.value_many(u) for u in draws])
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else math.nan
     return mean, stderr
@@ -397,21 +395,17 @@ def sampled_marginals(x: np.ndarray, objective: LatticeObjective, samples: int,
                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo marginal weights using common random pair sets drawn from ``rng``.
 
-    The with-pair and without-pair expectations share every draw (the
-    pair is simply toggled in), so the difference estimator avoids the
-    variance of two independent estimates. Returns (omega, stderr),
-    both ``I x S``; the exact weights are ``FactoredExtension.marginals``.
+    Drawn by :func:`estimate_H`'s sampler; ``samples`` is an integer of at
+    least 1. The with-pair and without-pair expectations share every draw
+    (the pair is simply toggled in), so the difference estimator avoids the
+    variance of two independent estimates. Returns (omega, stderr), both
+    ``I x S``; the exact weights are ``FactoredExtension.marginals``.
     """
-    if samples < 1:
-        raise ValidationError("samples", "must be at least 1")
-    x = check_fractional(x, objective)
-    I, S = x.shape
+    draws = _max_state_draws(x, objective, samples, rng)
+    I, S = objective.item_count, objective.state_count
     sums = np.zeros((I, S))
     sqsums = np.zeros((I, S))
-    done = 0
-    while done < samples:
-        n = min(_CHUNK, samples - done)
-        base = _draw_max_states(x, rng, n)
+    for base in draws:
         base_vals = objective.value_many(base)
         for i in range(I):
             saved = base[:, i].copy()
@@ -421,7 +415,6 @@ def sampled_marginals(x: np.ndarray, objective: LatticeObjective, samples: int,
                 sums[i, s - 1] += diff.sum()
                 sqsums[i, s - 1] += np.dot(diff, diff)
             base[:, i] = saved
-        done += n
     omega = sums / samples
     if samples > 1:
         var = np.maximum(sqsums - samples * omega**2, 0.0) / (samples - 1)
@@ -429,4 +422,3 @@ def sampled_marginals(x: np.ndarray, objective: LatticeObjective, samples: int,
     else:
         stderr = np.full((I, S), math.nan)
     return omega, stderr
-

@@ -59,11 +59,7 @@ class ExperimentConfig:
             if model._int(getattr(self, name), name) < 1:
                 raise ValidationError(name, "must be a positive integer")
         if not isinstance(self.order, str):
-            try:
-                self.order = tuple(model._int(v, "order") for v in self.order)
-            except TypeError:
-                raise ValidationError("order", f"expected a spec or a list of item indices "
-                                               f"(got {self.order!r})") from None
+            self.order = policies.order_indices(self.order)
         for path in (self.out, self.records):
             if path:
                 _check_writable(path)
@@ -347,9 +343,10 @@ def run_verify(cfg: ExperimentConfig) -> dict:
     never simulated: its floor is checked on its exact value. So is the
     combined policy's floor at each checked arrival order: every
     permutation when there are at most ``order_checks``, else
-    ``order_checks`` seeded draws.
-    Oracle-gated checks are marked skipped (not failed) when the
-    instance exceeds the relevant enumeration guard. The report's
+    ``order_checks`` distinct seeded draws.
+    Oracle-gated checks are marked skipped (not failed), in their own
+    place, when the instance exceeds the relevant enumeration guard, so
+    every report lists the same checks in the same order. The report's
     overall status is "pass" iff no non-skipped check failed.
     """
     if cfg.runs < 2:
@@ -372,23 +369,21 @@ def run_verify(cfg: ExperimentConfig) -> dict:
               else _skip("split_superadditivity", EXACT_SKIP)]
 
     try:
-        opt = oracle.optimal_policy_value(inst, objective)
+        opt, no_oracle = oracle.optimal_policy_value(inst, objective), None
     except CapacityError as exc:
-        opt = None
-        checks += [_skip(name, str(exc)) for name in
-                   ("fractional_vs_adaptive_oracle", "combined_policy_guarantee", "order_robustness")]
-    if opt is not None:  # (S+1)^I < (S+2)^I fits the guard, so H is exact
-        checks.append(_check("fractional_vs_adaptive_oracle", "ge", H["y"], "H(y)",
-                             FRACTIONAL_RATIO * opt, "(1 - 1/e) * adaptive_optimum",
-                             FRACTIONAL_TOL))
+        opt, no_oracle = None, str(exc)
+    # (S+1)^I < (S+2)^I: with the oracle, H is exact and the value table fits the guard
+    checks.append(_check("fractional_vs_adaptive_oracle", "ge", H["y"], "H(y)",
+                         FRACTIONAL_RATIO * opt, "(1 - 1/e) * adaptive_optimum", FRACTIONAL_TOL)
+                  if opt is not None else _skip("fractional_vs_adaptive_oracle", no_oracle))
 
     small, large, stocan_sim = policies.simulate_policies(inst, objective, y, cfg.runs, order,
                                                           seed=cfg.seed)
     sims = {"small": small, "large": large, "stocan": stocan_sim}
 
-    if opt is not None:
-        checks.append(floor("combined_policy_guarantee", stocan_sim, "stocan",
-                            GUARANTEE_RATIO * opt, "((1 - 1/e)/16) * adaptive_optimum"))
+    checks.append(floor("combined_policy_guarantee", stocan_sim, "stocan",
+                        GUARANTEE_RATIO * opt, "((1 - 1/e)/16) * adaptive_optimum")
+                  if opt is not None else _skip("combined_policy_guarantee", no_oracle))
     for name, sim, part in (("small_policy_floor", small, "y_small"),
                             ("large_policy_floor", large, "y_large")):
         checks.append(floor(name, sim, sim.kind, H[part] / 8.0, f"H({part}) / 8") if H
@@ -416,16 +411,22 @@ def run_verify(cfg: ExperimentConfig) -> dict:
                              f"exact_policy_value[{kind}]", SIGMA * sim.stderr + SPLIT_TOL)
                       if exact else _skip(name, skip))
 
-    if opt is not None:  # (S+2)^I fits the guard, so the value table does
+    if opt is None:
+        checks.append(_skip("order_robustness", no_oracle))
+    else:
         I = inst.item_count
-        perms = (itertools.permutations(range(I)) if math.factorial(I) <= cfg.order_checks
-                 else (substream(cfg.seed, ORDERS, 1000 + k).permutation(I)
-                       for k in range(cfg.order_checks)))
+        if math.factorial(I) <= cfg.order_checks:
+            perms = itertools.permutations(range(I))
+        else:  # seeded draws until order_checks distinct orders are held, in the order first drawn
+            perms, k = {}, 1000
+            while len(perms) < cfg.order_checks:
+                perms.setdefault(tuple(substream(cfg.seed, ORDERS, k).permutation(I).tolist()))
+                k += 1
         bound = GUARANTEE_RATIO * opt - SPLIT_TOL
         order_rows = []
         for perm in perms:
             value = policies.exact_policy_value("stocan", inst, objective, y, order=perm)
-            order_rows.append({"order": [int(v) for v in perm], "value": value, "bound": bound,
+            order_rows.append({"order": list(perm), "value": value, "bound": bound,
                                "pass": value >= bound})
         checks.append(_check("order_robustness", "ge",
                              min(r["value"] - r["bound"] for r in order_rows),

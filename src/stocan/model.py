@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -64,8 +63,11 @@ class Instance:
     ``prob[i, s-1]`` is the probability that item ``i`` realizes state
     ``s``; rows sum to one. ``cost[i, s-1]`` is the cost charged when
     picking item ``i`` in state ``s``; costs are nondecreasing in the
-    state ("better" states cost more). Arrays are frozen after
-    construction, so instances can be shared across threads freely.
+    state ("better" states cost more). ``prob`` and ``cost`` list one row
+    per item; a bad entry raises a ValidationError naming it
+    (``items[i].probs[s]``, ``instance.budget``), whether the loader or a
+    caller builds the instance. Arrays are frozen after construction, so
+    instances can be shared across threads freely.
     """
 
     prob: np.ndarray
@@ -73,19 +75,45 @@ class Instance:
     budget: float
 
     def __post_init__(self):
-        prob = np.array(self.prob, dtype=float)
-        cost = np.array(self.cost, dtype=float)
-        if prob.ndim != 2 or prob.shape != cost.shape or prob.shape[0] < 1 or prob.shape[1] < 1:
-            raise ValidationError("instance", "prob and cost must be equal-shape I x S matrices")
-        _validate_rows(prob, cost)
-        if not (math.isfinite(self.budget) and self.budget > 0):
-            raise ValidationError("instance.budget",
-                                  f"budget must be positive and finite (got {self.budget})")
-        prob.flags.writeable = False
-        cost.flags.writeable = False
-        object.__setattr__(self, "prob", prob)
-        object.__setattr__(self, "cost", cost)
-        object.__setattr__(self, "budget", float(self.budget))
+        try:
+            rows = list(zip(self.prob, self.cost, strict=True))
+        except (TypeError, ValueError):  # not iterable, or a row count that differs
+            rows = []
+        if not rows:
+            raise ValidationError("instance", "prob and cost must list one row per item, "
+                                              "as many of each and at least one")
+        prob, cost = [], []
+        for i, (row, crow) in enumerate(rows):
+            row, crow = _floats(row, f"items[{i}].probs", 1), _floats(crow, f"items[{i}].costs", 1)
+            if row.size != crow.size or not row.size:
+                raise ValidationError(f"items[{i}]", "probs and costs must be nonempty, equal-length lists")
+            if prob and row.size != prob[0].size:
+                raise ValidationError(f"items[{i}].probs", f"expected {prob[0].size} states, got {row.size}")
+            if np.any(row < -PROB_TOL) or np.any(row > 1 + PROB_TOL):
+                s = int(np.argmax((row < -PROB_TOL) | (row > 1 + PROB_TOL)))
+                raise ValidationError(f"items[{i}].probs[{s}]", f"probability {row[s]} outside [0, 1]")
+            total = float(row.sum())
+            if abs(total - 1.0) > PROB_TOL:
+                raise ValidationError(f"items[{i}].probs", f"entries must sum to 1 (got {total})")
+            if np.any(crow < -0.0):
+                s = int(np.argmax(crow < 0))
+                raise ValidationError(f"items[{i}].costs[{s}]", f"cost {crow[s]} is negative")
+            for s in range(1, crow.size):
+                if crow[s] < crow[s - 1] - PROB_TOL:
+                    raise ValidationError(
+                        f"items[{i}].costs",
+                        f"cost must be nondecreasing in state: state {s + 1} costs {crow[s]} "
+                        f"< state {s} cost {crow[s - 1]}",
+                    )
+            prob.append(row)
+            cost.append(crow)
+        budget = float(_floats(self.budget, "instance.budget", 0))
+        if budget <= 0:
+            raise ValidationError("instance.budget", f"budget must be positive (got {budget})")
+        for name, matrix in (("prob", np.array(prob)), ("cost", np.array(cost))):
+            matrix.flags.writeable = False
+            object.__setattr__(self, name, matrix)
+        object.__setattr__(self, "budget", budget)
 
     @property
     def item_count(self) -> int:
@@ -94,28 +122,6 @@ class Instance:
     @property
     def state_count(self) -> int:
         return self.prob.shape[1]
-
-
-def _validate_rows(prob: np.ndarray, cost: np.ndarray) -> None:
-    for i in range(prob.shape[0]):
-        row = _floats(prob[i], f"items[{i}].probs", 1)
-        crow = _floats(cost[i], f"items[{i}].costs", 1)
-        if np.any(row < -PROB_TOL) or np.any(row > 1 + PROB_TOL):
-            s = int(np.argmax((row < -PROB_TOL) | (row > 1 + PROB_TOL)))
-            raise ValidationError(f"items[{i}].probs[{s}]", f"probability {row[s]} outside [0, 1]")
-        total = float(row.sum())
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValidationError(f"items[{i}].probs", f"entries must sum to 1 (got {total})")
-        if np.any(crow < -0.0):
-            s = int(np.argmax(crow < 0))
-            raise ValidationError(f"items[{i}].costs[{s}]", f"cost {crow[s]} is negative")
-        for s in range(1, cost.shape[1]):
-            if crow[s] < crow[s - 1] - PROB_TOL:
-                raise ValidationError(
-                    f"items[{i}].costs",
-                    f"cost must be nondecreasing in state: state {s + 1} costs {crow[s]} "
-                    f"< state {s} cost {crow[s - 1]}",
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -151,22 +157,23 @@ class ConcaveCurve:
     KINDS = ("cap", "sqrt", "power", "log1p")
 
     def __init__(self, kind: str, *, cap: float | None = None, scale: float = 1.0,
-                 exponent: float | None = None, path: str = "g"):
+                 exponent: float | None = None):
         if kind not in self.KINDS:
-            raise ValidationError(f"{path}.kind", f"unknown curve kind {kind!r}")
-        scale = float(_floats(scale, f"{path}.scale", 0))
+            raise ValidationError("objective.g.kind", f"unknown curve kind {kind!r}")
+        scale = float(_floats(scale, "objective.g.scale", 0))
         if cap is not None:
-            cap = float(_floats(cap, f"{path}.cap", 0))
+            cap = float(_floats(cap, "objective.g.cap", 0))
         if exponent is not None:
-            exponent = float(_floats(exponent, f"{path}.exponent", 0))
+            exponent = float(_floats(exponent, "objective.g.exponent", 0))
         if scale <= 0:
-            raise ValidationError(f"{path}.scale", f"scale must be positive (got {scale})")
+            raise ValidationError("objective.g.scale", f"scale must be positive (got {scale})")
         if kind == "cap":
             if cap is None or cap <= 0:
-                raise ValidationError(f"{path}.cap", f"cap must be positive (got {cap})")
+                raise ValidationError("objective.g.cap", f"cap must be positive (got {cap})")
         if kind == "power":
             if exponent is None or not 0 < exponent <= 1:
-                raise ValidationError(f"{path}.exponent", f"exponent must lie in (0, 1] (got {exponent})")
+                raise ValidationError("objective.g.exponent",
+                                      f"exponent must lie in (0, 1] (got {exponent})")
         self.kind = kind
         self.cap = cap
         self.scale = scale
@@ -183,11 +190,10 @@ class ConcaveCurve:
         return self.scale * np.log1p(t)
 
     @classmethod
-    def from_dict(cls, d: dict, path: str = "g") -> "ConcaveCurve":
+    def from_dict(cls, d: dict) -> "ConcaveCurve":
         if not isinstance(d, dict) or "kind" not in d:
-            raise ValidationError(path, "expected an object with a 'kind' key")
-        return cls(d["kind"], cap=d.get("cap"), scale=d.get("scale", 1.0),
-                   exponent=d.get("exponent"), path=path)
+            raise ValidationError("objective.g", "expected an object with a 'kind' key")
+        return cls(d["kind"], cap=d.get("cap"), scale=d.get("scale", 1.0), exponent=d.get("exponent"))
 
 
 def _sum_item_terms(tables: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -209,36 +215,30 @@ class SeparableConcave(LatticeObjective):
 
     family = "separable_concave"
 
-    def __init__(self, weights, g_table, *, path: str = "objective"):
-        weights = _floats(weights, f"{path}.weights", 1)
-        g = _floats(g_table, f"{path}.g", 1)
+    def __init__(self, weights, g_table):
+        weights = _floats(weights, "objective.weights", 1)
+        g = _floats(g_table, "objective.g", 1)
         if weights.size < 1:
-            raise ValidationError(f"{path}.weights", "expected a nonempty list of weights")
+            raise ValidationError("objective.weights", "expected a nonempty list of weights")
         if np.any(weights < 0):
             i = int(np.argmax(weights < 0))
-            raise ValidationError(f"{path}.weights[{i}]", f"weight {weights[i]} is negative")
+            raise ValidationError(f"objective.weights[{i}]", f"weight {weights[i]} is negative")
         if g.size < 2:
-            raise ValidationError(f"{path}.g", "expected g tabulated on states 0..S (length S+1)")
-        _validate_concave_table(g, f"{path}.g")
+            raise ValidationError("objective.g", "expected g tabulated on states 0..S (length S+1)")
+        if abs(g[0]) > EXACT_TOL:
+            raise ValidationError("objective.g[0]", f"g(0) must be 0 (got {g[0]})")
+        for k in range(1, g.size):
+            if g[k] < g[k - 1] - EXACT_TOL:
+                raise ValidationError(f"objective.g[{k}]", f"g must be nondecreasing ({g[k]} < {g[k-1]})")
+        for k in range(2, g.size):  # concavity via second differences
+            if (g[k] - g[k - 1]) > (g[k - 1] - g[k - 2]) + EXACT_TOL:
+                raise ValidationError(f"objective.g[{k}]",
+                                      "second difference is positive (table is not concave)")
         super().__init__(weights.size, g.size - 1)
         self._terms = weights[:, None] * g  # _terms[i, s] = w_i * g(s)
 
     def value_many(self, u: np.ndarray) -> np.ndarray:
         return _sum_item_terms(self._terms, u)
-
-
-def _validate_concave_table(g: np.ndarray, path: str) -> None:
-    if abs(g[0]) > EXACT_TOL:
-        raise ValidationError(f"{path}[0]", f"g(0) must be 0 (got {g[0]})")
-    for k in range(1, g.size):
-        if g[k] < g[k - 1] - EXACT_TOL:
-            raise ValidationError(f"{path}[{k}]", f"g must be nondecreasing ({g[k]} < {g[k-1]})")
-    # concavity via second differences
-    for k in range(2, g.size):
-        if (g[k] - g[k - 1]) > (g[k - 1] - g[k - 2]) + EXACT_TOL:
-            raise ValidationError(
-                f"{path}[{k}]", "second difference is positive (table is not concave)"
-            )
 
 
 class NestedCoverage(LatticeObjective):
@@ -251,37 +251,37 @@ class NestedCoverage(LatticeObjective):
 
     family = "nested_coverage"
 
-    def __init__(self, covers, element_weights, *, path: str = "objective"):
-        weights = _floats(element_weights, f"{path}.element_weights", 1)
+    def __init__(self, covers, element_weights):
+        weights = _floats(element_weights, "objective.element_weights", 1)
         if weights.size < 1:
-            raise ValidationError(f"{path}.element_weights", "expected a nonempty list of weights")
+            raise ValidationError("objective.element_weights", "expected a nonempty list of weights")
         if np.any(weights < 0):
             e = int(np.argmax(weights < 0))
-            raise ValidationError(f"{path}.element_weights[{e}]", f"weight {weights[e]} is negative")
+            raise ValidationError(f"objective.element_weights[{e}]", f"weight {weights[e]} is negative")
         m = weights.size
         lists = (list, tuple)
         if not isinstance(covers, lists) or not covers:
-            raise ValidationError(f"{path}.covers", "expected one list of cover sets per item")
+            raise ValidationError("objective.covers", "expected one list of cover sets per item")
         state_count = len(covers[0]) if isinstance(covers[0], lists) else 0
         masks = []
         for i, item_covers in enumerate(covers):
             if not isinstance(item_covers, lists) or not all(isinstance(c, lists) for c in item_covers):
-                raise ValidationError(f"{path}.covers[{i}]", "expected a list of element lists, one per state")
+                raise ValidationError(f"objective.covers[{i}]", "expected a list of element lists, one per state")
             if not item_covers or len(item_covers) != state_count:
-                raise ValidationError(f"{path}.covers[{i}]", "all items must list one cover set per state")
+                raise ValidationError(f"objective.covers[{i}]", "all items must list one cover set per state")
             mask = np.zeros((state_count + 1, m), dtype=bool)
             prev: set = set()
             for s, elems in enumerate(item_covers, start=1):
                 for e in elems:  # before set(), which fails on an unhashable entry
                     if not isinstance(e, int) or not 0 <= e < m:
                         raise ValidationError(
-                            f"{path}.covers[{i}][{s - 1}]", f"element {e!r} outside 0..{m - 1}"
+                            f"objective.covers[{i}][{s - 1}]", f"element {e!r} outside 0..{m - 1}"
                         )
                 cur = set(elems)
                 if not prev <= cur:
                     missing = sorted(prev - cur)
                     raise ValidationError(
-                        f"{path}.covers[{i}][{s - 1}]",
+                        f"objective.covers[{i}][{s - 1}]",
                         f"cover of state {s} must contain cover of state {s - 1} "
                         f"(missing elements {missing})",
                     )
@@ -308,18 +308,18 @@ class ConcaveOverModular(LatticeObjective):
 
     family = "concave_over_modular"
 
-    def __init__(self, a_tables, curve: ConcaveCurve, *, path: str = "objective"):
-        a = _floats(a_tables, f"{path}.a", 2)
+    def __init__(self, a_tables, curve: ConcaveCurve):
+        a = _floats(a_tables, "objective.a", 2)
         if a.shape[0] < 1 or a.shape[1] < 1:
-            raise ValidationError(f"{path}.a", "expected an I x S matrix of values a_i(1..S)")
+            raise ValidationError("objective.a", "expected an I x S matrix of values a_i(1..S)")
         if np.any(a[:, 0] < -EXACT_TOL):
             i = int(np.argmax(a[:, 0] < -EXACT_TOL))
-            raise ValidationError(f"{path}.a[{i}][0]", f"a must be nonnegative (got {a[i, 0]})")
+            raise ValidationError(f"objective.a[{i}][0]", f"a must be nonnegative (got {a[i, 0]})")
         for i in range(a.shape[0]):
             for s in range(1, a.shape[1]):
                 if a[i, s] < a[i, s - 1] - EXACT_TOL:
                     raise ValidationError(
-                        f"{path}.a[{i}][{s}]", f"a must be nondecreasing ({a[i, s]} < {a[i, s - 1]})"
+                        f"objective.a[{i}][{s}]", f"a must be nondecreasing ({a[i, s]} < {a[i, s - 1]})"
                     )
         super().__init__(a.shape[0], a.shape[1])
         # prepend a_i(0) = 0 so tables index directly by state
@@ -332,40 +332,34 @@ class ConcaveOverModular(LatticeObjective):
         return self.curve.apply(_sum_item_terms(self.a_tables, u))
 
 
-# family name -> (required parameter keys, constructor from the parameters and a path)
+# family name -> (required parameter keys, constructor from the parameters)
 _FAMILY_TABLE = {
     "separable_concave": (
         ("weights", "g"),
-        lambda p, path: SeparableConcave(p["weights"], p["g"], path=path)),
+        lambda p: SeparableConcave(p["weights"], p["g"])),
     "nested_coverage": (
         ("covers", "element_weights"),
-        lambda p, path: NestedCoverage(p["covers"], p["element_weights"], path=path)),
+        lambda p: NestedCoverage(p["covers"], p["element_weights"])),
     "concave_over_modular": (
         ("a", "g"),
-        lambda p, path: ConcaveOverModular(
-            p["a"], ConcaveCurve.from_dict(p["g"], path=f"{path}.g"), path=path)),
+        lambda p: ConcaveOverModular(p["a"], ConcaveCurve.from_dict(p["g"]))),
 }
 FAMILIES = tuple(_FAMILY_TABLE)
 
 
-def make_objective(family: str, params: dict, *, path: str = "objective") -> LatticeObjective:
-    """Build a declared objective, validating every family parameter."""
+def make_objective(family: str, params: dict) -> LatticeObjective:
+    """Build a declared objective, validating every family parameter.
+
+    The one objective builder, for the loader too; errors name the entry
+    as an instance file does (``objective.weights[1]``, ``objective.g.cap``).
+    """
     if not isinstance(family, str) or family not in _FAMILY_TABLE:
-        raise ValidationError(f"{path}.family", f"unknown objective family {family!r}")
+        raise ValidationError("objective.family", f"unknown objective family {family!r}")
     keys, build = _FAMILY_TABLE[family]
     for k in keys:
         if k not in params:
-            raise ValidationError(f"{path}.{k}", "missing required key")
-    return build(params, path)
-
-
-def objective_from_dict(d: dict, *, path: str = "objective") -> LatticeObjective:
-    if not isinstance(d, dict):
-        raise ValidationError(path, "expected an object")
-    if "family" not in d:
-        raise ValidationError(f"{path}.family", "missing required key")
-    params = {k: v for k, v in d.items() if k != "family"}
-    return make_objective(d["family"], params, path=path)
+            raise ValidationError(f"objective.{k}", "missing required key")
+    return build(params)
 
 
 # ---------------------------------------------------------------------------
@@ -463,42 +457,31 @@ def check_lattice_submodular(objective: LatticeObjective) -> CheckResult:
 
 
 def instance_from_dict(d: dict) -> tuple[Instance, LatticeObjective]:
+    """A parsed instance file's instance and objective. Only the file's structure is
+    checked here: :class:`Instance` checks the rows, :func:`make_objective` the objective."""
     if not isinstance(d, dict):
         raise ValidationError("instance", "expected a JSON object")
-    if "items" not in d:
-        raise ValidationError("items", "missing required key")
-    if "budget" not in d:
-        raise ValidationError("budget", "missing required key")
-    if "objective" not in d:
-        raise ValidationError("objective", "missing required key")
+    for key in ("items", "budget", "objective"):
+        if key not in d:
+            raise ValidationError(key, "missing required key")
     items = d["items"]
     if not isinstance(items, list) or not items:
         raise ValidationError("items", "expected a nonempty list")
-    probs, costs = [], []
-    width = None
     for i, item in enumerate(items):
         if not isinstance(item, dict) or "probs" not in item or "costs" not in item:
             raise ValidationError(f"items[{i}]", "expected an object with 'probs' and 'costs'")
-        p = _floats(item["probs"], f"items[{i}].probs", 1)
-        c = _floats(item["costs"], f"items[{i}].costs", 1)
-        if p.size != c.size or not p.size:
-            raise ValidationError(f"items[{i}]", "probs and costs must be nonempty, equal-length lists")
-        if width is None:
-            width = p.size
-        elif p.size != width:
-            raise ValidationError(f"items[{i}].probs", f"expected {width} states, got {p.size}")
-        probs.append(p)
-        costs.append(c)
-    inst = Instance(np.array(probs), np.array(costs), float(_floats(d["budget"], "budget", 0)))
-    objective = objective_from_dict(d["objective"])
-    if objective.item_count != inst.item_count:
-        raise ValidationError(
-            "objective", f"objective covers {objective.item_count} items, instance has {inst.item_count}"
-        )
-    if objective.state_count != inst.state_count:
-        raise ValidationError(
-            "objective", f"objective covers {objective.state_count} states, instance has {inst.state_count}"
-        )
+    inst = Instance([item["probs"] for item in items], [item["costs"] for item in items],
+                    _floats(d["budget"], "budget", 0))
+    spec = d["objective"]
+    if not isinstance(spec, dict):
+        raise ValidationError("objective", "expected an object")
+    if "family" not in spec:
+        raise ValidationError("objective.family", "missing required key")
+    objective = make_objective(spec["family"], {k: v for k, v in spec.items() if k != "family"})
+    for name, have, want in (("items", objective.item_count, inst.item_count),
+                             ("states", objective.state_count, inst.state_count)):
+        if have != want:
+            raise ValidationError("objective", f"objective covers {have} {name}, instance has {want}")
     return inst, objective
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .extension import FactoredExtension, check_fractional, sampled_marginals
-from .model import Instance, LatticeObjective, PROB_TOL, _int
+from .model import Instance, LatticeObjective, PROB_TOL, _floats, _int
 from .rng import OPTIMIZER, substream
 
 
@@ -38,6 +38,8 @@ class GreedyConfig:
             raise ValidationError("marginals", f"unknown mode {self.marginal_mode!r}")
         if _int(self.samples, "samples") < 1:
             raise ValidationError("samples", "must be at least 1")
+        if _int(self.seed, "seed") < 0:
+            raise ValidationError("seed", "must be nonnegative")
 
 
 def density_greedy(omega: np.ndarray, caps: np.ndarray, costs: np.ndarray,
@@ -137,10 +139,11 @@ def split_solution(y: np.ndarray, inst: Instance) -> tuple[np.ndarray, np.ndarra
 
 
 def check_lp_feasible(y: np.ndarray, inst: Instance) -> None:
-    """Raise unless y is inside the LP polytope (within ``PROB_TOL``)."""
+    """Raise unless y is finite and inside the LP polytope (within ``PROB_TOL``)."""
     y = np.asarray(y, dtype=float)
     if y.shape != inst.prob.shape:
         raise ValidationError("y", f"expected shape {inst.prob.shape}, got {y.shape}")
+    _floats(y, "y", 2)  # NaN fails every comparison below
     if np.any(y < -PROB_TOL):
         i, s = np.unravel_index(int(np.argmin(y)), y.shape)
         raise ValidationError(f"y[{i}][{s}]", f"{y[i, s]} is negative")

@@ -66,6 +66,15 @@ ACTIONS = (DISCARDED, REJECTED, SKIPPED, ACCEPTED)  # indexed by the int8 action
 CHUNK_RUNS = 8_192  # rows per block of a draw plan
 
 
+def order_indices(order) -> tuple:
+    """A non-string order as the tuple of its item indices, else a ValidationError at ``order``."""
+    try:
+        return tuple(_int(v, "order") for v in order)
+    except TypeError:  # not iterable
+        raise ValidationError("order", f"expected a spec or a list of item indices "
+                                       f"(got {order!r})") from None
+
+
 def resolve_order(order, item_count: int):
     """An arrival-order spec as ``"random"`` or the tuple of its permutation of 0..I-1."""
     if isinstance(order, str):
@@ -74,7 +83,7 @@ def resolve_order(order, item_count: int):
         if order == "identity":
             return tuple(range(item_count))
         raise ValidationError("order", f"unknown order spec {order!r}")
-    arr = [_int(v, "order") for v in order]
+    arr = list(order_indices(order))
     if sorted(arr) != list(range(item_count)):
         raise ValidationError("order", f"{arr} is not a permutation of 0..{item_count - 1}")
     return tuple(arr)

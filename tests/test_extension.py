@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from stocan import extension, harness, model
 from stocan.errors import CapacityError, ValidationError
-from stocan.rng import OPTIMIZER, substream
+from stocan.rng import ESTIMATE, OPTIMIZER, substream
 
 from conftest import TableObjective, generated, modular_objective
 from enumeration_oracles import exact_H_bruteforce
@@ -138,6 +138,33 @@ def test_estimate_seed_reproducible():
     a = extension.estimate_H(x, f, 5000, seed=9)
     b = extension.estimate_H(x, f, 5000, seed=9)
     assert a == b
+
+
+@pytest.mark.parametrize("samples", [2.5, 2.0, True, "100", 0])
+@pytest.mark.parametrize("estimator", ["estimate_H", "sampled_marginals"])
+def test_a_sample_count_that_is_not_a_positive_integer_is_a_validation_error(estimator, samples):
+    f = modular_objective([1.0], 1)
+    with pytest.raises(ValidationError) as err:
+        if estimator == "estimate_H":
+            extension.estimate_H(np.array([[0.5]]), f, samples, 0)
+        else:
+            extension.sampled_marginals(np.array([[0.5]]), f, samples, substream(0, OPTIMIZER))
+    assert err.value.path == "samples"
+
+
+def test_the_sampler_draws_one_block_of_uniforms_across_chunk_boundaries():
+    # the draws are the same as one (samples, I, S) block of uniforms, cut into _CHUNK rows
+    _, f = generated(22, 3, 2, "nested_coverage")
+    x = np.array([[0.2, 0.5], [0.0, 1.0], [0.7, 0.1]])
+    samples = 2 * extension._CHUNK + 5
+    u = substream(9, ESTIMATE).random((samples, 3, 2)) < x
+    states = np.max(np.where(u, np.arange(1, 3), 0), axis=2)
+    vals = f.value_many(states)
+    assert extension.estimate_H(x, f, samples, 9) == (
+        float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(samples)))
+    blocks = [states[k:k + extension._CHUNK] for k in range(0, samples, extension._CHUNK)]
+    drawn = list(extension._max_state_draws(x, f, samples, substream(9, ESTIMATE)))
+    assert [b.tolist() for b in drawn] == [b.tolist() for b in blocks]
 
 
 def test_estimate_single_sample_flagged():

@@ -804,8 +804,9 @@ def test_verify_order_rows_are_exact_values_and_run_no_campaign(monkeypatch, ord
     orders = row["detail"]["orders"]
     if order_checks >= 6:  # every order, each once
         assert [tuple(r["order"]) for r in orders] == list(itertools.permutations(range(3)))
-    else:
+    else:  # seed 1 draws an order twice among its first 4 draws; each is checked once
         assert len(orders) == order_checks
+        assert len({tuple(r["order"]) for r in orders}) == order_checks
     inst, f = model.load_instance(path)
     y = np.array(report["solution"]["y"])
     bound = harness.GUARANTEE_RATIO * report["oracle"]["adaptive_optimum"] - harness.SPLIT_TOL
@@ -934,8 +935,14 @@ def _config(**fields):
         harness.generate_instance(2, 2, seed=1)), np.zeros((2, 2)), 2.5)),
     ("items", lambda: harness.generate_instance(2.5, 2, seed=1)),
     ("seed", lambda: harness.generate_instance(2, 2, seed=1.5)),
+    ("order", lambda: policies.resolve_order(5, 3)),
+    ("order", lambda: policies.simulate_policies(*model.instance_from_dict(
+        harness.generate_instance(2, 2, seed=1)), np.zeros((2, 2)), 10, order=5)),
+    ("seed", lambda: optimizer.GreedyConfig(seed=1.5)),
+    ("seed", lambda: optimizer.GreedyConfig(seed=-1)),
 ], ids=["order-floats", "order-bools", "config-order-floats", "order-checks", "seed", "runs",
-        "rounds", "samples-string", "greedy-rounds-bool", "campaign-runs", "gen-items", "gen-seed"])
+        "rounds", "samples-string", "greedy-rounds-bool", "campaign-runs", "gen-items", "gen-seed",
+        "order-number", "campaign-order-number", "greedy-seed-float", "greedy-seed-negative"])
 def test_a_non_integer_count_or_index_is_a_validation_error(field, call):
     """Library inputs are never truncated: a float, bool or string where an integer belongs
     is an input error that names its field."""
@@ -1006,6 +1013,50 @@ def test_nan_in_solution_names_its_file_and_entry(tmp_path):
     assert done.returncode == cli.EXIT_INVALID
     assert "Traceback" not in done.stderr
     assert f"{opt}: solution.y[0][0]" in done.stderr
+
+
+def test_a_nan_y_is_refused_by_the_library_naming_its_entry():
+    # every comparison with NaN is false, so only a finiteness check keeps it from the policies
+    inst, f = model.load_instance(reference_suite_paths()[9])
+    y = np.full(inst.prob.shape, math.nan)
+    for call in (lambda: optimizer.check_lp_feasible(y, inst),
+                 lambda: policies.simulate_policies(inst, f, y, 100, seed=1),
+                 lambda: policies.exact_policy_value("small", inst, f, y, order="identity")):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert err.value.path == "y[0][0]"
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 7.28 TiB for an array", "Unable to allocate 7.28 TiB for an array"),
+    ("", "out of memory"),
+], ids=["numpy", "bare"])
+def test_out_of_memory_is_a_capacity_error(tmp_path, monkeypatch, capsys, command, message, line):
+    # the allocation is never made: a host that overcommits memory could grant it and page it in
+    path = write_payload(tmp_path, harness.generate_instance(2, 2, seed=28))
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(policies, "simulate_policies", refuse)
+    assert cli.main([command, "--instance", str(path), "--seed", "1", "--rounds", "5",
+                     "--runs", "10"]) == cli.EXIT_CAPACITY
+    assert capsys.readouterr().err == f"capacity error: {line}\n"
+
+
+def test_verify_lists_its_checks_in_one_order_past_the_oracle_guard(tmp_path):
+    # a 12 x 2 instance is past the oracle's guard, (S+2)^I = 4^12, and a reference is within it
+    big = write_payload(tmp_path, harness.generate_instance(12, 2, seed=7))
+    reports = [harness.run_verify(harness.ExperimentConfig(instance=str(path), seed=1, rounds=20,
+                                                           runs=2000))
+               for path in (reference_suite_paths()[0], big)]
+    assert [r["oracle"]["available"] for r in reports] == [True, False]
+    names = [[c["name"] for c in r["checks"]] for r in reports]
+    assert names[0] == names[1]
+    skipped = [c["name"] for c in reports[1]["checks"] if c["status"] == "skipped"]
+    assert skipped == ["fractional_vs_adaptive_oracle", "combined_policy_guarantee",
+                       "order_robustness"]
 
 
 @pytest.mark.parametrize("entry", ["above-one", "above-cap", "negative"])

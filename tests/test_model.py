@@ -73,6 +73,47 @@ def test_nonfinite_instance_numbers_rejected(probs, costs, budget, path):
     assert err.value.path == path
 
 
+@pytest.mark.parametrize("probs, costs, budget, path", [
+    ([[0.5, 0.5], [1.0]], [[0.1, 0.2], [0.1]], 1.0, "items[1].probs"),
+    ([[0.5, 0.5]], [[0.1, 0.2, 0.3]], 1.0, "items[0]"),
+    ([[0.5, "x"]], [[0.1, 0.2]], 1.0, "items[0].probs"),
+    ([[0.5, 0.5]], [[0.1, [0.2]]], 1.0, "items[0].costs"),
+    (5, [[0.1]], 1.0, "instance"),
+    ([0.5, 0.5], [0.1, 0.2], 1.0, "items[0].probs"),
+    ([[1.0], [1.0]], [[0.1]], 1.0, "instance"),
+    ([], [], 1.0, "instance"),
+    ([[1.0]], [[0.1]], "abc", "instance.budget"),
+    ([[1.0]], [[0.1]], [1.0], "instance.budget"),
+], ids=["ragged", "unequal-lengths", "string-entry", "list-entry", "non-sequence", "flat-rows",
+        "row-counts", "no-rows", "string-budget", "list-budget"])
+def test_a_directly_built_instance_names_its_bad_entry(probs, costs, budget, path):
+    # the rows are checked by Instance itself, as lists or arrays, not only by the loader
+    with pytest.raises(ValidationError) as err:
+        model.Instance(probs, costs, budget)
+    assert err.value.path == path
+
+
+def test_a_directly_built_instance_takes_its_rows_as_lists_or_tuples():
+    inst = model.Instance([[0.25, 0.75], (1.0, 0.0)], [[0.1, 0.4], [0.2, 0.2]], 2)
+    assert inst.prob.tolist() == [[0.25, 0.75], [1.0, 0.0]] and inst.prob.dtype == float
+    assert inst.cost.tolist() == [[0.1, 0.4], [0.2, 0.2]] and inst.cost.dtype == float
+    assert inst.budget == 2.0 and isinstance(inst.budget, float)
+    assert not inst.prob.flags.writeable and not inst.cost.flags.writeable
+
+
+@pytest.mark.parametrize("make, path", [
+    (lambda: model.ConcaveCurve("warp"), "objective.g.kind"),
+    (lambda: model.ConcaveCurve("cap", cap=-1.0), "objective.g.cap"),
+    (lambda: model.ConcaveCurve("power", exponent=1.5), "objective.g.exponent"),
+    (lambda: model.ConcaveCurve("sqrt", scale=0.0), "objective.g.scale"),
+    (lambda: model.ConcaveCurve.from_dict({"cap": 1.0}), "objective.g"),
+], ids=["kind", "cap", "exponent", "scale", "from-dict"])
+def test_a_curve_names_its_entry_in_the_objective(make, path):
+    with pytest.raises(ValidationError) as err:
+        make()
+    assert err.value.path == path
+
+
 @pytest.mark.parametrize("family, params, path", [
     ("separable_concave", {"weights": [math.nan], "g": [0, 1]}, "objective.weights[0]"),
     ("separable_concave", {"weights": [1.0], "g": [0, math.inf]}, "objective.g[1]"),
@@ -514,6 +555,25 @@ def test_loader_dimension_mismatch(tmp_path):
     with pytest.raises(ValidationError) as err:
         model.load_instance(p)
     assert "objective" in str(err.value)
+
+
+@pytest.mark.parametrize("edit, path", [
+    (lambda d: d.update(objective=[1]), "objective"),
+    (lambda d: d["objective"].pop("family"), "objective.family"),
+    (lambda d: d["objective"].update(family="mystery"), "objective.family"),
+    (lambda d: d["objective"].pop("g"), "objective.g"),
+    (lambda d: d["items"].append(5), "items[1]"),
+    (lambda d: d["items"][0].pop("costs"), "items[0]"),
+    (lambda d: d.update(budget=-1.0), "instance.budget"),
+    (lambda d: d.update(budget=[1.0]), "budget"),
+])
+def test_loader_checks_the_file_structure_and_names_the_entry(edit, path):
+    payload = {"items": [{"probs": [1.0], "costs": [0.5]}], "budget": 1.0,
+               "objective": {"family": "separable_concave", "weights": [1.0], "g": [0, 1]}}
+    edit(payload)
+    with pytest.raises(ValidationError) as err:
+        model.instance_from_dict(payload)
+    assert err.value.path == path
 
 
 def test_digest_is_stable():
